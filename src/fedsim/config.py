@@ -237,6 +237,9 @@ def build_model(cfg: dict, instance, base_dir: str = ".") -> av.ParticipationMod
             raise ConfigError("availability.probs", f"need {n} probabilities")
         return av.BernoulliParticipation(probs)
     if variant == "periodic":
+        for key in ("periods", "phases"):
+            if np.shape(_require(avail, "availability", key)) != (n,):
+                raise ConfigError(f"availability.{key}", f"need {n} {key}")
         return av.PeriodicParticipation(avail["periods"], avail["phases"])
     if variant == "adversarial_linear":
         return av.AdversarialLinearParticipation(n, float(avail["offset"]), float(avail["slope_divisor"]))

@@ -131,24 +131,28 @@ def run_experiment(
     out: str | None = None,
     seeds=None,
     base_dir: str = ".",
-    algorithm: str | None = None,
 ) -> ExperimentResult:
     """Run every seed of a config independently and write CSV outputs.
 
-    ``out`` overrides run.out; ``seeds`` overrides run.seeds; ``algorithm``
-    overrides the algorithm name (used by ``compare``). Omitting all output
-    paths keeps results in memory only.
+    ``out`` overrides run.out; ``seeds`` overrides run.seeds. Omitting all
+    output paths keeps results in memory only.
     """
     validate_config(cfg)
+    instance = build_instance(cfg)
+    model = build_model(cfg, instance, base_dir=base_dir)
+    algo_spec = build_algo_spec(cfg, model)
+    out = out if out is not None else cfg["run"].get("out")
+    return _run_seeds(cfg, instance, model, algo_spec, out, seeds)
+
+
+def _run_seeds(cfg: dict, instance, model, algo_spec, out: str | None, seeds=None) -> ExperimentResult:
+    """Run ``algo_spec`` on a built instance and participation model for
+    every seed and write the per-seed, aggregate and meta files under
+    ``out`` (none when ``out`` is empty)."""
     run_cfg = cfg["run"]
     horizon = int(run_cfg["horizon"])
     n_steps = int(run_cfg["local_steps"])
     seeds = [int(s) for s in (seeds if seeds is not None else run_cfg["seeds"])]
-    out = out if out is not None else run_cfg.get("out")
-
-    instance = build_instance(cfg)
-    model = build_model(cfg, instance, base_dir=base_dir)
-    algo_spec = build_algo_spec(cfg, model, name=algorithm)
 
     per_seed: dict[int, RunResult] = {}
     schedule_echo = None
@@ -219,13 +223,20 @@ def compare_experiment(cfg: dict, algorithms, out: str | None = None, base_dir: 
 
     Every algorithm sees the same realized active sets per seed because
     participation draws depend only on (seed, device), never the algorithm.
-    Returns {algorithm: ExperimentResult}; CSVs are written per algorithm as
-    <out>_<algorithm>.csv.
+    The instance and participation model are built once and shared, since
+    no run writes to them. Returns {algorithm: ExperimentResult}; CSVs are
+    written per algorithm as <out>_<algorithm>.csv, where ``out`` overrides
+    run.out.
     """
+    validate_config(cfg)
+    out = out if out is not None else cfg["run"].get("out")
+    instance = build_instance(cfg)
+    model = build_model(cfg, instance, base_dir=base_dir)
     results = {}
     for name in algorithms:
+        algo_spec = build_algo_spec(cfg, model, name=name)
         algo_out = f"{out}_{name}" if out else None
-        results[name] = run_experiment(cfg, out=algo_out, base_dir=base_dir, algorithm=name)
+        results[name] = _run_seeds(cfg, instance, model, algo_spec, algo_out)
     return results
 
 

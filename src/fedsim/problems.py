@@ -21,6 +21,10 @@ import numpy as np
 
 DISSIMILARITY_SAMPLES = 10_000
 DISSIMILARITY_MARGIN = 1.1
+# Certificate checks walk their sample points in row blocks of about this
+# many float64 values per (rows, N, d) temporary, so building an instance
+# needs O(samples * d) memory rather than O(samples * N * d).
+CERTIFICATE_BLOCK_FLOATS = 1 << 18
 
 
 class MissingOptimumError(RuntimeError):
@@ -211,16 +215,27 @@ def _ball_points(rng, count, dim, radius):
     return directions / norms * radii
 
 
+def _row_blocks(points, floats_per_row):
+    """Consecutive row slices of ``points``, each expanding to at most
+    CERTIFICATE_BLOCK_FLOATS values at ``floats_per_row`` per row (at least
+    one row per slice)."""
+    rows = max(1, CERTIFICATE_BLOCK_FLOATS // floats_per_row)
+    for start in range(0, len(points), rows):
+        yield points[start : start + rows]
+
+
 def _sampled_beta_quadratic(hessians, centers, alpha, radius, seed):
     """Per-device sampled sup of ||grad_i||^2 - alpha ||grad||^2 over a ball."""
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xBE7A]))
     n_devices, dim = centers.shape
     points = _ball_points(rng, DISSIMILARITY_SAMPLES, dim, radius)
-    diffs = points[:, None, :] - centers[None, :, :]
-    grads = np.einsum("nij,snj->sni", hessians, diffs)      # (S, N, d)
-    per_dev_sq = np.sum(grads**2, axis=2)                   # (S, N)
-    global_sq = np.sum(grads.mean(axis=1) ** 2, axis=1)     # (S,)
-    beta = np.maximum(0.0, (per_dev_sq - alpha * global_sq[:, None]).max(axis=0))
+    beta = np.zeros(n_devices)
+    for block in _row_blocks(points, n_devices * dim):
+        diffs = block[:, None, :] - centers[None, :, :]
+        grads = np.einsum("nij,snj->sni", hessians, diffs)  # (rows, N, d)
+        per_dev_sq = np.sum(grads**2, axis=2)               # (rows, N)
+        global_sq = np.sum(grads.mean(axis=1) ** 2, axis=1) # (rows,)
+        np.maximum(beta, (per_dev_sq - alpha * global_sq[:, None]).max(axis=0), out=beta)
     return DISSIMILARITY_MARGIN * beta
 
 
@@ -514,14 +529,16 @@ def _verify_dissimilarity_trig(centers, curvature, amplitude, alpha, beta_i, het
     n_devices, dim = centers.shape
     radius = max(1.0, 10.0 * heterogeneity)
     points = _ball_points(rng, DISSIMILARITY_SAMPLES, dim, radius)
-    trig = -amplitude * np.sin(points)                                   # (S, d)
-    grads = curvature * (points[:, None, :] - centers[None, :, :]) + trig[:, None, :]
-    per_dev_sq = np.sum(grads**2, axis=2)
-    global_grads = curvature * (points - centers.mean(axis=0)) + trig
-    global_sq = np.sum(global_grads**2, axis=1)
-    slack = per_dev_sq - alpha * global_sq[:, None] - beta_i[None, :]
-    if float(slack.max()) > 1e-9:
-        raise ArithmeticError("gradient-dissimilarity certificate failed")
+    mean_center = centers.mean(axis=0)
+    for block in _row_blocks(points, n_devices * dim):
+        trig = -amplitude * np.sin(block)                                # (rows, d)
+        grads = curvature * (block[:, None, :] - centers[None, :, :]) + trig[:, None, :]
+        per_dev_sq = np.sum(grads**2, axis=2)
+        global_grads = curvature * (block - mean_center) + trig
+        global_sq = np.sum(global_grads**2, axis=1)
+        slack = per_dev_sq - alpha * global_sq[:, None] - beta_i[None, :]
+        if float(slack.max()) > 1e-9:
+            raise ArithmeticError("gradient-dissimilarity certificate failed")
 
 
 def _validate_family_args(n_devices, dim, sigma):

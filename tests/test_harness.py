@@ -185,6 +185,29 @@ def test_compare_shares_availability_across_algorithms(tmp_path):
     assert availability_cols["mifa"] == availability_cols["sampling_fedavg"]
 
 
+def test_compare_builds_instance_once_and_matches_single_runs(tmp_path, monkeypatch):
+    cfg = base_config()
+    cfg["algorithm"] = {"name": "mifa", "subset_size": 2}
+    builds = []
+    original = fedsim.experiment.build_instance
+
+    def counting_build(config):
+        builds.append(config)
+        return original(config)
+
+    monkeypatch.setattr(fedsim.experiment, "build_instance", counting_build)
+    algorithms = ["mifa", "biased_fedavg", "sampling_fedavg"]
+    fedsim.compare_experiment(cfg, algorithms, out=str(tmp_path / "cmp"))
+    assert len(builds) == 1
+
+    for name in algorithms:
+        single = json.loads(json.dumps(cfg))
+        single["algorithm"]["name"] = name
+        run_experiment(single, out=str(tmp_path / f"one_{name}"))
+        compared = (tmp_path / f"cmp_{name}.csv").read_bytes()
+        assert compared == (tmp_path / f"one_{name}.csv").read_bytes()
+
+
 def test_trace_replay_config_runs_and_checks_device_count(tmp_path):
     from fedsim.availability import write_trace
 
@@ -324,6 +347,25 @@ def test_cli_rejects_unknown_config_key(tmp_path):
     out = run_cli("run", str(path))
     assert out.returncode == 2
     assert "run.horizonn" in out.stderr
+
+
+def test_cli_periodic_device_count_mismatch_names_key(tmp_path):
+    from pathlib import Path
+
+    bundled = Path(__file__).resolve().parents[1] / "configs" / "quickstart.json"
+    cfg = json.loads(bundled.read_text())
+    cfg["availability"] = {"variant": "periodic", "periods": [1, 2], "phases": [0, 1]}
+    path = tmp_path / "periodic.json"
+    path.write_text(json.dumps(cfg))
+    out = run_cli("run", str(path), "--out", str(tmp_path / "p"), "--seed", "1")
+    assert out.returncode == 2
+    assert "availability.periods" in out.stderr
+    assert not (tmp_path / "p.csv").exists()
+
+    cfg["availability"]["periods"] = [1] * cfg["problem"]["n_devices"]
+    with pytest.raises(ConfigError) as err:
+        fedsim.build_model(cfg, fedsim.build_instance(cfg))
+    assert "availability.phases" in str(err.value)
 
 
 def test_cli_compare_and_wait_study(tmp_path):

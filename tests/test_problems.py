@@ -1,9 +1,11 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fedsim import problems
 from fedsim.problems import (
     MissingOptimumError,
     make_logistic_instance,
@@ -235,6 +237,64 @@ def test_dissimilarity_bound_holds_on_fresh_samples(inst):
         for i in range(inst.n_devices):
             g = inst.grad(i, w)
             assert float(g @ g) <= bound + beta[i] + 1e-9
+
+
+@pytest.mark.parametrize("samples", [problems.DISSIMILARITY_SAMPLES, 11])
+def test_blocked_certificates_match_one_shot_reference(monkeypatch, samples):
+    # 3 devices x 2 dims = 6 floats per sample row, so blocks of 3 rows leave
+    # a ragged last block (10_000 % 3 == 1, 11 % 3 == 2)
+    monkeypatch.setattr(problems, "CERTIFICATE_BLOCK_FLOATS", 6 * 3)
+    monkeypatch.setattr(problems, "DISSIMILARITY_SAMPLES", samples)
+    seed, alpha, radius = 9, 3.0, 4.0
+    quad = make_quadratic_instance(3, 2, mu=1.0, smoothness=3.0, sigma=0.1, heterogeneity=1.0, seed=seed)
+    hessians, centers = quad.stacked["hessians"], quad.stacked["centers"]
+
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xBE7A]))
+    points = problems._ball_points(rng, samples, 2, radius)
+    grads = np.einsum("nij,snj->sni", hessians, points[:, None, :] - centers[None, :, :])
+    per_dev_sq = np.sum(grads**2, axis=2)
+    global_sq = np.sum(grads.mean(axis=1) ** 2, axis=1)
+    slack = per_dev_sq - alpha * global_sq[:, None]
+    expected = problems.DISSIMILARITY_MARGIN * np.maximum(0.0, slack.max(axis=0))
+    if samples == 11:
+        # the last sample row sets device 2's sup, so a dropped ragged
+        # block would change beta_i
+        assert slack[:, 2].argmax() == 10 and slack[10, 2] > 0.0
+    got = problems._sampled_beta_quadratic(hessians, centers, alpha, radius, seed)
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_blocked_trig_verifier_accepts_certificate_and_rejects_zero(monkeypatch):
+    monkeypatch.setattr(problems, "CERTIFICATE_BLOCK_FLOATS", 6 * 3)
+    seed = 9
+    trig = make_nonconvex_instance(3, 2, curvature=1.0, amplitude=0.5, sigma=0.1, heterogeneity=1.0, seed=seed)
+    args = (trig.stacked["centers"], 1.0, 0.5, 2.0)
+    problems._verify_dissimilarity_trig(*args, trig.constants.beta_i, 1.0, seed)
+    with pytest.raises(ArithmeticError):
+        problems._verify_dissimilarity_trig(*args, np.zeros(3), 1.0, seed)
+
+
+def _traced_peak_bytes(build):
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_instance_build_memory_is_bounded():
+    # the certificate samples are O(samples * d); only fixed-size blocks of
+    # the (samples, N, d) gradients exist at any time
+    mb = 2**20
+    quad_peak = _traced_peak_bytes(
+        lambda: make_quadratic_instance(100, 20, mu=1.0, smoothness=4.0, sigma=0.5, heterogeneity=1.0, seed=3)
+    )
+    assert quad_peak <= 32 * mb
+    trig_peak = _traced_peak_bytes(
+        lambda: make_nonconvex_instance(20, 200, curvature=1.0, amplitude=0.5, sigma=0.5, heterogeneity=2.0, seed=3)
+    )
+    assert trig_peak <= 64 * mb
 
 
 def test_global_grad_is_mean_of_device_grads():
