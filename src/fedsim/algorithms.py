@@ -1,7 +1,18 @@
 """Federated optimization servers with faithful unavailability semantics.
 
-Five algorithms share one device-update primitive (K local SGD steps whose
-sampled gradients are summed):
+Each algorithm is a server object that owns the model ``w``, the wall-round
+counter ``t``, the global-update counter ``t_prime`` and whatever memory the
+algorithm keeps. ``Runner`` plays every wall-round the same way:
+
+1. ``server.needs(active)`` checks that ``active`` is the next round and
+   returns the sorted ids of the devices that compute in it;
+2. each of those devices runs ``local_update`` (K local SGD steps whose
+   sampled gradients are summed) from ``server.w`` on its own noise stream;
+3. ``server.aggregate(updates, schedule)`` folds those updates in and steps
+   the model.
+
+``state_dict``/``load_state_dict`` checkpoint a server. The five servers
+differ only in steps 1 and 3:
 
 - ``mifa``: keeps every device's latest update in an array and averages the
   whole array each round, reusing stale entries for inactive devices.
@@ -16,18 +27,22 @@ sampled gradients are summed):
 - ``sampling_fedavg``: samples a device subset and blocks the global update
   until every selected device has responded.
 
+``SERVERS`` maps each algorithm name to its server class. A server's
+``from_config`` turns a config's ``algorithm`` section into the algorithm's
+spec, the frozen parameter holder that ``Runner`` and ``run`` take.
+
 All server aggregation goes through correctly rounded summation
 (``exact.exact_mean``) so algebraically equal updates are bitwise equal.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .availability import ActiveSet, StalenessTracker
+from .availability import ActiveSet, BernoulliParticipation, StalenessTracker
 from .exact import ExactVectorSum, exact_mean, two_diff
 from .problems import ProblemInstance, sphere_noise
 from .records import RoundMetrics, RunResult
@@ -101,317 +116,8 @@ def local_update(
     return LocalUpdate(device=i, value=total, produced_at=produced_at)
 
 
-def _require_round(state_t: int, active: ActiveSet, n_devices: int):
-    if active.round != state_t + 1:
-        raise ValueError(f"expected round {state_t + 1}, got {active.round}")
-    if active.round == 1 and active.members != frozenset(range(n_devices)):
-        raise ValueError("round 1 requires all devices to be active")
-
-
-def _apply(w: np.ndarray, eta: float, direction: np.ndarray) -> np.ndarray:
-    # single shared expression so equal (eta, direction) pairs give equal models
-    return w - eta * direction
-
-
-@dataclass
-class MifaServerState:
-    w: np.ndarray
-    update_array: np.ndarray  # (n_devices, dim), zero-initialized
-    t: int = 0
-
-    @classmethod
-    def init(cls, n_devices: int, w0: np.ndarray) -> "MifaServerState":
-        return cls(w=w0.copy(), update_array=np.zeros((n_devices, len(w0))), t=0)
-
-    @property
-    def t_prime(self) -> int:
-        return self.t  # every round modifies the model
-
-    def state_dict(self) -> dict:
-        return {"w": self.w.tolist(), "update_array": self.update_array.tolist(), "t": self.t}
-
-    @classmethod
-    def from_state_dict(cls, state: dict) -> "MifaServerState":
-        return cls(
-            w=np.asarray(state["w"], dtype=np.float64),
-            update_array=np.asarray(state["update_array"], dtype=np.float64),
-            t=int(state["t"]),
-        )
-
-
-def mifa_round(
-    state: MifaServerState,
-    active: ActiveSet,
-    eta_t: float,
-    instance: ProblemInstance,
-    n_steps: int,
-    rngs: list,
-) -> MifaServerState:
-    """Overwrite active devices' stored updates, then step by the full-array
-    average. Inactive entries are reused untouched; an empty active set still
-    applies the update since the array is complete after round 1."""
-    n = instance.n_devices
-    _require_round(state.t, active, n)
-    for i in sorted(active.members):
-        lu = local_update(instance, i, state.w, eta_t, n_steps, rngs[i], produced_at=active.round)
-        state.update_array[i] = lu.value
-    state.w = _apply(state.w, eta_t, exact_mean(state.update_array, n))
-    state.t = active.round
-    return state
-
-
-@dataclass
-class DeltaServerState:
-    """Server keeps one running-average vector; each device keeps its own
-    previous update. ``exact_sum`` carries the exact real sum of the stored
-    updates, so the running average never drifts from the array average."""
-
-    w: np.ndarray
-    device_memory: np.ndarray  # device-side stored previous updates
-    exact_sum: ExactVectorSum
-    t: int = 0
-
-    @classmethod
-    def init(cls, n_devices: int, w0: np.ndarray) -> "DeltaServerState":
-        return cls(
-            w=w0.copy(),
-            device_memory=np.zeros((n_devices, len(w0))),
-            exact_sum=ExactVectorSum(len(w0)),
-            t=0,
-        )
-
-    @property
-    def t_prime(self) -> int:
-        return self.t
-
-    @property
-    def running_average(self) -> np.ndarray:
-        return self.exact_sum.rounded() / len(self.device_memory)
-
-    def state_dict(self) -> dict:
-        return {
-            "w": self.w.tolist(),
-            "device_memory": self.device_memory.tolist(),
-            "exact_sum": self.exact_sum.state_dict(),
-            "t": self.t,
-        }
-
-    @classmethod
-    def from_state_dict(cls, state: dict) -> "DeltaServerState":
-        return cls(
-            w=np.asarray(state["w"], dtype=np.float64),
-            device_memory=np.asarray(state["device_memory"], dtype=np.float64),
-            exact_sum=ExactVectorSum.from_state_dict(state["exact_sum"]),
-            t=int(state["t"]),
-        )
-
-
-def mifa_delta_round(
-    state: DeltaServerState,
-    active: ActiveSet,
-    eta_t: float,
-    instance: ProblemInstance,
-    n_steps: int,
-    rngs: list,
-) -> DeltaServerState:
-    n = instance.n_devices
-    _require_round(state.t, active, n)
-    for i in sorted(active.members):
-        lu = local_update(instance, i, state.w, eta_t, n_steps, rngs[i], produced_at=active.round)
-        hi, lo = two_diff(lu.value, state.device_memory[i])
-        state.exact_sum.add(hi)
-        state.exact_sum.add(lo)
-        state.device_memory[i] = lu.value
-    state.w = _apply(state.w, eta_t, state.running_average)
-    state.t = active.round
-    return state
-
-
-@dataclass
-class FreshServerState:
-    """Memoryless server used by the biased and importance-weighted variants."""
-
-    w: np.ndarray
-    t: int = 0
-    t_prime: int = 0
-
-    @classmethod
-    def init(cls, n_devices: int, w0: np.ndarray) -> "FreshServerState":
-        return cls(w=w0.copy(), t=0, t_prime=0)
-
-    def state_dict(self) -> dict:
-        return {"w": self.w.tolist(), "t": self.t, "t_prime": self.t_prime}
-
-    @classmethod
-    def from_state_dict(cls, state: dict) -> "FreshServerState":
-        return cls(
-            w=np.asarray(state["w"], dtype=np.float64),
-            t=int(state["t"]),
-            t_prime=int(state["t_prime"]),
-        )
-
-
-def biased_fedavg_round(
-    state: FreshServerState,
-    active: ActiveSet,
-    eta_t: float,
-    instance: ProblemInstance,
-    n_steps: int,
-    rngs: list,
-) -> FreshServerState:
-    """Average fresh updates from the active devices only. An empty active
-    set leaves the model unchanged (no-op round)."""
-    _require_round(state.t, active, instance.n_devices)
-    members = sorted(active.members)
-    if members:
-        values = np.stack(
-            [
-                local_update(instance, i, state.w, eta_t, n_steps, rngs[i], produced_at=active.round).value
-                for i in members
-            ]
-        )
-        state.w = _apply(state.w, eta_t, exact_mean(values, len(members)))
-        state.t_prime += 1
-    state.t = active.round
-    return state
-
-
-def is_fedavg_round(
-    state: FreshServerState,
-    active: ActiveSet,
-    eta_t: float,
-    probs: np.ndarray,
-    normalization: str,
-    instance: ProblemInstance,
-    n_steps: int,
-    rngs: list,
-) -> FreshServerState:
-    """Importance-weighted averaging of fresh updates.
-
-    ``active_count`` divides by |A(t)| (the literal algorithm box);
-    ``total_count`` divides by the device count, which makes the expected
-    update unbiased under independent participation.
-    """
-    if normalization not in ("active_count", "total_count"):
-        raise ValueError("normalization must be 'active_count' or 'total_count'")
-    probs = np.asarray(probs, dtype=np.float64)
-    if np.any(probs <= 0.0):
-        raise ValueError("participation probabilities must be positive")
-    _require_round(state.t, active, instance.n_devices)
-    members = sorted(active.members)
-    if members:
-        values = np.stack(
-            [
-                local_update(instance, i, state.w, eta_t, n_steps, rngs[i], produced_at=active.round).value
-                / probs[i]
-                for i in members
-            ]
-        )
-        denom = len(members) if normalization == "active_count" else instance.n_devices
-        state.w = _apply(state.w, eta_t, exact_mean(values, denom))
-        state.t_prime += 1
-    state.t = active.round
-    return state
-
-
-@dataclass
-class SamplingServerState:
-    """Blocking subset-sampling server.
-
-    The model is frozen while any selected device has not yet responded; a
-    pending device computes its update at its first active wall-round within
-    the window. The global step uses the schedule indexed by the
-    global-update counter, while devices step with the wall-round rate.
-    """
-
-    w: np.ndarray
-    subset_size: int
-    pending: set = field(default_factory=set)
-    collected: list = field(default_factory=list)  # LocalUpdate, completion order
-    t: int = 0
-    t_prime: int = 0
-    window_start: int = 0
-    waits: list = field(default_factory=list)  # wall-rounds consumed per update
-
-    @classmethod
-    def init(cls, n_devices: int, w0: np.ndarray, subset_size: int) -> "SamplingServerState":
-        if not 1 <= subset_size <= n_devices:
-            raise ValueError("subset size must lie in [1, n_devices]")
-        return cls(w=w0.copy(), subset_size=subset_size)
-
-    def state_dict(self) -> dict:
-        return {
-            "w": self.w.tolist(),
-            "subset_size": self.subset_size,
-            "pending": sorted(self.pending),
-            "collected": [
-                {"device": lu.device, "value": lu.value.tolist(), "produced_at": lu.produced_at}
-                for lu in self.collected
-            ],
-            "t": self.t,
-            "t_prime": self.t_prime,
-            "window_start": self.window_start,
-            "waits": list(self.waits),
-        }
-
-    @classmethod
-    def from_state_dict(cls, state: dict) -> "SamplingServerState":
-        out = cls(
-            w=np.asarray(state["w"], dtype=np.float64),
-            subset_size=int(state["subset_size"]),
-            pending=set(int(i) for i in state["pending"]),
-            collected=[
-                LocalUpdate(
-                    device=int(d["device"]),
-                    value=np.asarray(d["value"], dtype=np.float64),
-                    produced_at=int(d["produced_at"]),
-                )
-                for d in state["collected"]
-            ],
-            t=int(state["t"]),
-            t_prime=int(state["t_prime"]),
-            window_start=int(state["window_start"]),
-            waits=[int(x) for x in state["waits"]],
-        )
-        return out
-
-
-def sampling_fedavg_round(
-    state: SamplingServerState,
-    active: ActiveSet,
-    schedule: LrSchedule,
-    instance: ProblemInstance,
-    n_steps: int,
-    rngs: list,
-    subset_rng: np.random.Generator,
-) -> tuple[SamplingServerState, int]:
-    """Advance one wall-round; returns (state, devices that computed)."""
-    n = instance.n_devices
-    _require_round(state.t, active, n)
-    t = active.round
-    if not state.pending and not state.collected:
-        chosen = subset_rng.choice(n, size=state.subset_size, replace=False)
-        state.pending = set(int(i) for i in chosen)
-        state.window_start = t
-    computed = 0
-    for i in sorted(state.pending & set(active.members)):
-        lu = local_update(instance, i, state.w, schedule.eta(t), n_steps, rngs[i], produced_at=t)
-        state.collected.append(lu)
-        state.pending.discard(i)
-        computed += 1
-    if not state.pending and state.collected:
-        values = np.stack([lu.value for lu in state.collected])
-        eta_global = schedule.eta(state.t_prime + 1)
-        state.w = _apply(state.w, eta_global, exact_mean(values, state.subset_size))
-        state.t_prime += 1
-        state.waits.append(t - state.window_start + 1)
-        state.collected = []
-    state.t = t
-    return state, computed
-
-
 # --------------------------------------------------------------------------
-# Algorithm specs and the round-loop runner
+# Algorithm specs: the parameters of a run's server
 # --------------------------------------------------------------------------
 
 
@@ -436,11 +142,264 @@ class ImportanceFedAvgSpec:
     normalization: str = "active_count"
     name: str = "is_fedavg"
 
+    def __post_init__(self):
+        if self.normalization not in ("active_count", "total_count"):
+            raise ValueError("normalization must be 'active_count' or 'total_count'")
+        if any(p <= 0.0 for p in self.probs):
+            raise ValueError("participation probabilities must be positive")
+
 
 @dataclass(frozen=True)
 class SamplingFedAvgSpec:
     subset_size: int
     name: str = "sampling_fedavg"
+
+
+# --------------------------------------------------------------------------
+# Servers
+# --------------------------------------------------------------------------
+
+
+class Server:
+    """One algorithm's server for one run; see the module docstring.
+
+    ``subset_rng`` is the run's subset-sampling stream; only the servers
+    that draw device subsets use it.
+    """
+
+    spec_class: type  # the spec this server runs; its default name keys SERVERS
+
+    def __init__(self, spec, n_devices: int, w0: np.ndarray, subset_rng: np.random.Generator):
+        self.spec = spec
+        self.n_devices = n_devices
+        self.w = w0.copy()
+        self.t = 0
+        self.t_prime = 0
+
+    @classmethod
+    def from_config(cls, section: dict, model):
+        """This algorithm's spec from a config's ``algorithm`` section and the
+        built participation model. A missing key raises ``KeyError(key)``."""
+        return cls.spec_class()
+
+    def needs(self, active: ActiveSet) -> list:
+        """Open round ``active.round`` and return the sorted ids of the
+        devices that compute in it: every active device, by default."""
+        if active.round != self.t + 1:
+            raise ValueError(f"expected round {self.t + 1}, got {active.round}")
+        if active.round == 1 and active.members != frozenset(range(self.n_devices)):
+            raise ValueError("round 1 requires all devices to be active")
+        self.t = active.round
+        return sorted(active.members)
+
+    def aggregate(self, updates: list, schedule: LrSchedule) -> None:
+        """Fold in the ``LocalUpdate``s of the devices ``needs`` returned, in
+        that order, and step the model."""
+        raise NotImplementedError
+
+    def _step(self, eta: float, direction: np.ndarray) -> None:
+        # single shared expression so equal (eta, direction) pairs give equal models
+        self.w = self.w - eta * direction
+        self.t_prime += 1
+
+    def state_dict(self) -> dict:
+        return {"w": self.w.tolist(), "t": self.t, "t_prime": self.t_prime}
+
+    def load_state_dict(self, state: dict) -> None:
+        self.w = np.asarray(state["w"], dtype=np.float64)
+        self.t = int(state["t"])
+        # servers that step every round do not store t_prime
+        self.t_prime = int(state.get("t_prime", self.t))
+
+
+class MifaServer(Server):
+    """Overwrites the active devices' stored updates, then steps by the
+    full-array average. Inactive entries are reused untouched; an empty
+    active set still steps, since the array is complete after round 1."""
+
+    spec_class = MifaSpec
+
+    def __init__(self, spec, n_devices, w0, subset_rng):
+        super().__init__(spec, n_devices, w0, subset_rng)
+        self.update_array = np.zeros((n_devices, len(w0)))
+
+    def aggregate(self, updates, schedule):
+        for lu in updates:
+            self.update_array[lu.device] = lu.value
+        self._step(schedule.eta(self.t), exact_mean(self.update_array, self.n_devices))
+
+    def state_dict(self):
+        return {"w": self.w.tolist(), "update_array": self.update_array.tolist(), "t": self.t}
+
+    def load_state_dict(self, state):
+        super().load_state_dict(state)
+        self.update_array = np.asarray(state["update_array"], dtype=np.float64)
+
+
+class MifaDeltaServer(Server):
+    """Server keeps one running-average vector; each device keeps its own
+    previous update. ``exact_sum`` carries the exact real sum of the stored
+    updates, so the running average never drifts from the array average."""
+
+    spec_class = MifaDeltaSpec
+
+    def __init__(self, spec, n_devices, w0, subset_rng):
+        super().__init__(spec, n_devices, w0, subset_rng)
+        self.device_memory = np.zeros((n_devices, len(w0)))  # device-side stored previous updates
+        self.exact_sum = ExactVectorSum(len(w0))
+
+    @property
+    def running_average(self) -> np.ndarray:
+        return self.exact_sum.rounded() / self.n_devices
+
+    def aggregate(self, updates, schedule):
+        for lu in updates:
+            hi, lo = two_diff(lu.value, self.device_memory[lu.device])
+            self.exact_sum.add(hi)
+            self.exact_sum.add(lo)
+            self.device_memory[lu.device] = lu.value
+        self._step(schedule.eta(self.t), self.running_average)
+
+    def state_dict(self):
+        return {
+            "w": self.w.tolist(),
+            "device_memory": self.device_memory.tolist(),
+            "exact_sum": self.exact_sum.state_dict(),
+            "t": self.t,
+        }
+
+    def load_state_dict(self, state):
+        super().load_state_dict(state)
+        self.device_memory = np.asarray(state["device_memory"], dtype=np.float64)
+        self.exact_sum = ExactVectorSum.from_state_dict(state["exact_sum"])
+
+
+class BiasedFedAvgServer(Server):
+    """Averages fresh updates from the active devices only. An empty active
+    set leaves the model unchanged (no-op round)."""
+
+    spec_class = BiasedFedAvgSpec
+
+    def aggregate(self, updates, schedule):
+        if updates:
+            values = np.stack([lu.value for lu in updates])
+            self._step(schedule.eta(self.t), exact_mean(values, len(updates)))
+
+
+class ImportanceFedAvgServer(Server):
+    """Importance-weighted averaging of fresh updates.
+
+    ``active_count`` divides by |A(t)| (the literal algorithm box);
+    ``total_count`` divides by the device count, which makes the expected
+    update unbiased under independent participation.
+    """
+
+    spec_class = ImportanceFedAvgSpec
+
+    def __init__(self, spec, n_devices, w0, subset_rng):
+        super().__init__(spec, n_devices, w0, subset_rng)
+        self.probs = np.asarray(spec.probs, dtype=np.float64)
+
+    @classmethod
+    def from_config(cls, section, model):
+        # a bernoulli model supplies the probabilities the section leaves out
+        if "probs" in section or not isinstance(model, BernoulliParticipation):
+            probs = section["probs"]
+        else:
+            probs = model.probs
+        return cls.spec_class(
+            probs=tuple(float(p) for p in probs),
+            normalization=section.get("normalization", "active_count"),
+        )
+
+    def aggregate(self, updates, schedule):
+        if updates:
+            values = np.stack([lu.value / self.probs[lu.device] for lu in updates])
+            denom = len(updates) if self.spec.normalization == "active_count" else self.n_devices
+            self._step(schedule.eta(self.t), exact_mean(values, denom))
+
+
+class SamplingFedAvgServer(Server):
+    """Blocking subset-sampling server.
+
+    The model is frozen while any selected device has not yet responded; a
+    pending device computes its update at its first active wall-round within
+    the window. The global step uses the schedule indexed by the
+    global-update counter, while devices step with the wall-round rate.
+    """
+
+    spec_class = SamplingFedAvgSpec
+
+    def __init__(self, spec, n_devices, w0, subset_rng):
+        super().__init__(spec, n_devices, w0, subset_rng)
+        if not 1 <= spec.subset_size <= n_devices:
+            raise ValueError("subset size must lie in [1, n_devices]")
+        self.subset_rng = subset_rng
+        self.pending: set = set()
+        self.collected: list = []  # LocalUpdate, completion order
+        self.window_start = 0
+        self.waits: list = []  # wall-rounds consumed per update
+
+    @classmethod
+    def from_config(cls, section, model):
+        return cls.spec_class(subset_size=int(section["subset_size"]))
+
+    def needs(self, active):
+        super().needs(active)
+        if not self.pending:
+            chosen = self.subset_rng.choice(self.n_devices, size=self.spec.subset_size, replace=False)
+            self.pending = set(int(i) for i in chosen)
+            self.window_start = self.t
+        return sorted(self.pending & active.members)
+
+    def aggregate(self, updates, schedule):
+        self.collected += updates
+        self.pending -= {lu.device for lu in updates}
+        if not self.pending:
+            values = np.stack([lu.value for lu in self.collected])
+            self._step(schedule.eta(self.t_prime + 1), exact_mean(values, self.spec.subset_size))
+            self.waits.append(self.t - self.window_start + 1)
+            self.collected = []
+
+    def state_dict(self):
+        return {
+            "w": self.w.tolist(),
+            "subset_size": self.spec.subset_size,
+            "pending": sorted(self.pending),
+            "collected": [
+                {"device": lu.device, "value": lu.value.tolist(), "produced_at": lu.produced_at}
+                for lu in self.collected
+            ],
+            "t": self.t,
+            "t_prime": self.t_prime,
+            "window_start": self.window_start,
+            "waits": list(self.waits),
+        }
+
+    def load_state_dict(self, state):
+        super().load_state_dict(state)
+        self.pending = set(int(i) for i in state["pending"])
+        self.collected = [
+            LocalUpdate(
+                device=int(d["device"]),
+                value=np.asarray(d["value"], dtype=np.float64),
+                produced_at=int(d["produced_at"]),
+            )
+            for d in state["collected"]
+        ]
+        self.window_start = int(state["window_start"])
+        self.waits = [int(x) for x in state["waits"]]
+
+
+SERVERS = {
+    cls.spec_class.name: cls
+    for cls in (MifaServer, MifaDeltaServer, BiasedFedAvgServer, ImportanceFedAvgServer, SamplingFedAvgServer)
+}
+
+
+# --------------------------------------------------------------------------
+# The round-loop runner
+# --------------------------------------------------------------------------
 
 
 class Runner:
@@ -474,8 +433,6 @@ class Runner:
         self.horizon = horizon
         self.n_steps = n_steps
         self.seed = seed
-        if audit and algo_spec.name == "sampling_fedavg":
-            raise ValueError("audit replay is defined for the array-based algorithms only")
         self.audit = audit
         self.audit_log: dict = {}
 
@@ -494,17 +451,7 @@ class Runner:
         if isinstance(schedule, StronglyConvexDecay):
             self.averaged = AveragedIterate(schedule.shift, dim)
 
-        name = algo_spec.name
-        if name == "mifa":
-            self.state = MifaServerState.init(instance.n_devices, self.w0)
-        elif name == "mifa_delta":
-            self.state = DeltaServerState.init(instance.n_devices, self.w0)
-        elif name in ("biased_fedavg", "is_fedavg"):
-            self.state = FreshServerState.init(instance.n_devices, self.w0)
-        elif name == "sampling_fedavg":
-            self.state = SamplingServerState.init(instance.n_devices, self.w0, algo_spec.subset_size)
-        else:
-            raise ValueError(f"unknown algorithm {name!r}")
+        self.state = SERVERS[algo_spec.name](algo_spec, instance.n_devices, self.w0, self.subset_rng)
 
     def _round_once(self, t: int) -> None:
         active = self.sampler.active_set(t)
@@ -525,11 +472,16 @@ class Runner:
         if self.averaged is not None and self.instance.f_star is not None:
             avg_gap = self.instance.suboptimality(self.averaged.current())
 
+        computing = self.state.needs(active)
         if self.audit:
-            self._snapshot_rng_states(active, t)
-
-        computed = self._dispatch(t, active)
-        self.oracle_calls += self.n_steps * computed
+            self._snapshot_rng_states(computing, t)
+        eta_t = self.schedule.eta(t)
+        updates = [
+            local_update(self.instance, i, self.state.w, eta_t, self.n_steps, self.noise_rngs[i], produced_at=t)
+            for i in computing
+        ]
+        self.state.aggregate(updates, self.schedule)
+        self.oracle_calls += self.n_steps * len(computing)
         if not np.all(np.isfinite(self.state.w)):
             raise DivergenceError(f"server model non-finite after round {t}")
 
@@ -548,43 +500,14 @@ class Runner:
         )
         self.rounds_done = t
 
-    def _snapshot_rng_states(self, active: ActiveSet, t: int) -> None:
-        for i in sorted(active.members):
+    def _snapshot_rng_states(self, devices: list, t: int) -> None:
+        for i in devices:
             self.audit_log[i] = {
                 "round": t,
                 "w": self.state.w.copy(),
                 "eta": self.schedule.eta(t),
                 "rng_state": generator_state(self.noise_rngs[i]),
             }
-
-    def _dispatch(self, t: int, active: ActiveSet) -> int:
-        name = self.algo_spec.name
-        eta_t = self.schedule.eta(t)
-        if name == "mifa":
-            mifa_round(self.state, active, eta_t, self.instance, self.n_steps, self.noise_rngs)
-            return len(active.members)
-        if name == "mifa_delta":
-            mifa_delta_round(self.state, active, eta_t, self.instance, self.n_steps, self.noise_rngs)
-            return len(active.members)
-        if name == "biased_fedavg":
-            biased_fedavg_round(self.state, active, eta_t, self.instance, self.n_steps, self.noise_rngs)
-            return len(active.members)
-        if name == "is_fedavg":
-            is_fedavg_round(
-                self.state,
-                active,
-                eta_t,
-                np.asarray(self.algo_spec.probs, dtype=np.float64),
-                self.algo_spec.normalization,
-                self.instance,
-                self.n_steps,
-                self.noise_rngs,
-            )
-            return len(active.members)
-        _, computed = sampling_fedavg_round(
-            self.state, active, self.schedule, self.instance, self.n_steps, self.noise_rngs, self.subset_rng
-        )
-        return computed
 
     def run(self) -> RunResult:
         diverged = False
@@ -635,11 +558,12 @@ class Runner:
         self.rounds_done = int(state["rounds_done"])
         self.oracle_calls = int(state["oracle_calls"])
         self.min_grad_sq = float(state["min_grad_sq"])
-        self.state = type(self.state).from_state_dict(state["server"])
+        self.state.load_state_dict(state["server"])
         self.sampler.restore(state["sampler"])
         self.tracker = StalenessTracker.from_state_dict(state["tracker"])
         self.noise_rngs = [restore_generator(s) for s in state["noise_rngs"]]
-        self.subset_rng = restore_generator(state["subset_rng"])
+        # restored in place: the server draws its subsets from this generator
+        self.subset_rng.bit_generator.state = state["subset_rng"]
         if state["averaged"] is not None:
             self.averaged = AveragedIterate.from_state_dict(state["averaged"])
 

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import availability as av
 from .config import (
-    ALGORITHM_NAMES,
     ConfigError,
+    build_algo_spec,
     build_instance,
     build_model,
     build_schedule,
@@ -65,10 +65,6 @@ def cmd_run(args) -> int:
 def cmd_compare(args) -> int:
     cfg = load_config(args.config)
     names = [name.strip() for name in args.algorithms.split(",") if name.strip()]
-    for name in names:
-        if name not in ALGORITHM_NAMES:
-            print(f"error: unknown algorithm {name!r}", file=sys.stderr)
-            return 2
     seeds, out = _apply_overrides(cfg, args)
     if seeds is not None:
         cfg = dict(cfg)
@@ -128,8 +124,10 @@ def cmd_validate(args) -> int:
     model = build_model(cfg, instance, base_dir=os.path.dirname(os.path.abspath(args.config)))
     seed = int(cfg["run"]["seeds"][0])
     schedule = build_schedule(cfg, instance, model, seed)
+    algo_spec = build_algo_spec(cfg, model)
     c = instance.constants
     print(f"problem: {cfg['problem']['family']} n={instance.n_devices} d={instance.dim}")
+    print(f"algorithm: {algo_spec.name}")
     print(f"constants: L={c.smoothness:.6g} mu={c.strong_convexity:.6g} sigma={c.noise_std:.6g}")
     print(f"schedule: eta_1={schedule.eta(1):.6g} eta_T={schedule.eta(int(cfg['run']['horizon'])):.6g}")
     print("ok")

@@ -14,13 +14,7 @@ import numpy as np
 
 from . import availability as av
 from . import problems, schedules
-from .algorithms import (
-    BiasedFedAvgSpec,
-    ImportanceFedAvgSpec,
-    MifaDeltaSpec,
-    MifaSpec,
-    SamplingFedAvgSpec,
-)
+from .algorithms import SERVERS
 
 
 class ConfigError(ValueError):
@@ -65,8 +59,6 @@ _SCHEDULE_KEYS = {
 }
 
 _RUN_KEYS = {"horizon", "local_steps", "seeds", "out"}
-
-ALGORITHM_NAMES = ("mifa", "mifa_delta", "biased_fedavg", "is_fedavg", "sampling_fedavg")
 
 
 def _require(section: dict, section_name: str, key: str):
@@ -117,11 +109,9 @@ def validate_config(cfg: dict) -> dict:
 
     algo = cfg["algorithm"]
     name = _require(algo, "algorithm", "name")
-    if name not in ALGORITHM_NAMES:
+    if name not in SERVERS:
         raise ConfigError("algorithm.name", f"unknown algorithm {name!r}")
     _check_keys(algo, "algorithm", _ALGORITHM_KEYS)
-    if name == "sampling_fedavg":
-        _require(algo, "algorithm", "subset_size")
 
     sched = cfg["schedule"]
     variant = _require(sched, "schedule", "variant")
@@ -289,25 +279,12 @@ def build_schedule(cfg: dict, instance, model, seed: int) -> schedules.LrSchedul
 
 
 def build_algo_spec(cfg: dict, model, name: str | None = None):
-    algo = cfg["algorithm"]
-    name = name or algo["name"]
-    if name == "mifa":
-        return MifaSpec()
-    if name == "mifa_delta":
-        return MifaDeltaSpec()
-    if name == "biased_fedavg":
-        return BiasedFedAvgSpec()
-    if name == "is_fedavg":
-        if "probs" in algo:
-            probs = tuple(float(p) for p in algo["probs"])
-        elif isinstance(model, av.BernoulliParticipation):
-            probs = tuple(float(p) for p in model.probs)
-        else:
-            raise ConfigError(
-                "algorithm.probs",
-                "is_fedavg needs participation probabilities (bernoulli model or explicit probs)",
-            )
-        return ImportanceFedAvgSpec(probs=probs, normalization=algo.get("normalization", "active_count"))
-    if name == "sampling_fedavg":
-        return SamplingFedAvgSpec(subset_size=int(algo["subset_size"]))
-    raise ConfigError("algorithm.name", f"unknown algorithm {name!r}")
+    """The spec of algorithm ``name`` (default ``algorithm.name``), built by
+    its server's ``from_config``."""
+    name = name or cfg["algorithm"]["name"]
+    if name not in SERVERS:
+        raise ConfigError("algorithm.name", f"unknown algorithm {name!r}")
+    try:
+        return SERVERS[name].from_config(cfg["algorithm"], model)
+    except KeyError as exc:
+        raise ConfigError(f"algorithm.{exc.args[0]}", f"missing required key for {name}") from None

@@ -142,45 +142,53 @@ def run_experiment(
     model = build_model(cfg, instance, base_dir=base_dir)
     algo_spec = build_algo_spec(cfg, model)
     out = out if out is not None else cfg["run"].get("out")
-    return _run_seeds(cfg, instance, model, algo_spec, out, seeds)
+    seeds = seeds if seeds is not None else cfg["run"]["seeds"]
+    return _run_algorithms(cfg, instance, model, [(algo_spec, out)], seeds)[algo_spec.name]
 
 
-def _run_seeds(cfg: dict, instance, model, algo_spec, out: str | None, seeds=None) -> ExperimentResult:
-    """Run ``algo_spec`` on a built instance and participation model for
-    every seed and write the per-seed, aggregate and meta files under
-    ``out`` (none when ``out`` is empty)."""
+def _run_algorithms(cfg: dict, instance, model, runs: list, seeds) -> dict:
+    """Run each (spec, output path base) of ``runs`` for every seed on a
+    built instance and participation model, and write the spec's per-seed,
+    aggregate and meta files under its path base (none when it is empty).
+
+    Each seed's schedule and the horizon conditions are computed once and
+    shared by every spec. Returns {algorithm: ExperimentResult}.
+    """
     run_cfg = cfg["run"]
     horizon = int(run_cfg["horizon"])
     n_steps = int(run_cfg["local_steps"])
-    seeds = [int(s) for s in (seeds if seeds is not None else run_cfg["seeds"])]
+    seeds = [int(s) for s in seeds]
+    schedules = {seed: build_schedule(cfg, instance, model, seed) for seed in seeds}
+    schedule_echo = _schedule_echo(schedules[seeds[0]], horizon)
+    conditions = None
+    if any(out for _, out in runs):
+        conditions = _horizon_conditions(cfg, instance, model, horizon, n_steps, seeds[0])
 
-    per_seed: dict[int, RunResult] = {}
-    schedule_echo = None
-    for seed in seeds:
-        schedule = build_schedule(cfg, instance, model, seed)
-        runner = Runner(algo_spec, instance, model, schedule, horizon, n_steps, seed)
-        per_seed[seed] = runner.run()
-        if schedule_echo is None:
-            schedule_echo = _schedule_echo(schedule, horizon)
-
-    csv_path = aggregate_path = meta_path = None
-    if out:
-        csv_path = f"{out}.csv"
-        aggregate_path = f"{out}_aggregate.csv"
-        meta_path = f"{out}_meta.json"
-        _atomic_write(csv_path, rows_to_csv(per_seed))
-        _atomic_write(aggregate_path, aggregate_to_csv(per_seed))
-        meta = {
-            "config": cfg,
-            "algorithm": algo_spec.name,
-            "seeds": seeds,
-            "backend": BACKEND,
-            "schedule": schedule_echo,
-            "diverged_seeds": [s for s, res in per_seed.items() if res.diverged],
-            "horizon_conditions": _horizon_conditions(cfg, instance, model, horizon, n_steps, seeds[0]),
+    results = {}
+    for algo_spec, out in runs:
+        per_seed: dict[int, RunResult] = {
+            seed: Runner(algo_spec, instance, model, schedules[seed], horizon, n_steps, seed).run()
+            for seed in seeds
         }
-        _atomic_write(meta_path, json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    return ExperimentResult(per_seed, csv_path, aggregate_path, meta_path)
+        csv_path = aggregate_path = meta_path = None
+        if out:
+            csv_path = f"{out}.csv"
+            aggregate_path = f"{out}_aggregate.csv"
+            meta_path = f"{out}_meta.json"
+            _atomic_write(csv_path, rows_to_csv(per_seed))
+            _atomic_write(aggregate_path, aggregate_to_csv(per_seed))
+            meta = {
+                "config": cfg,
+                "algorithm": algo_spec.name,
+                "seeds": seeds,
+                "backend": BACKEND,
+                "schedule": schedule_echo,
+                "diverged_seeds": [s for s, res in per_seed.items() if res.diverged],
+                "horizon_conditions": conditions,
+            }
+            _atomic_write(meta_path, json.dumps(meta, indent=2, sort_keys=True) + "\n")
+        results[algo_spec.name] = ExperimentResult(per_seed, csv_path, aggregate_path, meta_path)
+    return results
 
 
 def _schedule_echo(schedule, horizon: int) -> dict:
@@ -223,21 +231,17 @@ def compare_experiment(cfg: dict, algorithms, out: str | None = None, base_dir: 
 
     Every algorithm sees the same realized active sets per seed because
     participation draws depend only on (seed, device), never the algorithm.
-    The instance and participation model are built once and shared, since
-    no run writes to them. Returns {algorithm: ExperimentResult}; CSVs are
-    written per algorithm as <out>_<algorithm>.csv, where ``out`` overrides
-    run.out.
+    The instance, participation model, schedules and every algorithm's spec
+    are built once, before any run writes a file, and shared, since no run
+    writes to them. Returns {algorithm: ExperimentResult}; CSVs are written
+    per algorithm as <out>_<algorithm>.csv, where ``out`` overrides run.out.
     """
     validate_config(cfg)
     out = out if out is not None else cfg["run"].get("out")
     instance = build_instance(cfg)
     model = build_model(cfg, instance, base_dir=base_dir)
-    results = {}
-    for name in algorithms:
-        algo_spec = build_algo_spec(cfg, model, name=name)
-        algo_out = f"{out}_{name}" if out else None
-        results[name] = _run_seeds(cfg, instance, model, algo_spec, algo_out)
-    return results
+    runs = [(build_algo_spec(cfg, model, name=name), f"{out}_{name}" if out else None) for name in algorithms]
+    return _run_algorithms(cfg, instance, model, runs, cfg["run"]["seeds"])
 
 
 def fit_rate_slope(stream, window) -> float:

@@ -104,13 +104,6 @@ class InverseDecay(LrSchedule):
         return self._checked(self.eta0 / t)
 
 
-def averaging_shift(schedule: LrSchedule) -> float:
-    """Weighting shift for the averaged iterate matching a schedule."""
-    if isinstance(schedule, StronglyConvexDecay):
-        return schedule.shift
-    raise ValueError("averaged iterate is defined for the strongly convex schedule")
-
-
 class AveragedIterate:
     """Running (t + a - 1)(t + a - 2)-weighted average of the iterates."""
 

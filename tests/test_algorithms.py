@@ -5,15 +5,13 @@ import pytest
 
 import fedsim
 from fedsim.algorithms import (
-    DeltaServerState,
+    SERVERS,
+    BiasedFedAvgServer,
     DivergenceError,
-    FreshServerState,
-    MifaServerState,
-    biased_fedavg_round,
-    is_fedavg_round,
+    ImportanceFedAvgServer,
+    MifaDeltaServer,
+    MifaServer,
     local_update,
-    mifa_delta_round,
-    mifa_round,
 )
 from fedsim.availability import ActiveSet, BernoulliParticipation, FullParticipation, TraceReplay
 from fedsim.exact import exact_mean
@@ -36,6 +34,30 @@ def two_center_instance(sigma=0.0):
 
 def noise_rngs(seed, n):
     return [substream(seed, GRADIENT_NOISE, i) for i in range(n)]
+
+
+class ConstantStep:
+    """Schedule stand-in with the same step every round."""
+
+    def __init__(self, eta):
+        self.step = eta
+
+    def eta(self, t):
+        return self.step
+
+
+def server(cls, n, w0, spec=None):
+    """A fresh server of class ``cls`` for ``n`` devices starting at ``w0``."""
+    return cls(spec or cls.spec_class(), n, np.asarray(w0, dtype=np.float64), None)
+
+
+def play_round(server, active, eta, inst, n_steps, rngs):
+    """One wall-round as Runner plays it, at a constant step ``eta``."""
+    updates = [
+        local_update(inst, i, server.w, eta, n_steps, rngs[i], produced_at=active.round)
+        for i in server.needs(active)
+    ]
+    server.aggregate(updates, ConstantStep(eta))
 
 
 # ---------------------------------------------------------------------------
@@ -104,12 +126,12 @@ def test_local_update_signals_divergence():
 def test_array_server_hand_unroll_with_stale_entry():
     inst = two_center_instance()
     rngs = noise_rngs(0, 2)
-    state = MifaServerState.init(2, np.zeros(1))
+    state = server(MifaServer, 2, np.zeros(1))
     eta = 0.1
-    mifa_round(state, ActiveSet(1, frozenset({0, 1})), eta, inst, 1, rngs)
+    play_round(state, ActiveSet(1, frozenset({0, 1})), eta, inst, 1, rngs)
     # gradients at 0 are (0, -2): w2 = 0 - 0.1 * (-1) = 0.1
     assert state.w[0] == pytest.approx(0.1, rel=1e-14)
-    mifa_round(state, ActiveSet(2, frozenset({0})), eta, inst, 1, rngs)
+    play_round(state, ActiveSet(2, frozenset({0})), eta, inst, 1, rngs)
     # device 1's stored round-1 value (-2) is reused alongside the fresh 0.1
     assert state.update_array[1, 0] == pytest.approx(-2.0)
     assert state.w[0] == pytest.approx(0.1 - 0.1 * (0.1 - 2.0) / 2.0, rel=1e-14)  # 0.195
@@ -117,9 +139,9 @@ def test_array_server_hand_unroll_with_stale_entry():
 
 def test_array_server_requires_total_first_round():
     inst = two_center_instance()
-    state = MifaServerState.init(2, np.zeros(1))
+    state = server(MifaServer, 2, np.zeros(1))
     with pytest.raises(ValueError):
-        mifa_round(state, ActiveSet(1, frozenset({0})), 0.1, inst, 1, noise_rngs(0, 2))
+        play_round(state, ActiveSet(1, frozenset({0})), 0.1, inst, 1, noise_rngs(0, 2))
 
 
 def test_array_server_reduces_to_parallel_sgd_under_full_participation():
@@ -156,10 +178,10 @@ def test_array_server_updates_even_on_empty_active_set():
 
 def test_delta_server_first_round_matches_array_server():
     inst = two_center_instance()
-    a = MifaServerState.init(2, np.zeros(1))
-    b = DeltaServerState.init(2, np.zeros(1))
-    mifa_round(a, ActiveSet(1, frozenset({0, 1})), 0.1, inst, 1, noise_rngs(3, 2))
-    mifa_delta_round(b, ActiveSet(1, frozenset({0, 1})), 0.1, inst, 1, noise_rngs(3, 2))
+    a = server(MifaServer, 2, np.zeros(1))
+    b = server(MifaDeltaServer, 2, np.zeros(1))
+    play_round(a, ActiveSet(1, frozenset({0, 1})), 0.1, inst, 1, noise_rngs(3, 2))
+    play_round(b, ActiveSet(1, frozenset({0, 1})), 0.1, inst, 1, noise_rngs(3, 2))
     assert np.array_equal(a.w, b.w)
 
 
@@ -183,16 +205,16 @@ def test_delta_server_matches_array_server_on_random_traces(trial):
 
 def test_delta_running_average_equals_memory_mean_exactly():
     inst = make_quadratic_instance(3, 2, mu=1.0, smoothness=2.0, sigma=0.4, heterogeneity=1.0, seed=7)
-    state = DeltaServerState.init(3, np.zeros(2))
+    state = server(MifaDeltaServer, 3, np.zeros(2))
     rngs = noise_rngs(5, 3)
     traces = [frozenset({0, 1, 2}), frozenset({2}), frozenset({0}), frozenset()]
     for t, members in enumerate(traces, start=1):
-        mifa_delta_round(state, ActiveSet(t, members), 0.05, inst, 2, rngs)
+        play_round(state, ActiveSet(t, members), 0.05, inst, 2, rngs)
         assert np.array_equal(state.running_average, exact_mean(state.device_memory, 3))
 
 
 def test_delta_server_side_memory_is_one_vector():
-    state = DeltaServerState.init(5, np.zeros(3))
+    state = server(MifaDeltaServer, 5, np.zeros(3))
     # the server-side aggregate is a single length-d accumulator; the (N, d)
     # array models device-side storage
     assert state.running_average.shape == (3,)
@@ -206,13 +228,15 @@ def test_delta_server_side_memory_is_one_vector():
 
 def test_biased_single_active_device_moves_toward_its_center():
     inst = two_center_instance()
-    state = FreshServerState(w=np.zeros(1), t=1)
+    state = server(BiasedFedAvgServer, 2, np.zeros(1))
+    state.t = 1
     is_empty_before = state.w.copy()
-    biased_fedavg_round(state, ActiveSet(2, frozenset({0})), 0.1, inst, 1, noise_rngs(0, 2))
+    play_round(state, ActiveSet(2, frozenset({0})), 0.1, inst, 1, noise_rngs(0, 2))
     # device 0's gradient at 0 is 0 (its center): no movement toward global optimum 1
     assert state.w[0] == pytest.approx(0.0)
-    state2 = FreshServerState(w=np.zeros(1), t=1)
-    biased_fedavg_round(state2, ActiveSet(2, frozenset({1})), 0.1, inst, 1, noise_rngs(0, 2))
+    state2 = server(BiasedFedAvgServer, 2, np.zeros(1))
+    state2.t = 1
+    play_round(state2, ActiveSet(2, frozenset({1})), 0.1, inst, 1, noise_rngs(0, 2))
     # device 1's gradient at 0 is -2: w moves toward device 1's center
     assert state2.w[0] == pytest.approx(0.2, rel=1e-14)
     assert is_empty_before is not state.w
@@ -220,19 +244,20 @@ def test_biased_single_active_device_moves_toward_its_center():
 
 def test_biased_empty_active_set_is_noop():
     inst = two_center_instance()
-    state = FreshServerState(w=np.array([0.3]), t=1, t_prime=1)
-    biased_fedavg_round(state, ActiveSet(2, frozenset()), 0.1, inst, 1, noise_rngs(0, 2))
+    state = server(BiasedFedAvgServer, 2, [0.3])
+    state.t = state.t_prime = 1
+    play_round(state, ActiveSet(2, frozenset()), 0.1, inst, 1, noise_rngs(0, 2))
     assert state.w[0] == 0.3
     assert state.t == 2 and state.t_prime == 1
 
 
 def test_importance_weighting_with_unit_probs_equals_biased():
     inst = make_quadratic_instance(3, 2, mu=1.0, smoothness=2.0, sigma=0.5, heterogeneity=1.0, seed=8)
-    a = FreshServerState.init(3, np.zeros(2))
-    b = FreshServerState.init(3, np.zeros(2))
+    a = server(BiasedFedAvgServer, 3, np.zeros(2))
+    b = server(ImportanceFedAvgServer, 3, np.zeros(2), fedsim.ImportanceFedAvgSpec((1.0, 1.0, 1.0), "total_count"))
     full = ActiveSet(1, frozenset({0, 1, 2}))
-    biased_fedavg_round(a, full, 0.1, inst, 2, noise_rngs(4, 3))
-    is_fedavg_round(b, full, 0.1, np.ones(3), "total_count", inst, 2, noise_rngs(4, 3))
+    play_round(a, full, 0.1, inst, 2, noise_rngs(4, 3))
+    play_round(b, full, 0.1, inst, 2, noise_rngs(4, 3))
     assert np.array_equal(a.w, b.w)
 
 
@@ -269,8 +294,9 @@ def test_importance_round_matches_enumerated_outcome():
     inst = two_center_instance()
     probs = np.array([0.3, 0.7])
     for members in [frozenset({0}), frozenset({1}), frozenset({0, 1})]:
-        state = FreshServerState(w=np.zeros(1), t=1)
-        is_fedavg_round(state, ActiveSet(2, members), 0.1, probs, "active_count", inst, 1, noise_rngs(0, 2))
+        state = server(ImportanceFedAvgServer, 2, np.zeros(1), fedsim.ImportanceFedAvgSpec(tuple(probs)))
+        state.t = 1
+        play_round(state, ActiveSet(2, members), 0.1, inst, 1, noise_rngs(0, 2))
         g = [inst.grad(i, np.zeros(1))[0] / probs[i] for i in sorted(members)]
         assert state.w[0] == pytest.approx(-0.1 * np.mean(g), rel=1e-13)
 
@@ -308,6 +334,19 @@ def test_sampling_freezes_model_while_waiting():
     t_primes = [r.t_prime for r in result.rounds]
     assert t_primes == [1, 1, 1, 2, 3, 3, 3, 4]
     assert all(r.t_prime <= r.t for r in result.rounds)
+
+
+def test_sampling_audit_snapshots_only_computing_devices():
+    inst = make_quadratic_instance(2, 2, mu=1.0, smoothness=2.0, sigma=0.0, heterogeneity=1.0, seed=10)
+    model = TraceReplay(2, [{0, 1}, {0}, {0}, {1}, {0, 1}, {0}, {0}, {1}])
+    runner = fedsim.Runner(
+        fedsim.SamplingFedAvgSpec(subset_size=2), inst, model, InverseDecay(eta0=0.05),
+        horizon=8, n_steps=1, seed=0, audit=True,
+    )
+    runner.run()
+    # device 0 last computes in round 6 (it is idle but active in round 7,
+    # while the window waits for device 1), device 1 in round 8
+    assert {i: snap["round"] for i, snap in runner.audit_log.items()} == {0: 6, 1: 8}
 
 
 def test_sampling_oracle_calls_count_only_computing_devices():
@@ -372,20 +411,12 @@ def test_update_array_matches_audit_replay():
         assert np.array_equal(replayed.value, runner.state.update_array[i])
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        fedsim.MifaSpec(),
-        fedsim.MifaDeltaSpec(),
-        fedsim.BiasedFedAvgSpec(),
-        fedsim.SamplingFedAvgSpec(subset_size=2),
-    ],
-    ids=lambda s: s.name,
-)
-def test_checkpoint_resume_reproduces_trajectory(spec):
+@pytest.mark.parametrize("name", list(SERVERS))
+def test_checkpoint_resume_reproduces_trajectory(name):
     inst = make_quadratic_instance(3, 2, mu=1.0, smoothness=3.0, sigma=0.5, heterogeneity=1.0, seed=16)
     model = BernoulliParticipation([0.5, 0.8, 1.0])
     sched = StronglyConvexDecay(mu=1.0, smoothness=3.0, local_steps=2)
+    spec = SERVERS[name].from_config({"subset_size": 2}, model)
 
     def make_runner():
         return fedsim.Runner(spec, inst, model, sched, horizon=40, n_steps=2, seed=8)

@@ -208,6 +208,51 @@ def test_compare_builds_instance_once_and_matches_single_runs(tmp_path, monkeypa
         assert compared == (tmp_path / f"one_{name}.csv").read_bytes()
 
 
+def test_compare_measures_staleness_once_per_seed(tmp_path, monkeypatch):
+    cfg = base_config()
+    cfg["problem"] = {
+        "family": "trig",
+        "n_devices": 3,
+        "dim": 2,
+        "curvature": 1.0,
+        "amplitude": 0.5,
+        "sigma": 0.2,
+        "heterogeneity": 1.0,
+        "seed": 4,
+    }
+    cfg["schedule"] = {"variant": "nonconvex_constant", "staleness_cap_mean": "measure"}
+    measured, conditions = [], []
+    measure = fedsim.config.measured_staleness_cap_mean
+    horizon_conditions = fedsim.experiment._horizon_conditions
+
+    def counting_measure(model, horizon, seed):
+        measured.append(seed)
+        return measure(model, horizon, seed)
+
+    def counting_conditions(*args):
+        conditions.append(args)
+        return horizon_conditions(*args)
+
+    monkeypatch.setattr(fedsim.config, "measured_staleness_cap_mean", counting_measure)
+    monkeypatch.setattr(fedsim.experiment, "_horizon_conditions", counting_conditions)
+    algorithms = ["mifa", "mifa_delta"]
+    fedsim.compare_experiment(cfg, algorithms, out=str(tmp_path / "cmp"))
+    assert sorted(measured) == cfg["run"]["seeds"]
+    assert len(conditions) == 1
+
+    monkeypatch.undo()
+    for name in algorithms:
+        single = json.loads(json.dumps(cfg))
+        single["algorithm"]["name"] = name
+        run_experiment(single, out=str(tmp_path / f"one_{name}"))
+        for suffix in (".csv", "_aggregate.csv"):
+            compared = (tmp_path / f"cmp_{name}{suffix}").read_bytes()
+            assert compared == (tmp_path / f"one_{name}{suffix}").read_bytes()
+        metas = [json.loads((tmp_path / f"{p}_{name}_meta.json").read_text()) for p in ("cmp", "one")]
+        assert metas[0]["schedule"] == metas[1]["schedule"]
+        assert metas[0]["horizon_conditions"] == metas[1]["horizon_conditions"]
+
+
 def test_trace_replay_config_runs_and_checks_device_count(tmp_path):
     from fedsim.availability import write_trace
 
@@ -366,6 +411,42 @@ def test_cli_periodic_device_count_mismatch_names_key(tmp_path):
     with pytest.raises(ConfigError) as err:
         fedsim.build_model(cfg, fedsim.build_instance(cfg))
     assert "availability.phases" in str(err.value)
+
+
+def test_cli_compare_builds_every_spec_before_writing(tmp_path):
+    cfg = base_config()
+    cfg["run"]["seeds"] = [1]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = run_cli("compare", str(path), "--algorithms", "mifa,sampling_fedavg", "--out", str(tmp_path / "c"))
+    assert out.returncode == 2
+    assert "algorithm.subset_size" in out.stderr
+    assert "Traceback" not in out.stderr
+    assert list(tmp_path.iterdir()) == [path]
+
+    cfg["availability"] = {"variant": "full"}
+    path.write_text(json.dumps(cfg))
+    out = run_cli("compare", str(path), "--algorithms", "mifa,is_fedavg", "--out", str(tmp_path / "c"))
+    assert out.returncode == 2
+    assert "algorithm.probs" in out.stderr
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_cli_validate_builds_the_algorithm(tmp_path):
+    cfg = base_config()
+    cfg["availability"] = {"variant": "full"}
+    cfg["algorithm"] = {"name": "is_fedavg"}
+    path = tmp_path / "is.json"
+    path.write_text(json.dumps(cfg))
+    out = run_cli("validate", str(path))
+    assert out.returncode == 2
+    assert "algorithm.probs" in out.stderr
+
+    cfg["algorithm"]["probs"] = [0.5, 0.5, 1.0, 1.0]
+    path.write_text(json.dumps(cfg))
+    out = run_cli("validate", str(path))
+    assert out.returncode == 0, out.stderr
+    assert "algorithm: is_fedavg" in out.stdout
 
 
 def test_cli_compare_and_wait_study(tmp_path):
