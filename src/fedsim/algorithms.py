@@ -18,8 +18,10 @@ differ only in steps 1 and 3:
   whole array each round, reusing stale entries for inactive devices.
 - ``mifa_delta``: the memory-lean variant; devices transmit the difference
   against their own stored previous update and the server keeps only a
-  running average. Differences travel as two-term error-free expansions, so
-  the running average equals the array average bit for bit.
+  running average. Differences travel as two-term error-free expansions
+  (``hi``, ``lo``) into an exact fixed-point limb accumulator
+  (``exact.ExactVectorSum``), so the running average equals the array
+  average bit for bit.
 - ``biased_fedavg``: averages fresh updates from the active devices only.
 - ``is_fedavg``: reweights fresh updates by inverse participation
   probability, normalizing by the active count (literal form) or by the
@@ -31,8 +33,9 @@ differ only in steps 1 and 3:
 ``from_config`` turns a config's ``algorithm`` section into the algorithm's
 spec, the frozen parameter holder that ``Runner`` and ``run`` take.
 
-All server aggregation goes through correctly rounded summation
-(``exact.exact_mean``) so algebraically equal updates are bitwise equal.
+All server aggregation rounds an exact sum correctly (``exact.exact_mean``,
+or ``ExactVectorSum.rounded`` for ``mifa_delta``), so algebraically equal
+updates are bitwise equal.
 """
 
 from __future__ import annotations
@@ -58,6 +61,14 @@ from .schedules import AveragedIterate, LrSchedule, StronglyConvexDecay
 
 class DivergenceError(RuntimeError):
     """A local iterate or the server model became non-finite."""
+
+
+class SpecError(ValueError):
+    """``from_config`` rejects the value of ``key`` in an algorithm section."""
+
+    def __init__(self, key: str, message: str):
+        self.key = key
+        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -179,7 +190,8 @@ class Server:
     @classmethod
     def from_config(cls, section: dict, model):
         """This algorithm's spec from a config's ``algorithm`` section and the
-        built participation model. A missing key raises ``KeyError(key)``."""
+        built participation model. A missing key raises ``KeyError(key)``,
+        a value the model rules out raises ``SpecError(key, message)``."""
         return cls.spec_class()
 
     def needs(self, active: ActiveSet) -> list:
@@ -239,7 +251,9 @@ class MifaServer(Server):
 class MifaDeltaServer(Server):
     """Server keeps one running-average vector; each device keeps its own
     previous update. ``exact_sum`` carries the exact real sum of the stored
-    updates, so the running average never drifts from the array average."""
+    updates, so the running average never drifts from the array average.
+    A round adds every active device's (hi, lo) difference pair in one
+    (2A, d) block."""
 
     spec_class = MifaDeltaSpec
 
@@ -253,11 +267,12 @@ class MifaDeltaServer(Server):
         return self.exact_sum.rounded() / self.n_devices
 
     def aggregate(self, updates, schedule):
-        for lu in updates:
-            hi, lo = two_diff(lu.value, self.device_memory[lu.device])
-            self.exact_sum.add(hi)
-            self.exact_sum.add(lo)
-            self.device_memory[lu.device] = lu.value
+        if updates:
+            devices = [lu.device for lu in updates]
+            values = np.stack([lu.value for lu in updates])
+            hi, lo = two_diff(values, self.device_memory[devices])
+            self.exact_sum.add(np.concatenate((hi, lo)))
+            self.device_memory[devices] = values
         self._step(schedule.eta(self.t), self.running_average)
 
     def state_dict(self):
@@ -342,7 +357,10 @@ class SamplingFedAvgServer(Server):
 
     @classmethod
     def from_config(cls, section, model):
-        return cls.spec_class(subset_size=int(section["subset_size"]))
+        subset_size = int(section["subset_size"])
+        if not 1 <= subset_size <= model.n_devices:
+            raise SpecError("subset_size", f"{subset_size} is not in [1, {model.n_devices}], the device count")
+        return cls.spec_class(subset_size=subset_size)
 
     def needs(self, active):
         super().needs(active)
@@ -533,10 +551,13 @@ class Runner:
         return self.rows
 
     # ---- lossless mid-run checkpointing -----------------------------------
+    # Version 2 stores mifa_delta's exact sum as limbs; version 1 stored it as
+    # Shewchuk partials, which ``ExactVectorSum.from_state_dict`` still folds
+    # in exactly. Every other server state is the same in both versions.
 
     def checkpoint(self) -> dict:
         state = {
-            "version": 1,
+            "version": 2,
             "algorithm": self.algo_spec.name,
             "rounds_done": self.rounds_done,
             "oracle_calls": self.oracle_calls,
@@ -551,7 +572,7 @@ class Runner:
         return state
 
     def restore(self, state: dict) -> None:
-        if state["version"] != 1:
+        if state["version"] not in (1, 2):
             raise ValueError(f"unsupported checkpoint version {state['version']}")
         if state["algorithm"] != self.algo_spec.name:
             raise ValueError("checkpoint belongs to a different algorithm")

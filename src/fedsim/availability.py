@@ -11,6 +11,7 @@ appeared in an active set: 0 when active at t, previous value + 1 otherwise.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -414,22 +415,34 @@ def write_trace(path, n_devices: int, rounds) -> None:
             fh.write(f"t:{t} active:{','.join(str(i) for i in members)}\n")
 
 
+_TRACE_HEADER = re.compile(r"N=(\d+)\s+T=(\d+)")
+_TRACE_ROUND = re.compile(r"t:(\d+)\s+active:(\d+(?:,\d+)*)?")
+
+
 def read_trace(path):
-    """Parse a trace file; returns (n_devices, list of member frozensets)."""
+    """Parse a trace file written by ``write_trace``; returns (n_devices,
+    list of member frozensets). A malformed or missing header or round line
+    raises ``ValueError`` naming the file and the line number."""
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        parts = dict(kv.split("=") for kv in header.split())
-        n_devices = int(parts["N"])
-        n_rounds = int(parts["T"])
-        rounds = []
-        for expected_t in range(1, n_rounds + 1):
-            line = fh.readline().strip()
-            t_part, active_part = line.split(" ", 1)
-            if int(t_part.removeprefix("t:")) != expected_t:
-                raise ValueError(f"trace rounds out of order at line {expected_t + 1}")
-            ids = active_part.removeprefix("active:")
-            members = frozenset(int(i) for i in ids.split(",") if i != "")
-            rounds.append(members)
+        lines = fh.read().splitlines()
+
+    def malformed(number: int, expected: str) -> ValueError:
+        got = repr(lines[number - 1]) if number <= len(lines) else "end of file"
+        return ValueError(f"trace {path} line {number}: expected {expected}, got {got}")
+
+    header = _TRACE_HEADER.fullmatch(lines[0].strip()) if lines else None
+    if header is None:
+        raise malformed(1, "header 'N=<int> T=<int>'")
+    n_devices, n_rounds = int(header[1]), int(header[2])
+    rounds = []
+    for t in range(1, n_rounds + 1):
+        line = _TRACE_ROUND.fullmatch(lines[t].strip()) if t < len(lines) else None
+        if line is None or int(line[1]) != t:
+            raise malformed(t + 1, f"'t:{t} active:<comma-separated device ids>'")
+        members = frozenset(int(i) for i in line[2].split(",")) if line[2] else frozenset()
+        if any(i >= n_devices for i in members):
+            raise ValueError(f"trace {path} line {t + 1}: device id out of range for N={n_devices}")
+        rounds.append(members)
     if rounds and rounds[0] != frozenset(range(n_devices)):
-        raise ValueError("trace round 1 must list all devices")
+        raise ValueError(f"trace {path} line 2: round 1 must list all devices")
     return n_devices, rounds

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import availability as av
 from . import problems, schedules
-from .algorithms import SERVERS
+from .algorithms import SERVERS, SpecError
 
 
 class ConfigError(ValueError):
@@ -264,7 +264,7 @@ def build_schedule(cfg: dict, instance, model, seed: int) -> schedules.LrSchedul
             delay_offset=float(sched.get("delay_offset", 0.0)),
         )
     if variant == "nonconvex_constant":
-        cap = sched["staleness_cap_mean"]
+        cap = _require(sched, "schedule", "staleness_cap_mean")
         if cap == "measure":
             cap = measured_staleness_cap_mean(model, int(run["horizon"]), seed)
         return schedules.NonConvexConstant(
@@ -275,7 +275,7 @@ def build_schedule(cfg: dict, instance, model, seed: int) -> schedules.LrSchedul
             staleness_cap_mean=float(cap),
             scale=float(sched.get("scale", 1.0)),
         )
-    return schedules.InverseDecay(eta0=float(sched["eta0"]))
+    return schedules.InverseDecay(eta0=float(_require(sched, "schedule", "eta0")))
 
 
 def build_algo_spec(cfg: dict, model, name: str | None = None):
@@ -288,3 +288,5 @@ def build_algo_spec(cfg: dict, model, name: str | None = None):
         return SERVERS[name].from_config(cfg["algorithm"], model)
     except KeyError as exc:
         raise ConfigError(f"algorithm.{exc.args[0]}", f"missing required key for {name}") from None
+    except SpecError as exc:
+        raise ConfigError(f"algorithm.{exc.key}", str(exc)) from None

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -411,15 +412,19 @@ def test_update_array_matches_audit_replay():
         assert np.array_equal(replayed.value, runner.state.update_array[i])
 
 
-@pytest.mark.parametrize("name", list(SERVERS))
-def test_checkpoint_resume_reproduces_trajectory(name):
+def checkpoint_runner(name):
+    """A fresh 40-round runner of algorithm ``name`` on the checkpoint tests' setup."""
     inst = make_quadratic_instance(3, 2, mu=1.0, smoothness=3.0, sigma=0.5, heterogeneity=1.0, seed=16)
     model = BernoulliParticipation([0.5, 0.8, 1.0])
     sched = StronglyConvexDecay(mu=1.0, smoothness=3.0, local_steps=2)
     spec = SERVERS[name].from_config({"subset_size": 2}, model)
+    return fedsim.Runner(spec, inst, model, sched, horizon=40, n_steps=2, seed=8)
 
+
+@pytest.mark.parametrize("name", list(SERVERS))
+def test_checkpoint_resume_reproduces_trajectory(name):
     def make_runner():
-        return fedsim.Runner(spec, inst, model, sched, horizon=40, n_steps=2, seed=8)
+        return checkpoint_runner(name)
 
     full = make_runner()
     rows_full = list(full.run_rounds(40))
@@ -433,6 +438,31 @@ def test_checkpoint_resume_reproduces_trajectory(name):
     rows_tail = list(second.run_rounds(40))
     assert rows_head + rows_tail == rows_full
     assert np.array_equal(second.state.w, full.state.w)
+
+
+@pytest.mark.parametrize("name", list(SERVERS))
+def test_version_1_checkpoint_resumes_identically(name):
+    full = checkpoint_runner(name)
+    rows_full = list(full.run_rounds(40))
+    if name == "mifa_delta":
+        # written at round 17 by the version-1 format, which stored the exact
+        # sum as per-coordinate Shewchuk partials
+        with open(Path(__file__).parent / "data" / "mifa_delta_checkpoint_v1_round17.json") as fh:
+            snapshot = json.load(fh)
+        assert snapshot["server"]["exact_sum"]["partials"]
+    else:
+        # every other server's state is the same in both versions
+        head = checkpoint_runner(name)
+        head.run_rounds(17)
+        snapshot = json.loads(json.dumps(head.checkpoint()))
+        assert snapshot["version"] == 2
+        snapshot["version"] = 1
+    assert snapshot["version"] == 1 and snapshot["rounds_done"] == 17
+
+    resumed = checkpoint_runner(name)
+    resumed.restore(snapshot)
+    assert list(resumed.run_rounds(40)) == rows_full[17:]
+    assert np.array_equal(resumed.state.w, full.state.w)
 
 
 def test_averaged_iterate_gap_decays_by_two_orders():

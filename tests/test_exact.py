@@ -1,9 +1,36 @@
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fedsim import exact as exact_module
 from fedsim.exact import ExactVectorSum, exact_mean, fsum_columns, two_diff
+
+MAX = sys.float_info.max
+TINY = 5e-324  # the smallest subnormal
+
+
+def exact_column_sums(rows: np.ndarray) -> list:
+    """The correctly rounded sum of each column via exact rational arithmetic;
+    a sum that rounds past the largest double is +-inf, as IEEE rounding has it."""
+    out = []
+    for column in np.asarray(rows).T:
+        total = sum(map(Fraction, column))
+        try:
+            out.append(float(total))
+        except OverflowError:
+            out.append(math.inf if total > 0 else -math.inf)
+    return out
+
+
+def assert_bitwise_equal(got: np.ndarray, expected: list) -> None:
+    assert len(got) == len(expected)
+    for g, e in zip(got.tolist(), expected):
+        assert g == e and math.copysign(1.0, g) == math.copysign(1.0, e), (g, e)
 
 
 def test_fsum_columns_matches_fsum():
@@ -21,7 +48,6 @@ def test_two_diff_is_error_free():
     hi, lo = two_diff(a, b)
     # hi is the rounded difference, hi + lo the exact one
     assert np.array_equal(hi, a - b)
-    from fractions import Fraction
 
     for k in range(0, 1000, 97):
         exact = Fraction(a[k]) - Fraction(b[k])
@@ -53,3 +79,160 @@ def test_exact_vector_sum_roundtrips_through_state():
 def test_exact_mean_rejects_bad_shapes():
     with pytest.raises(ValueError):
         exact_mean(np.zeros(3), 3)
+
+
+# ---------------------------------------------------------------------------
+# the limb accumulator against exact rational sums
+# ---------------------------------------------------------------------------
+
+# every finite double, plus draws concentrated where summation is hard
+hard_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-1e-300, max_value=1e-300),  # subnormals and tiny normals
+    st.floats(min_value=MAX / 4, max_value=MAX) | st.floats(min_value=-MAX, max_value=-MAX / 4),
+    st.sampled_from([0.0, -0.0, TINY, -TINY, 2.0**-1022, MAX, -MAX, 1.0, -1.0, 2.0**-53]),
+)
+
+
+@st.composite
+def summations(draw):
+    """(rows, splits, roundtrip_at): a block of rows whose columns mix every
+    exponent range, with some rows' negations added for heavy cancellation;
+    the block is added in the given split sizes, and the state goes through
+    ``state_dict`` after split ``roundtrip_at``."""
+    dim = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 12))
+    rows = [draw(st.lists(hard_floats, min_size=dim, max_size=dim)) for _ in range(n)]
+    negated = draw(st.lists(st.sampled_from(range(n)), max_size=n))
+    rows += [[-x for x in rows[i]] for i in negated]
+    rows = draw(st.permutations(rows))
+    splits = []
+    while sum(splits) < len(rows):
+        splits.append(draw(st.integers(1, len(rows) - sum(splits))))
+    roundtrip_at = draw(st.integers(0, len(splits)))
+    return np.array(rows, dtype=np.float64), splits, roundtrip_at
+
+
+@settings(max_examples=300, deadline=None)
+@given(summations())
+def test_rounded_equals_exact_rational_sum(case):
+    rows, splits, roundtrip_at = case
+    acc = ExactVectorSum(rows.shape[1])
+    start = 0
+    for k, size in enumerate(splits):
+        if k == roundtrip_at:
+            acc = ExactVectorSum.from_state_dict(acc.state_dict())
+        part = rows[start : start + size]
+        acc.add(part[0] if size == 1 else part)  # one vector, or a block
+        start += size
+    assert_bitwise_equal(acc.rounded(), exact_column_sums(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x=st.floats(min_value=2.0**-1021, max_value=MAX / 2),
+    below=st.integers(1, 1200),
+    negative=st.booleans(),
+    split=st.booleans(),
+)
+def test_near_ties_round_by_the_bits_below_the_tie(x, below, negative, split):
+    # x + ulp(x)/2 is a tie; a tail `below` binades under the half ulp decides
+    # the rounding, whether it lands in the kept limbs or far beneath them
+    half = math.ulp(x) / 2
+    tail = math.ldexp(half, -below)  # underflows to 0.0 for the deepest tails
+    for sign in (1.0, -1.0):
+        rows = np.array([[x], [half], [sign * tail]]) * (-1.0 if negative else 1.0)
+        acc = ExactVectorSum(1)
+        if split:
+            acc.add(rows[2])
+            acc = ExactVectorSum.from_state_dict(acc.state_dict())
+            acc.add(rows[:2])
+        else:
+            acc.add(rows)
+        assert_bitwise_equal(acc.rounded(), exact_column_sums(rows))
+
+
+def test_near_ties_at_every_limb_alignment():
+    # sweep the tie's top bit over the 32 bit positions of a limb and the
+    # deciding tail over the next 80 binades, so that the rounding boundary
+    # and the first dropped bit fall at every offset within the top limbs
+    for offset in range(32):
+        for mantissa in (1.0, 1.0 + 2.0**-52):  # a tie rounds down, or up, to even
+            x = math.ldexp(mantissa, 32 * 34 + offset - 1074)
+            half = math.ulp(x) / 2
+            for below in range(1, 81):
+                for tail in (0.0, math.ldexp(half, -below), -math.ldexp(half, -below)):
+                    rows = np.array([[x, -x], [half, -half], [tail, -tail]])
+                    acc = ExactVectorSum(2)
+                    acc.add(rows)
+                    assert_bitwise_equal(acc.rounded(), exact_column_sums(rows))
+
+
+@pytest.mark.parametrize("limb", [0, 1, 2, 33, 40, 64])
+def test_carries_out_of_the_top_touched_limb(limb):
+    # x's top bit is the top bit of its limb, so x + x carries into the limb
+    # above every limb an add has touched
+    x = math.ldexp(0.75, 32 * limb - 1042) if limb >= 2 else math.ldexp(2.0**31 - 1, 32 * limb - 1074)
+    for n in (2, 3, 1000):
+        rows = np.full((n, 2), x) * np.array([1.0, -1.0])
+        acc = ExactVectorSum(2)
+        acc.add(rows)
+        assert_bitwise_equal(acc.rounded(), exact_column_sums(rows))
+        acc.add(rows[0])
+        assert_bitwise_equal(acc.rounded(), exact_column_sums(np.vstack([rows, rows[:1]])))
+
+
+def test_sum_past_fsum_intermediate_overflow_is_exact():
+    rows = np.array([[MAX, MAX], [MAX, -MAX], [-MAX, MAX], [-MAX / 2, -MAX]])
+    with pytest.raises(OverflowError, match="intermediate overflow"):
+        math.fsum(rows[:, 0])
+    acc = ExactVectorSum(2)
+    acc.add(rows)
+    assert_bitwise_equal(acc.rounded(), [MAX / 2, 0.0])
+    acc.add(np.array([MAX, MAX]))
+    assert_bitwise_equal(acc.rounded(), [math.inf, MAX])
+
+
+def test_carries_between_chunked_scatters_keep_the_sum_exact(monkeypatch):
+    # shrink the scatter block and the carry headroom so that one add call
+    # scatters in many pieces and propagates carries between them
+    monkeypatch.setattr(exact_module, "_SCATTER_ROWS", 2)
+    monkeypatch.setattr(exact_module, "_ROWS_BEFORE_CARRY", 3)
+    rng = np.random.default_rng(4)
+    rows = np.ldexp(rng.standard_normal((61, 5)), rng.integers(-1080, 1000, size=(61, 5)))
+    rows = np.concatenate([rows, -rows[::3], np.full((4, 5), TINY)])
+    acc = ExactVectorSum(5)
+    acc.add(rows[:30])
+    acc.add(rows[30:])
+    assert_bitwise_equal(acc.rounded(), exact_column_sums(rows))
+
+
+def test_zero_sums_round_to_positive_zero():
+    acc = ExactVectorSum(3)
+    assert_bitwise_equal(acc.rounded(), [0.0, 0.0, 0.0])
+    acc.add(np.array([[-0.0, 1.5, TINY], [-0.0, -1.5, -TINY]]))
+    assert_bitwise_equal(acc.rounded(), [0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_input_is_rejected(bad):
+    acc = ExactVectorSum(2)
+    acc.add(np.array([1.0, 2.0]))
+    with pytest.raises(ValueError):
+        acc.add(np.array([bad, 0.0]))
+    with pytest.raises(ValueError):
+        acc.add(np.array([[0.0, 1.0], [2.0, bad]]))
+    assert_bitwise_equal(acc.rounded(), [1.0, 2.0])  # nothing of either call was added
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 3), (1, 2, 2), ()])
+def test_add_rejects_shapes_other_than_a_vector_or_block(shape):
+    with pytest.raises(ValueError):
+        ExactVectorSum(2).add(np.zeros(shape))
+
+
+def test_version_1_partials_state_folds_in_exactly():
+    partials = [[-5.551115123125783e-17, 1.333315718054407], [], [1e-300, -2.0**-60, 3.0, 1e300]]
+    acc = ExactVectorSum.from_state_dict({"dim": 3, "partials": partials})
+    assert_bitwise_equal(acc.rounded(), [math.fsum(p) for p in partials])
+    assert acc.state_dict()["limbs"]  # saved again in the limb format

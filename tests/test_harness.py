@@ -432,6 +432,74 @@ def test_cli_compare_builds_every_spec_before_writing(tmp_path):
     assert list(tmp_path.iterdir()) == [path]
 
 
+def test_cli_compare_rejects_subset_size_above_device_count(tmp_path):
+    from pathlib import Path
+
+    bundled = Path(__file__).resolve().parents[1] / "configs" / "quickstart.json"
+    cfg = json.loads(bundled.read_text())
+    cfg["algorithm"]["subset_size"] = 99  # the quickstart has 10 devices
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = run_cli("compare", str(path), "--algorithms", "mifa,sampling_fedavg", "--out", str(tmp_path / "c"))
+    assert out.returncode == 2
+    assert "algorithm.subset_size" in out.stderr
+    assert "Traceback" not in out.stderr
+    assert list(tmp_path.iterdir()) == [path]
+
+    cfg["algorithm"]["subset_size"] = 0
+    with pytest.raises(ConfigError, match="algorithm.subset_size"):
+        fedsim.compare_experiment(cfg, ["sampling_fedavg"], out=str(tmp_path / "c"))
+
+
+@pytest.mark.parametrize(
+    "schedule, key",
+    [
+        ({"variant": "inverse_decay"}, "schedule.eta0"),
+        ({"variant": "nonconvex_constant"}, "schedule.staleness_cap_mean"),
+    ],
+    ids=["eta0", "staleness_cap_mean"],
+)
+def test_cli_run_names_missing_schedule_key(tmp_path, schedule, key):
+    cfg = base_config(schedule=schedule)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = run_cli("run", str(path), "--out", str(tmp_path / "s"))
+    assert out.returncode == 2
+    assert key in out.stderr
+    assert "Traceback" not in out.stderr
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("N=4\nt:1 active:0,1,2,3\n", 1),  # header without T=
+        ("T=1\nt:1 active:0,1,2,3\n", 1),  # header without N=
+        ("", 1),
+        ("N=4 T=2\nt:1 active:0,1,2,3\n", 3),  # round line missing
+        ("N=4 T=2\nt:1 active:0,1,2,3\nt:2 active:1;2\n", 3),
+        ("N=4 T=2\nt:1 active:0,1,2,3\nt:3 active:1\n", 3),
+        ("N=4 T=2\nt:1 active:0,1,2,3\nactive:1\n", 3),
+        ("N=4 T=2\nt:1 active:0,1,2,3\nt:2 active:4\n", 3),  # device id out of range
+    ],
+    ids=["no_T", "no_N", "empty", "missing_round", "bad_ids", "out_of_order", "no_t", "id_range"],
+)
+def test_cli_run_names_malformed_trace_line(tmp_path, text, line):
+    (tmp_path / "trace.txt").write_text(text)
+    with pytest.raises(ValueError, match=f"line {line}:"):
+        fedsim.read_trace(tmp_path / "trace.txt")
+
+    cfg = base_config()
+    cfg["availability"] = {"variant": "trace_replay", "path": "trace.txt"}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = run_cli("run", str(path), "--out", str(tmp_path / "r"))
+    assert out.returncode != 0
+    assert f"line {line}:" in out.stderr
+    assert "Traceback" not in out.stderr
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_cli_validate_builds_the_algorithm(tmp_path):
     cfg = base_config()
     cfg["availability"] = {"variant": "full"}
