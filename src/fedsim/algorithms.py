@@ -64,7 +64,8 @@ class DivergenceError(RuntimeError):
 
 
 class SpecError(ValueError):
-    """``from_config`` rejects the value of ``key`` in an algorithm section."""
+    """An algorithm's spec rejects the value of ``key`` in its config section,
+    raised by ``from_config`` or by the spec itself."""
 
     def __init__(self, key: str, message: str):
         self.key = key
@@ -155,9 +156,9 @@ class ImportanceFedAvgSpec:
 
     def __post_init__(self):
         if self.normalization not in ("active_count", "total_count"):
-            raise ValueError("normalization must be 'active_count' or 'total_count'")
-        if any(p <= 0.0 for p in self.probs):
-            raise ValueError("participation probabilities must be positive")
+            raise SpecError("normalization", f"{self.normalization!r} is not 'active_count' or 'total_count'")
+        if not all(p > 0.0 for p in self.probs):
+            raise SpecError("probs", "participation probabilities must be positive")
 
 
 @dataclass(frozen=True)
@@ -322,10 +323,13 @@ class ImportanceFedAvgServer(Server):
             probs = section["probs"]
         else:
             probs = model.probs
-        return cls.spec_class(
-            probs=tuple(float(p) for p in probs),
-            normalization=section.get("normalization", "active_count"),
-        )
+        try:
+            probs = tuple(float(p) for p in probs)
+        except (TypeError, ValueError):
+            raise SpecError("probs", f"{probs!r} is not a list of numbers") from None
+        if len(probs) != model.n_devices:
+            raise SpecError("probs", f"{len(probs)} probabilities for {model.n_devices} devices")
+        return cls.spec_class(probs=probs, normalization=section.get("normalization", "active_count"))
 
     def aggregate(self, updates, schedule):
         if updates:

@@ -126,7 +126,18 @@ class ProblemConstants:
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """N per-device objectives plus certified constants and optimum."""
+    """N per-device objectives plus certified constants and optimum.
+
+    ``stacked`` holds the per-device parameters as (N, ...) arrays; each
+    device object holds views of them, so the data is stored once.
+    ``aggregates`` holds what the closed-form metrics need, computed once
+    when the instance is built:
+
+    - quadratic: ``h_bar`` = mean H_i and ``b_bar`` = mean H_i c_i;
+    - logistic: ``l2`` and, at w*, the negated margins' sigmoid ``p_star``
+      and the logs ``log_p_star``, ``log_q_star`` of sigmoid(+-margin);
+    - trig: ``mean_center``.
+    """
 
     kind: str                  # "quadratic" | "logistic" | "trig"
     devices: tuple
@@ -135,8 +146,8 @@ class ProblemInstance:
     w_star: np.ndarray | None
     f_star: float | None
     strongly_convex: bool
-    # stacked per-device parameters for the fast local-SGD kernels
     stacked: dict = field(default_factory=dict, repr=False)
+    aggregates: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_devices(self) -> int:
@@ -171,40 +182,62 @@ class ProblemInstance:
         return self.devices[i].grad(w) + noise
 
     def global_value(self, w: np.ndarray) -> float:
+        """f(w) = mean_i f_i(w), the per-device values summed exactly."""
         w = _check_finite("w", w)
-        return math.fsum(dev.value(w) for dev in self.devices) / self.n_devices
+        if self.kind == "quadratic":
+            diffs = w - self.stacked["centers"]
+            values = 0.5 * np.einsum("ni,nij,nj->n", diffs, self.stacked["hessians"], diffs)
+        elif self.kind == "logistic":
+            margins = self.stacked["labels"] * (self.stacked["features"] @ w)
+            values = np.logaddexp(0.0, -margins).mean(axis=1) + 0.5 * self.aggregates["l2"] * float(w @ w)
+        else:
+            values = (dev.value(w) for dev in self.devices)
+        return math.fsum(values) / self.n_devices
 
     def global_grad(self, w: np.ndarray) -> np.ndarray:
         w = _check_finite("w", w)
+        agg = self.aggregates
         if self.kind == "quadratic":
-            diffs = w[None, :] - self.stacked["centers"]
-            grads = np.einsum("nij,nj->ni", self.stacked["hessians"], diffs)
-            return grads.mean(axis=0)
+            return agg["h_bar"] @ w - agg["b_bar"]
         if self.kind == "trig":
-            mean_center = self.stacked["centers"].mean(axis=0)
-            dev = self.devices[0]
-            return dev.curvature * (w - mean_center) - dev.amplitude * np.sin(w)
-        acc = np.zeros(self.dim)
-        for dev in self.devices:
-            acc += dev.grad(w)
-        return acc / self.n_devices
+            return self.stacked["curvature"] * (w - agg["mean_center"]) - self.stacked["amplitude"] * np.sin(w)
+        features, labels = self.stacked["features"], self.stacked["labels"]
+        weights = labels * _sigmoid(-labels * (features @ w))  # (N, S)
+        return -np.einsum("ns,nsd->d", weights, features) / weights.size + agg["l2"] * w
 
     def suboptimality(self, w: np.ndarray) -> float:
+        """f(w) - f(w*), measured against the stored optimum w*.
+
+        The quadratic and logistic gaps are closed forms in e = w - w*, so
+        they keep their relative accuracy as w approaches w* instead of
+        cancelling to zero; the trig gap is f(w) - f_star.
+        """
         if self.f_star is None:
             raise MissingOptimumError("instance has no certified optimum value")
-        return self.global_value(w) - self.f_star
+        w = _check_finite("w", w)
+        if self.kind == "trig":
+            return self.global_value(w) - self.f_star
+        agg = self.aggregates
+        e = w - self.w_star
+        if self.kind == "quadratic":
+            return 0.5 * float(e @ (agg["h_bar"] @ e))
+        # per sample, softplus(b + d) - softplus(b) = log(q + p e^d) with the
+        # negated margin b at w*, d its change and p = sigmoid(b) = 1 - q
+        d = -self.stacked["labels"] * (self.stacked["features"] @ e)
+        near = np.log1p(agg["p_star"] * np.expm1(np.clip(d, -1.0, 1.0)))
+        far = np.logaddexp(agg["log_q_star"], agg["log_p_star"] + d)
+        loss_gap = float(np.where(np.abs(d) <= 1.0, near, far).mean())
+        return loss_gap + 0.5 * agg["l2"] * float(e @ (w + self.w_star))
 
     def recompute_dissimilarity(self) -> float:
         """mean_i ||grad_i(w*)||^2 recomputed from the stored optimum."""
         if self.w_star is None:
             raise MissingOptimumError("instance has no certified optimum")
-        return math.fsum(
-            float(np.dot(g, g)) for g in (dev.grad(self.w_star) for dev in self.devices)
-        ) / self.n_devices
+        return _dissimilarity_of(self.devices, self.w_star)
 
 
 def _dissimilarity_of(devices, w_star):
-    return math.fsum(float(np.dot(dev.grad(w_star), dev.grad(w_star))) for dev in devices) / len(devices)
+    return math.fsum(float(np.dot(g, g)) for g in (dev.grad(w_star) for dev in devices)) / len(devices)
 
 
 def _ball_points(rng, count, dim, radius):
@@ -281,15 +314,19 @@ def make_quadratic_instance(
 def quadratic_instance_from_arrays(
     hessians: np.ndarray, centers: np.ndarray, sigma: float, seed: int = 0
 ) -> ProblemInstance:
-    """Quadratic instance from explicit per-device (H_i, c_i) arrays."""
-    hessians = _check_finite("hessians", hessians)
-    centers = _check_finite("centers", centers)
+    """Quadratic instance from explicit per-device (H_i, c_i) arrays.
+
+    The instance keeps its own copy of the arrays; each device holds views
+    of that copy.
+    """
+    hessians = np.array(_check_finite("hessians", hessians))
+    centers = np.array(_check_finite("centers", centers))
     if hessians.ndim != 3 or centers.ndim != 2 or hessians.shape[0] != centers.shape[0]:
         raise ValueError("expected hessians (N, d, d) and centers (N, d)")
     n_devices, dim = centers.shape
     _validate_family_args(n_devices, dim, sigma)
 
-    devices = tuple(QuadraticDevice(hessians[i].copy(), centers[i].copy()) for i in range(n_devices))
+    devices = tuple(QuadraticDevice(hessians[i], centers[i]) for i in range(n_devices))
     eigs = np.concatenate([np.linalg.eigvalsh(h) for h in hessians])
     mu_eff = float(eigs.min())
     l_eff = float(eigs.max())
@@ -328,7 +365,8 @@ def quadratic_instance_from_arrays(
         w_star=w_star,
         f_star=f_star,
         strongly_convex=True,
-        stacked={"hessians": hessians.copy(), "centers": centers.copy()},
+        stacked={"hessians": hessians, "centers": centers},
+        aggregates={"h_bar": h_sum / n_devices, "b_bar": rhs / n_devices},
     )
 
 
@@ -358,13 +396,13 @@ def make_logistic_instance(
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x10C1]))
     class_shift = rng.standard_normal(dim)
     class_shift /= max(1.0, np.linalg.norm(class_shift))
-    devices = []
+    features = np.empty((n_devices, samples_per_device, dim))
+    labels = np.empty((n_devices, samples_per_device))
     for i in range(n_devices):
         p_pos = 0.5 + 0.5 * label_skew * (1 if i % 2 == 0 else -1)
-        labels = np.where(rng.random(samples_per_device) < p_pos, 1.0, -1.0)
-        feats = rng.standard_normal((samples_per_device, dim)) + labels[:, None] * class_shift
-        devices.append(LogisticDevice(feats, labels, float(l2)))
-    devices = tuple(devices)
+        labels[i] = np.where(rng.random(samples_per_device) < p_pos, 1.0, -1.0)
+        features[i] = rng.standard_normal((samples_per_device, dim)) + labels[i][:, None] * class_shift
+    devices = tuple(LogisticDevice(features[i], labels[i], float(l2)) for i in range(n_devices))
 
     max_curv = max(
         float(np.linalg.eigvalsh(dev.features.T @ dev.features).max()) for dev in devices
@@ -385,6 +423,14 @@ def make_logistic_instance(
         beta=float(beta_i.mean()),
         dissimilarity=_dissimilarity_of(devices, w_star),
     )
+    aggregates = {"l2": float(l2)}
+    if w_star is not None:
+        neg_margins = -labels * (features @ w_star)
+        aggregates.update(
+            p_star=_sigmoid(neg_margins),
+            log_p_star=-np.logaddexp(0.0, -neg_margins),
+            log_q_star=-np.logaddexp(0.0, neg_margins),
+        )
     return ProblemInstance(
         kind="logistic",
         devices=devices,
@@ -393,7 +439,8 @@ def make_logistic_instance(
         w_star=w_star,
         f_star=f_star,
         strongly_convex=True,
-        stacked={},
+        stacked={"features": features, "labels": labels},
+        aggregates=aggregates,
     )
 
 
@@ -453,17 +500,15 @@ def make_nonconvex_instance(
 
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x7819]))
     centers = _ball_points(rng, n_devices, dim, heterogeneity)
-    devices = tuple(
-        TrigDevice(centers[i].copy(), float(curvature), float(amplitude)) for i in range(n_devices)
-    )
+    devices = tuple(TrigDevice(centers[i], float(curvature), float(amplitude)) for i in range(n_devices))
 
-    w_star = _trig_optimum(centers.mean(axis=0), curvature, amplitude)
+    mean_center = centers.mean(axis=0)
+    w_star = _trig_optimum(mean_center, curvature, amplitude)
     f_star = math.fsum(dev.value(w_star) for dev in devices) / n_devices
 
     # grad_i - grad = curvature * (mean_center - c_i) exactly, so alpha = 2
     # with the algebraic beta_i below is a global certificate; the sampled
     # check below re-verifies it.
-    mean_center = centers.mean(axis=0)
     beta_i = 2.0 * curvature**2 * np.sum((centers - mean_center) ** 2, axis=1)
     _verify_dissimilarity_trig(centers, curvature, amplitude, 2.0, beta_i, heterogeneity, seed)
 
@@ -486,7 +531,8 @@ def make_nonconvex_instance(
         w_star=w_star,
         f_star=f_star,
         strongly_convex=False,
-        stacked={"centers": centers.copy(), "curvature": float(curvature), "amplitude": float(amplitude)},
+        stacked={"centers": centers, "curvature": float(curvature), "amplitude": float(amplitude)},
+        aggregates={"mean_center": mean_center},
     )
 
 

@@ -452,6 +452,30 @@ def test_cli_compare_rejects_subset_size_above_device_count(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "field, value",
+    [
+        ("normalization", "bogus"),
+        ("probs", [0.5, 0.0, 0.5, 0.5]),
+        ("probs", [0.5, -0.1, 0.5, 0.5]),
+        ("probs", [0.5, 0.5]),  # base_config has 4 devices
+        ("probs", ["x", 0.5, 0.5, 0.5]),
+    ],
+    ids=["normalization", "zero_prob", "negative_prob", "short_probs", "non_numeric_probs"],
+)
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_cli_names_bad_is_fedavg_key(tmp_path, command, field, value):
+    cfg = base_config(algorithm={"name": "is_fedavg", field: value})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    extra = ["--algorithms", "mifa,is_fedavg"] if command == "compare" else []
+    out = run_cli(command, str(path), *extra, "--out", str(tmp_path / "r"))
+    assert out.returncode == 2
+    assert f"algorithm.{field}" in out.stderr
+    assert "Traceback" not in out.stderr
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize(
     "schedule, key",
     [
         ({"variant": "inverse_decay"}, "schedule.eta0"),

@@ -1,11 +1,14 @@
 import dataclasses
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from fedsim import problems
+from fedsim.experiment import fit_rate_slope
 from fedsim.problems import (
     MissingOptimumError,
     make_logistic_instance,
@@ -311,6 +314,102 @@ def test_suboptimality_at_optimum_and_signalling():
     broken = dataclasses.replace(inst, f_star=None)
     with pytest.raises(MissingOptimumError):
         broken.suboptimality(inst.w_star)
+
+
+def test_global_value_matches_the_device_loop():
+    for inst in _instances():
+        w = np.random.default_rng(31).standard_normal(inst.dim)
+        loop = math.fsum(dev.value(w) for dev in inst.devices) / inst.n_devices
+        assert inst.global_value(w) == pytest.approx(loop, rel=1e-13)
+
+
+def test_devices_hold_views_of_the_stacked_arrays():
+    inst_q, inst_l, inst_t = _instances()
+    hessians = np.stack([np.eye(2), 2.0 * np.eye(2)])
+    centers = np.array([[1.0, 0.0], [0.0, 1.0]])
+    from_arrays = quadratic_instance_from_arrays(hessians, centers, sigma=0.0)
+    assert not np.shares_memory(from_arrays.stacked["hessians"], hessians)
+    cases = [(inst, name, attr) for inst in (inst_q, from_arrays) for name, attr in
+             (("hessians", "hessian"), ("centers", "center"))]
+    cases += [(inst_l, "features", "features"), (inst_l, "labels", "labels"), (inst_t, "centers", "center")]
+    for inst, name, attr in cases:
+        stacked = inst.stacked[name]
+        assert stacked.flags.writeable  # the compiled kernels' memoryviews need writable buffers
+        for i, dev in enumerate(inst.devices):
+            assert np.shares_memory(getattr(dev, attr), stacked), (inst.kind, name)
+            assert np.array_equal(getattr(dev, attr), stacked[i])
+
+
+def _unit(rng, dim):
+    v = rng.standard_normal(dim)
+    return v / np.linalg.norm(v)
+
+
+@pytest.fixture(scope="module")
+def quad_workload_instance():
+    # the compare benchmark's quad_many_devices instance at workload seed 7
+    return make_quadratic_instance(200, 10, mu=1.0, smoothness=10.0, sigma=1.0, heterogeneity=2.0, seed=578950829)
+
+
+def test_quadratic_gap_matches_exact_rational_near_the_optimum(quad_workload_instance):
+    inst = quad_workload_instance
+    hessians = np.stack([dev.hessian for dev in inst.devices])
+    h_bar = [[sum(map(Fraction, hessians[:, i, j])) / inst.n_devices for j in range(inst.dim)] for i in range(inst.dim)]
+    v = _unit(np.random.default_rng(37), inst.dim)
+    for k in range(2, 10):
+        w = inst.w_star + 10.0**-k * v
+        e = [Fraction(x) for x in w - inst.w_star]
+        exact = sum(e[i] * h_bar[i][j] * e[j] for i in range(inst.dim) for j in range(inst.dim)) / 2
+        gap = inst.suboptimality(w)
+        assert gap > 0.0
+        assert abs(Fraction(gap) - exact) <= Fraction(1, 10**10) * exact, k
+
+
+def _softplus(x):
+    return (1 + x.exp()).ln() if x < 0 else x + (1 + (-x).exp()).ln()
+
+
+def test_logistic_gap_matches_50_digit_decimal():
+    inst = _instances()[1]
+    features = np.stack([dev.features for dev in inst.devices])
+    labels = np.stack([dev.labels for dev in inst.devices])
+    x_max = float(np.linalg.norm(features, axis=2).max())
+    lam = Decimal(inst.devices[0].l2)
+    rng = np.random.default_rng(41)
+
+    def value(w):
+        wd = [Decimal(x) for x in w]
+        total = Decimal(0)
+        for x, y in zip(features.reshape(-1, inst.dim), labels.ravel()):
+            total += _softplus(-Decimal(y) * sum(Decimal(a) * b for a, b in zip(x, wd)))
+        return total / labels.size + lam / 2 * sum(b * b for b in wd)
+
+    with localcontext() as ctx:
+        ctx.prec = 50
+        f_star = value(inst.w_star)
+        # from 1e3, where the margins move by more than exp() can represent,
+        # down to 1e-9 next to the optimum
+        for k in range(-3, 10):
+            s = 10.0**-k
+            w = inst.w_star + s * _unit(rng, inst.dim)
+            exact = value(w) - f_star
+            gap = inst.suboptimality(w)
+            assert exact > 0 and gap > 0.0 and math.isfinite(gap)
+            err = abs(Decimal(gap) - exact)
+            # each sample's margin change x.(w - w*) is rounded once, so double
+            # precision leaves an error of order eps * ||x|| * ||w - w*||,
+            # first order in s while the gap is second order
+            assert err <= Decimal(1e-10) * exact + Decimal(4 * np.finfo(float).eps * x_max * s), k
+            if s >= 1e-6:
+                assert err <= Decimal(1e-10) * exact, k
+
+
+def test_rate_fit_near_the_optimum_recovers_the_quadratic_order(quad_workload_instance):
+    inst = quad_workload_instance
+    v = _unit(np.random.default_rng(43), inst.dim)
+    steps = np.logspace(-2, -9, 15)
+    gaps = [(s, inst.suboptimality(inst.w_star + s * v)) for s in steps]
+    assert fit_rate_slope(gaps, (1e-9, 1e-2)) == pytest.approx(2.0, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------
