@@ -190,9 +190,9 @@ class Server:
 
     @classmethod
     def from_config(cls, section: dict, model):
-        """This algorithm's spec from a config's ``algorithm`` section and the
-        built participation model. A missing key raises ``KeyError(key)``,
-        a value the model rules out raises ``SpecError(key, message)``."""
+        """This algorithm's spec from a config's type-checked ``algorithm``
+        section and the built participation model. A missing key raises
+        ``KeyError(key)``, a value the model rules out ``SpecError(key, message)``."""
         return cls.spec_class()
 
     def needs(self, active: ActiveSet) -> list:
@@ -323,10 +323,7 @@ class ImportanceFedAvgServer(Server):
             probs = section["probs"]
         else:
             probs = model.probs
-        try:
-            probs = tuple(float(p) for p in probs)
-        except (TypeError, ValueError):
-            raise SpecError("probs", f"{probs!r} is not a list of numbers") from None
+        probs = tuple(float(p) for p in probs)
         if len(probs) != model.n_devices:
             raise SpecError("probs", f"{len(probs)} probabilities for {model.n_devices} devices")
         return cls.spec_class(probs=probs, normalization=section.get("normalization", "active_count"))
@@ -361,7 +358,7 @@ class SamplingFedAvgServer(Server):
 
     @classmethod
     def from_config(cls, section, model):
-        subset_size = int(section["subset_size"])
+        subset_size = section["subset_size"]
         if not 1 <= subset_size <= model.n_devices:
             raise SpecError("subset_size", f"{subset_size} is not in [1, {model.n_devices}], the device count")
         return cls.spec_class(subset_size=subset_size)

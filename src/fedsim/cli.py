@@ -40,17 +40,16 @@ from .experiment import (
 def _add_common(parser):
     parser.add_argument("--seed", type=int, default=None, help="override run.seeds with one seed")
     parser.add_argument("--out", default=None, help="override the output path base")
-    parser.add_argument("--format", default="csv", choices=["csv"], help="output format")
 
 
-def _apply_overrides(cfg, args):
+def _apply_overrides(args):
     seeds = [args.seed] if args.seed is not None else None
     return seeds, args.out
 
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
-    seeds, out = _apply_overrides(cfg, args)
+    seeds, out = _apply_overrides(args)
     result = run_experiment(cfg, out=out, seeds=seeds, base_dir=os.path.dirname(os.path.abspath(args.config)))
     if result.csv_path:
         print(f"wrote {result.csv_path}")
@@ -65,7 +64,7 @@ def cmd_run(args) -> int:
 def cmd_compare(args) -> int:
     cfg = load_config(args.config)
     names = [name.strip() for name in args.algorithms.split(",") if name.strip()]
-    seeds, out = _apply_overrides(cfg, args)
+    seeds, out = _apply_overrides(args)
     if seeds is not None:
         cfg = dict(cfg)
         cfg["run"] = dict(cfg["run"], seeds=seeds)
@@ -86,10 +85,9 @@ def cmd_tau_study(args) -> int:
     instance = build_instance(cfg)
     model = build_model(cfg, instance, base_dir=os.path.dirname(os.path.abspath(args.config)))
     if not isinstance(model, av.BernoulliParticipation):
-        print("error: tau-study needs a bernoulli availability section", file=sys.stderr)
-        return 2
-    seed = args.seed if args.seed is not None else int(cfg["run"]["seeds"][0])
-    study = staleness_study(model.probs, int(cfg["run"]["horizon"]), args.traces, args.delta, seed)
+        raise ConfigError("availability.variant", "tau-study needs a bernoulli availability section")
+    seed = args.seed if args.seed is not None else cfg["run"]["seeds"][0]
+    study = staleness_study(model.probs, cfg["run"]["horizon"], args.traces, args.delta, seed)
     print(
         f"traces={args.traces} peak_bound={study['peak_bound']:.3f} "
         f"coverage={study['peak_bound_coverage']:.3f} "
@@ -102,8 +100,7 @@ def cmd_tau_study(args) -> int:
 
 
 def cmd_wait_study(args) -> int:
-    probs = np.array([float(p) for p in args.p.split(",")])
-    study = waiting_time_study(args.devices, args.subset_size, probs, args.trials, args.seed or 0)
+    study = waiting_time_study(args.devices, args.subset_size, args.p, args.trials, args.seed or 0)
     print(
         f"mean_wait={study['mean_wait']:.6f} stderr={study['stderr']:.6f} "
         f"lower_bound={study['lower_bound']:.6f}"
@@ -122,16 +119,19 @@ def cmd_validate(args) -> int:
     cfg = load_config(args.config)
     instance = build_instance(cfg)
     model = build_model(cfg, instance, base_dir=os.path.dirname(os.path.abspath(args.config)))
-    seed = int(cfg["run"]["seeds"][0])
-    schedule = build_schedule(cfg, instance, model, seed)
+    schedule = build_schedule(cfg, instance, model, cfg["run"]["seeds"][0])
     algo_spec = build_algo_spec(cfg, model)
     c = instance.constants
     print(f"problem: {cfg['problem']['family']} n={instance.n_devices} d={instance.dim}")
     print(f"algorithm: {algo_spec.name}")
     print(f"constants: L={c.smoothness:.6g} mu={c.strong_convexity:.6g} sigma={c.noise_std:.6g}")
-    print(f"schedule: eta_1={schedule.eta(1):.6g} eta_T={schedule.eta(int(cfg['run']['horizon'])):.6g}")
+    print(f"schedule: eta_1={schedule.eta(1):.6g} eta_T={schedule.eta(cfg['run']['horizon']):.6g}")
     print("ok")
     return 0
+
+
+def probability_list(text: str) -> np.ndarray:
+    return np.array([float(p) for p in text.split(",")])
 
 
 def main(argv=None) -> int:
@@ -159,7 +159,9 @@ def main(argv=None) -> int:
     p_wait = sub.add_parser("wait-study", help="Monte Carlo waiting time for subset sampling")
     p_wait.add_argument("--devices", type=int, required=True)
     p_wait.add_argument("--subset-size", type=int, required=True)
-    p_wait.add_argument("--p", required=True, help="comma-separated per-device probabilities")
+    p_wait.add_argument(
+        "--p", type=probability_list, required=True, help="comma-separated per-device probabilities"
+    )
     p_wait.add_argument("--trials", type=int, default=10000)
     _add_common(p_wait)
     p_wait.set_defaults(func=cmd_wait_study)

@@ -1,14 +1,15 @@
 """Experiment configuration: a strict nested JSON document.
 
 Sections mirror the library layout (problem / availability / algorithm /
-schedule / run). Unknown keys are errors so a typo can never silently
-corrupt an experiment. A config plus a seed fully determines a run.
-"""
+schedule / run). ``SCHEMA`` gives every key's type, range and default once
+and drives both ``validate_config`` and the ``build_*`` functions, so every
+malformed value, missing key or unknown key is a ``ConfigError`` naming it."""
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 
 import numpy as np
 
@@ -23,112 +24,167 @@ class ConfigError(ValueError):
         super().__init__(f"config key '{key}': {message}")
 
 
-_SECTIONS = {"problem", "availability", "algorithm", "schedule", "run"}
-
-_PROBLEM_KEYS = {
-    "quadratic": {"family", "n_devices", "dim", "mu", "smoothness", "sigma", "heterogeneity", "seed"},
-    "logistic": {"family", "n_devices", "dim", "samples_per_device", "l2", "label_skew", "seed"},
-    "trig": {"family", "n_devices", "dim", "curvature", "amplitude", "sigma", "heterogeneity", "seed"},
-    "quadratic_clusters": {
-        "family",
-        "n_devices",
-        "dim",
-        "mu",
-        "sigma",
-        "cluster_centers",
-        "seed",
-    },
-}
-
-_AVAILABILITY_KEYS = {
-    "full": {"variant"},
-    "bernoulli": {"variant", "probs", "uniform", "label_correlated"},
-    "periodic": {"variant", "periods", "phases"},
-    "adversarial_linear": {"variant", "offset", "slope_divisor"},
-    "trace_replay": {"variant", "path"},
-}
-
-# optional keys are tolerated for every algorithm so one config can be
-# reused across `compare --algorithms ...`
-_ALGORITHM_KEYS = {"name", "subset_size", "normalization", "probs"}
-
-_SCHEDULE_KEYS = {
-    "strongly_convex": {"variant", "delay_offset"},
-    "nonconvex_constant": {"variant", "staleness_cap_mean", "scale"},
-    "inverse_decay": {"variant", "eta0"},
-}
-
-_RUN_KEYS = {"horizon", "local_steps", "seeds", "out"}
+REQUIRED = object()  # the default of a key the config must give
 
 
-def _require(section: dict, section_name: str, key: str):
-    if key not in section:
-        raise ConfigError(f"{section_name}.{key}", "missing required key")
-    return section[key]
+class Key:
+    """A JSON ``int`` (integers only), ``float`` (any finite number, read as a
+    float) or ``str``, never a bool, with numbers in ``interval``. Values in
+    ``choices`` pass as they are, and are the only strings that pass when
+    given. ``shape`` nests the value in non-empty lists, one length per level:
+    an int, ``"n"`` for one entry per device, or ``None`` for any length."""
+
+    def __init__(self, kind, interval="(-inf, inf)", choices=(), shape=(), default=REQUIRED):
+        self.kind, self.interval, self.choices, self.shape, self.default = kind, interval, choices, shape, default
+        self.lo, self.hi = (float(bound) for bound in interval[1:-1].split(","))
+
+    def parse(self, value, path, n, level=0):
+        if level < len(self.shape):
+            length = n if self.shape[level] == "n" else self.shape[level]
+            if not isinstance(value, list) or not value or length not in (None, len(value)):
+                raise ConfigError(path, f"expected a list of {length or 'one or more'} entries, got {value!r}")
+            return [self.parse(entry, path, n, level + 1) for entry in value]
+        if isinstance(value, str) and (value in self.choices or self.kind is str and not self.choices):
+            return value
+        if (self.kind is str or type(value) not in (int, self.kind)
+                or self.kind is float and not abs(value) <= sys.float_info.max):
+            wanted = [repr(choice) for choice in self.choices]
+            if self.kind is not str or not wanted:
+                wanted.insert(0, {int: "an integer", float: "a finite number", str: "a string"}[self.kind])
+            raise ConfigError(path, f"expected {' or '.join(wanted)}, got {value!r}")
+        value = self.kind(value)
+        above = self.lo < value if self.interval[0] == "(" else self.lo <= value
+        below = value < self.hi if self.interval[-1] == ")" else value <= self.hi
+        if not (above and below):
+            raise ConfigError(path, f"must lie in {self.interval}, got {value!r}")
+        return value
 
 
-def _check_keys(section: dict, section_name: str, allowed: set):
-    for key in section:
-        if key not in allowed:
-            raise ConfigError(f"{section_name}.{key}", "unknown key")
+class Obj:
+    """A JSON object holding only the keys of its table, whose named checks
+    ``(key, holds, message)`` relate the parsed keys. A tagged object's
+    ``tag`` key instead picks one of its ``variants``, an ``Obj`` that names
+    its ``builder`` and the ``context`` values the builder takes first."""
+
+    def __init__(self, keys=None, checks=(), builder=None, context=(), tag=None, variants=None, default=REQUIRED):
+        self.keys, self.checks, self.builder, self.context = keys, checks, builder, context
+        self.tag, self.variants, self.default = tag, variants, default
+
+    def parse(self, value, path, n):
+        """The parsed keys with their defaults filled in; ``value`` is not changed."""
+        if not isinstance(value, dict):
+            raise ConfigError(path or "<root>", f"expected an object, got {value!r}")
+        prefix = f"{path}." if path else ""
+        if self.tag:
+            variant = Key(str, choices=tuple(self.variants)).parse(value.get(self.tag), prefix + self.tag, n)
+            rest = {key: v for key, v in value.items() if key != self.tag}
+            return {self.tag: variant, **self.variants[variant].parse(rest, path, n)}
+        unknown = value.keys() - self.keys.keys()
+        if unknown:
+            raise ConfigError(prefix + min(unknown), "unknown key")
+        parsed = {}
+        for key, spec in self.keys.items():
+            if key in value:
+                parsed[key] = spec.parse(value[key], prefix + key, n)
+            elif spec.default is REQUIRED:
+                raise ConfigError(prefix + key, "missing required key")
+            elif spec.default is not None:
+                parsed[key] = spec.default
+        for key, holds, message in self.checks:
+            if not holds(parsed):
+                raise ConfigError(prefix + key, message)
+        return parsed
+
+
+_COUNT = Key(int, "[1, inf)")
+_SEED = Key(int, "[0, inf)")
+_POSITIVE = Key(float, "(0, inf)")
+_NONNEGATIVE = Key(float, "[0, inf)")
+_PROBABILITY = Key(float, "(0, 1]")
+
+SCHEMA = Obj({
+    "problem": Obj(tag="family", variants={
+        "quadratic": Obj(
+            {"n_devices": _COUNT, "dim": _COUNT, "mu": _POSITIVE, "smoothness": _POSITIVE,
+             "sigma": _NONNEGATIVE, "heterogeneity": _NONNEGATIVE, "seed": _SEED},
+            checks=[("smoothness", lambda k: k["smoothness"] >= k["mu"], "must be >= mu")],
+            builder="problems.make_quadratic_instance"),
+        "logistic": Obj(
+            {"n_devices": _COUNT, "dim": _COUNT, "samples_per_device": _COUNT, "l2": _POSITIVE,
+             "label_skew": Key(float, "[0, 1]"), "seed": _SEED},
+            builder="problems.make_logistic_instance"),
+        "trig": Obj(
+            {"n_devices": _COUNT, "dim": _COUNT, "curvature": _POSITIVE, "amplitude": _NONNEGATIVE,
+             "sigma": _NONNEGATIVE, "heterogeneity": _NONNEGATIVE, "seed": _SEED},
+            checks=[("amplitude", lambda k: k["amplitude"] <= k["curvature"], "must be <= curvature")],
+            builder="problems.make_nonconvex_instance"),
+        "quadratic_clusters": Obj(
+            {"n_devices": _COUNT, "dim": _COUNT, "mu": _POSITIVE, "sigma": _NONNEGATIVE,
+             "cluster_centers": Key(float, shape=[None, None]), "seed": _SEED},
+            checks=[("cluster_centers", lambda k: {len(c) for c in k["cluster_centers"]} == {k["dim"]},
+                     "every center needs dim coordinates")],
+            builder="_clustered_quadratic"),
+    }),
+    # per-device lists ("n") are checked against the instance's device count when it is known
+    "availability": Obj(tag="variant", variants={
+        "full": Obj({}, builder="av.FullParticipation", context=["n_devices"]),
+        "bernoulli": Obj(
+            {"probs": Key(float, "(0, 1]", shape=["n"], default=None),
+             "uniform": Obj({"low": _PROBABILITY, "high": _PROBABILITY, "seed": _SEED}, default=None,
+                            checks=[("low", lambda k: k["low"] <= k["high"], "must be <= high")]),
+             # p = p_min * min(j, k) / 9 + (1 - p_min) is 0 exactly when p_min = 1 and min(j, k) = 0
+             "label_correlated": Obj(
+                 {"labels": Key(int, "[0, 9]", shape=["n", 2]), "p_min": _PROBABILITY}, default=None,
+                 checks=[("labels", lambda k: k["p_min"] < 1 or min(map(min, k["labels"])) > 0,
+                          "with p_min = 1 a label 0 gives participation probability 0")])},
+            checks=[("probs", lambda k: len(k.keys() & {"probs", "uniform", "label_correlated"}) == 1,
+                     "bernoulli needs exactly one of probs | uniform | label_correlated")],
+            builder="_bernoulli", context=["n_devices"]),
+        # bounded so that every entry fits an int64 array
+        "periodic": Obj({"periods": Key(int, "[1, 1e18]", shape=["n"]),
+                         "phases": Key(int, "[-1e18, 1e18]", shape=["n"])}, builder="av.PeriodicParticipation"),
+        "adversarial_linear": Obj({"offset": _NONNEGATIVE, "slope_divisor": Key(float, "(1, inf)")},
+                                  builder="av.AdversarialLinearParticipation", context=["n_devices"]),
+        "trace_replay": Obj({"path": Key(str)}, builder="_trace_replay", context=["n_devices", "base_dir"]),
+    }),
+    # every algorithm tolerates the optional keys, so one config serves `compare --algorithms ...`
+    "algorithm": Obj({
+        "name": Key(str, choices=tuple(SERVERS)),
+        "subset_size": Key(int, "[1, inf)", default=None),
+        "normalization": Key(str, choices=("active_count", "total_count"), default="active_count"),
+        "probs": Key(float, "(0, 1]", shape=["n"], default=None)}),
+    "schedule": Obj(tag="variant", variants={
+        "strongly_convex": Obj({"delay_offset": Key(float, "[0, inf)", default=0.0)},
+                               builder="_strongly_convex", context=["instance", "run"]),
+        "nonconvex_constant": Obj({"staleness_cap_mean": Key(float, "[0, inf)", choices=("measure",)),
+                                   "scale": Key(float, "(0, 1]", default=1.0)},
+                                  builder="_nonconvex_constant", context=["instance", "model", "seed", "run"]),
+        "inverse_decay": Obj({"eta0": _POSITIVE}, builder="schedules.InverseDecay"),
+    }),
+    "run": Obj({"horizon": Key(int, "[2, inf)"), "local_steps": _COUNT,
+                "seeds": Key(int, "[0, inf)", shape=[None]), "out": Key(str, default=None)}),
+})
+
+
+def _section(cfg: dict, name: str, n_devices: int | None = None) -> dict:
+    """Section ``name`` parsed, its per-device lists checked against ``n_devices`` when given."""
+    return SCHEMA.keys[name].parse(cfg.get(name), name, n_devices)
+
+
+def _build(cfg: dict, name: str, **context):
+    """Call the builder of section ``name``'s variant with the ``context`` values it names and
+    the parsed keys, looked up now, not at import, so a patched module attribute takes effect."""
+    keys = _section(cfg, name, context.get("n_devices"))
+    section = SCHEMA.keys[name]
+    variant = section.variants[keys.pop(section.tag)]
+    module, _, function = variant.builder.rpartition(".")
+    builder = getattr(globals()[module], function) if module else globals()[function]
+    return builder(*(context[c] for c in variant.context), **keys)
 
 
 def validate_config(cfg: dict) -> dict:
-    """Structural validation; returns the config unchanged on success."""
-    if not isinstance(cfg, dict):
-        raise ConfigError("<root>", "config must be a JSON object")
-    for key in cfg:
-        if key not in _SECTIONS:
-            raise ConfigError(key, "unknown section")
-    for section in _SECTIONS:
-        if section not in cfg:
-            raise ConfigError(section, "missing required section")
-        if not isinstance(cfg[section], dict):
-            raise ConfigError(section, "section must be an object")
-
-    prob = cfg["problem"]
-    family = _require(prob, "problem", "family")
-    if family not in _PROBLEM_KEYS:
-        raise ConfigError("problem.family", f"unknown family {family!r}")
-    _check_keys(prob, "problem", _PROBLEM_KEYS[family])
-    for key in _PROBLEM_KEYS[family] - {"family"}:
-        _require(prob, "problem", key)
-
-    avail = cfg["availability"]
-    variant = _require(avail, "availability", "variant")
-    if variant not in _AVAILABILITY_KEYS:
-        raise ConfigError("availability.variant", f"unknown variant {variant!r}")
-    _check_keys(avail, "availability", _AVAILABILITY_KEYS[variant])
-    if variant == "bernoulli":
-        given = [k for k in ("probs", "uniform", "label_correlated") if k in avail]
-        if len(given) != 1:
-            raise ConfigError(
-                "availability.probs",
-                "bernoulli needs exactly one of probs | uniform | label_correlated",
-            )
-
-    algo = cfg["algorithm"]
-    name = _require(algo, "algorithm", "name")
-    if name not in SERVERS:
-        raise ConfigError("algorithm.name", f"unknown algorithm {name!r}")
-    _check_keys(algo, "algorithm", _ALGORITHM_KEYS)
-
-    sched = cfg["schedule"]
-    variant = _require(sched, "schedule", "variant")
-    if variant not in _SCHEDULE_KEYS:
-        raise ConfigError("schedule.variant", f"unknown variant {variant!r}")
-    _check_keys(sched, "schedule", _SCHEDULE_KEYS[variant])
-
-    run = cfg["run"]
-    _check_keys(run, "run", _RUN_KEYS)
-    for key in ("horizon", "local_steps", "seeds"):
-        _require(run, "run", key)
-    if not isinstance(run["seeds"], list) or not run["seeds"]:
-        raise ConfigError("run.seeds", "must be a non-empty list of integers")
-    if int(run["horizon"]) < 2:
-        raise ConfigError("run.horizon", "must be >= 2")
-    if int(run["local_steps"]) < 1:
-        raise ConfigError("run.local_steps", "must be >= 1")
+    """Check ``cfg`` against ``SCHEMA``; returns it unchanged (defaults are never written in)."""
+    SCHEMA.parse(cfg, "", None)
     return cfg
 
 
@@ -148,95 +204,49 @@ def dump_config(cfg: dict) -> str:
 def label_correlated_probabilities(n_devices: int, label_pairs, p_min: float):
     """Participation probability from a device's two held label ids (j, k):
     p = p_min * min(j, k) / 9 + (1 - p_min). Rejects any degenerate p = 0."""
-    if not 0.0 < p_min <= 1.0:
-        raise ValueError("p_min must lie in (0, 1]")
-    if len(label_pairs) != n_devices:
-        raise ValueError("need one (j, k) label pair per device")
-    probs = np.empty(n_devices)
-    for i, (j, k) in enumerate(label_pairs):
-        if not (0 <= j <= 9 and 0 <= k <= 9):
-            raise ValueError("label ids must lie in 0..9")
-        probs[i] = p_min * min(j, k) / 9.0 + (1.0 - p_min)
-        if probs[i] <= 0.0:
-            raise ValueError(f"device {i} would get participation probability 0")
+    pairs = np.asarray(label_pairs)
+    if not 0.0 < p_min <= 1.0 or pairs.shape != (n_devices, 2) or np.any((pairs < 0) | (pairs > 9)):
+        raise ValueError("need p_min in (0, 1] and one (j, k) pair of label ids in 0..9 per device")
+    probs = p_min * pairs.min(axis=1) / 9.0 + (1.0 - p_min)
+    if np.any(probs <= 0.0):
+        raise ValueError(f"device {np.argmin(probs)} would get participation probability 0")
     return probs
 
 
 def build_instance(cfg: dict) -> problems.ProblemInstance:
-    prob = cfg["problem"]
-    family = prob["family"]
-    if family == "quadratic":
-        return problems.make_quadratic_instance(
-            int(prob["n_devices"]),
-            int(prob["dim"]),
-            float(prob["mu"]),
-            float(prob["smoothness"]),
-            float(prob["sigma"]),
-            float(prob["heterogeneity"]),
-            int(prob["seed"]),
-        )
-    if family == "logistic":
-        return problems.make_logistic_instance(
-            int(prob["n_devices"]),
-            int(prob["dim"]),
-            int(prob["samples_per_device"]),
-            float(prob["l2"]),
-            float(prob["label_skew"]),
-            int(prob["seed"]),
-        )
-    if family == "trig":
-        return problems.make_nonconvex_instance(
-            int(prob["n_devices"]),
-            int(prob["dim"]),
-            float(prob["curvature"]),
-            float(prob["amplitude"]),
-            float(prob["sigma"]),
-            float(prob["heterogeneity"]),
-            int(prob["seed"]),
-        )
+    return _build(cfg, "problem")
+
+
+def _clustered_quadratic(n_devices, dim, mu, sigma, cluster_centers, seed):
     # identical-curvature devices split across explicit cluster centers
-    n = int(prob["n_devices"])
-    dim = int(prob["dim"])
-    centers = np.asarray(prob["cluster_centers"], dtype=np.float64)
-    if centers.ndim != 2 or centers.shape[1] != dim:
-        raise ConfigError("problem.cluster_centers", "expected shape (n_clusters, dim)")
-    assignment = np.array([centers[i % len(centers)] for i in range(n)])
-    hessians = np.array([np.eye(dim) * float(prob["mu"]) for _ in range(n)])
-    return problems.quadratic_instance_from_arrays(
-        hessians, assignment, float(prob["sigma"]), seed=int(prob["seed"])
-    )
+    centers = np.asarray(cluster_centers, dtype=np.float64)
+    assignment = np.array([centers[i % len(centers)] for i in range(n_devices)])
+    hessians = np.array([np.eye(dim) * mu for _ in range(n_devices)])
+    return problems.quadratic_instance_from_arrays(hessians, assignment, sigma, seed=seed)
 
 
 def build_model(cfg: dict, instance, base_dir: str = ".") -> av.ParticipationModel:
-    avail = cfg["availability"]
-    n = instance.n_devices
-    variant = avail["variant"]
-    if variant == "full":
-        return av.FullParticipation(n)
-    if variant == "bernoulli":
-        if "probs" in avail:
-            probs = np.asarray(avail["probs"], dtype=np.float64)
-        elif "uniform" in avail:
-            spec = avail["uniform"]
-            rng = np.random.default_rng(np.random.SeedSequence([int(spec["seed"]), 0x9B0B]))
-            probs = rng.uniform(float(spec["low"]), float(spec["high"]), size=n)
-        else:
-            spec = avail["label_correlated"]
-            probs = label_correlated_probabilities(n, spec["labels"], float(spec["p_min"]))
-        if len(probs) != n:
-            raise ConfigError("availability.probs", f"need {n} probabilities")
-        return av.BernoulliParticipation(probs)
-    if variant == "periodic":
-        for key in ("periods", "phases"):
-            if np.shape(_require(avail, "availability", key)) != (n,):
-                raise ConfigError(f"availability.{key}", f"need {n} {key}")
-        return av.PeriodicParticipation(avail["periods"], avail["phases"])
-    if variant == "adversarial_linear":
-        return av.AdversarialLinearParticipation(n, float(avail["offset"]), float(avail["slope_divisor"]))
-    n_trace, rounds = av.read_trace(os.path.join(base_dir, avail["path"]))
-    if n_trace != n:
-        raise ConfigError("availability.path", f"trace has {n_trace} devices, instance has {n}")
-    return av.TraceReplay(n_trace, rounds)
+    return _build(cfg, "availability", n_devices=instance.n_devices, base_dir=base_dir)
+
+
+def _bernoulli(n, probs=None, uniform=None, label_correlated=None):
+    if uniform is not None:
+        rng = np.random.default_rng(np.random.SeedSequence([uniform["seed"], 0x9B0B]))
+        probs = rng.uniform(uniform["low"], uniform["high"], size=n)
+    elif label_correlated is not None:
+        probs = label_correlated_probabilities(n, label_correlated["labels"], label_correlated["p_min"])
+    return av.BernoulliParticipation(probs)
+
+
+def _trace_replay(n, base_dir, path):
+    # the trace file's own faults (unreadable, a malformed line, its device count) name its key
+    try:
+        n_trace, rounds = av.read_trace(os.path.join(base_dir, path))
+        if n_trace != n:
+            raise ValueError(f"trace has {n_trace} devices, instance has {n}")
+        return av.TraceReplay(n_trace, rounds)
+    except (OSError, ValueError) as exc:
+        raise ConfigError("availability.path", str(exc)) from None
 
 
 def measured_staleness_cap_mean(model, horizon: int, seed: int) -> float:
@@ -251,41 +261,30 @@ def measured_staleness_cap_mean(model, horizon: int, seed: int) -> float:
 
 
 def build_schedule(cfg: dict, instance, model, seed: int) -> schedules.LrSchedule:
-    sched = cfg["schedule"]
-    run = cfg["run"]
-    variant = sched["variant"]
-    if variant == "strongly_convex":
-        if instance.constants.strong_convexity <= 0:
-            raise ConfigError("schedule.variant", "strongly_convex schedule needs mu > 0")
-        return schedules.StronglyConvexDecay(
-            mu=instance.constants.strong_convexity,
-            smoothness=instance.constants.smoothness,
-            local_steps=int(run["local_steps"]),
-            delay_offset=float(sched.get("delay_offset", 0.0)),
-        )
-    if variant == "nonconvex_constant":
-        cap = _require(sched, "schedule", "staleness_cap_mean")
-        if cap == "measure":
-            cap = measured_staleness_cap_mean(model, int(run["horizon"]), seed)
-        return schedules.NonConvexConstant(
-            n_devices=instance.n_devices,
-            local_steps=int(run["local_steps"]),
-            horizon=int(run["horizon"]),
-            smoothness=instance.constants.smoothness,
-            staleness_cap_mean=float(cap),
-            scale=float(sched.get("scale", 1.0)),
-        )
-    return schedules.InverseDecay(eta0=float(_require(sched, "schedule", "eta0")))
+    return _build(cfg, "schedule", instance=instance, model=model, seed=seed, run=_section(cfg, "run"))
+
+
+def _strongly_convex(instance, run, delay_offset):
+    c = instance.constants
+    if c.strong_convexity <= 0:
+        raise ConfigError("schedule.variant", "strongly_convex schedule needs mu > 0")
+    return schedules.StronglyConvexDecay(c.strong_convexity, c.smoothness, run["local_steps"], delay_offset)
+
+
+def _nonconvex_constant(instance, model, seed, run, staleness_cap_mean, scale):
+    if staleness_cap_mean == "measure":
+        staleness_cap_mean = measured_staleness_cap_mean(model, run["horizon"], seed)
+    n, smoothness = instance.n_devices, instance.constants.smoothness
+    return schedules.NonConvexConstant(n, run["local_steps"], run["horizon"], smoothness, staleness_cap_mean, scale)
 
 
 def build_algo_spec(cfg: dict, model, name: str | None = None):
     """The spec of algorithm ``name`` (default ``algorithm.name``), built by
-    its server's ``from_config``."""
-    name = name or cfg["algorithm"]["name"]
-    if name not in SERVERS:
-        raise ConfigError("algorithm.name", f"unknown algorithm {name!r}")
+    its server's ``from_config`` from the parsed ``algorithm`` section."""
+    algo = _section(cfg, "algorithm", model.n_devices)
+    name = SCHEMA.keys["algorithm"].keys["name"].parse(name or algo["name"], "algorithm.name", None)
     try:
-        return SERVERS[name].from_config(cfg["algorithm"], model)
+        return SERVERS[name].from_config(algo, model)
     except KeyError as exc:
         raise ConfigError(f"algorithm.{exc.args[0]}", f"missing required key for {name}") from None
     except SpecError as exc:

@@ -155,8 +155,8 @@ def _run_algorithms(cfg: dict, instance, model, runs: list, seeds) -> dict:
     shared by every spec. Returns {algorithm: ExperimentResult}.
     """
     run_cfg = cfg["run"]
-    horizon = int(run_cfg["horizon"])
-    n_steps = int(run_cfg["local_steps"])
+    horizon = run_cfg["horizon"]
+    n_steps = run_cfg["local_steps"]
     seeds = [int(s) for s in seeds]
     schedules = {seed: build_schedule(cfg, instance, model, seed) for seed in seeds}
     schedule_echo = _schedule_echo(schedules[seeds[0]], horizon)

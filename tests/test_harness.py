@@ -1,12 +1,20 @@
+import contextlib
+import io
 import json
 import math
+import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fedsim
+import fedsim.cli
 from fedsim.config import ConfigError, label_correlated_probabilities, validate_config
 from fedsim.experiment import (
     fit_rate_slope,
@@ -555,6 +563,10 @@ def test_cli_compare_and_wait_study(tmp_path):
     assert out.returncode == 0
     assert "lower_bound" in out.stdout
 
+    out = run_cli("wait-study", "--devices", "2", "--subset-size", "1", "--p", "0.5,x")
+    assert out.returncode == 2
+    assert "argument --p" in out.stderr
+
 
 def test_cli_tau_study(tmp_path):
     cfg = base_config()
@@ -567,3 +579,214 @@ def test_cli_tau_study(tmp_path):
     lines = (tmp_path / "tau.csv").read_text().splitlines()
     assert lines[0] == "trace,tau_max,tau_bar,tau_max_bound,tau_bar_shape"
     assert len(lines) == 11
+
+    cfg["availability"] = {"variant": "full"}
+    path.write_text(json.dumps(cfg))
+    out = run_cli("tau-study", str(path), "--traces", "10")
+    assert out.returncode == 2
+    assert "config key 'availability.variant'" in out.stderr
+
+
+# ---------------------------------------------------------------------------
+# malformed configs through the CLI, in process
+# ---------------------------------------------------------------------------
+
+QUICKSTART = Path(__file__).resolve().parents[1] / "configs" / "quickstart.json"
+DELETE = object()
+
+
+def quickstart_config():
+    return json.loads(QUICKSTART.read_text())
+
+
+def set_key(cfg, path, value):
+    """``cfg`` with the dotted key ``path`` set to ``value`` (removed for DELETE)."""
+    *parents, last = path.split(".")
+    node = cfg
+    for key in parents:
+        node = node[key]
+    if value is DELETE:
+        del node[last]
+    else:
+        node[last] = value
+    return cfg
+
+
+def run_main(tmp_dir, cfg, command):
+    """Run ``fedsim <command>`` in process on ``cfg`` written to ``tmp_dir``;
+    returns (exit code, stderr)."""
+    path = Path(tmp_dir) / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    extra = {
+        "run": ["--out", str(Path(tmp_dir) / "r")],
+        "compare": ["--algorithms", "mifa,biased_fedavg", "--out", str(Path(tmp_dir) / "c")],
+    }
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = fedsim.cli.main([command, str(path), *extra.get(command, [])])
+    return code, err.getvalue()
+
+
+def below(bound):
+    return st.one_of(st.floats(max_value=bound, exclude_max=True), st.integers(max_value=math.ceil(bound) - 1))
+
+
+def at_most(bound):
+    return st.one_of(st.floats(max_value=bound), st.integers(max_value=math.floor(bound)))
+
+
+def not_in(choices):
+    return st.text(max_size=12).filter(lambda text: text not in choices)
+
+
+NOT_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
+OUTSIDE_UNIT = st.one_of(at_most(0.0), st.floats(min_value=1.0, exclude_min=True), NOT_FINITE)
+SMALL_LISTS = st.lists(st.integers(), max_size=2)
+WRONG_TYPE = {
+    "int": st.one_of(st.floats(), st.booleans(), st.text(), st.none(), SMALL_LISTS),
+    "float": st.one_of(st.booleans(), st.text(), st.none(), SMALL_LISTS, st.dictionaries(st.text(), st.integers())),
+    "str": st.one_of(st.integers(), st.floats(), st.booleans(), st.none(), st.lists(st.text(), max_size=2)),
+    "object": st.one_of(st.integers(), st.text(), st.booleans(), st.none(), SMALL_LISTS),
+    "int list": st.one_of(
+        st.integers(), st.text(), st.none(),
+        st.lists(st.one_of(st.floats(), st.text(), st.booleans(), st.none()), min_size=1, max_size=3),
+    ),
+}
+# every key of base_config() and of the quickstart config: (type, values out
+# of its range or None, whether the config must give it)
+CONFIG_KEYS = {
+    "problem": ("object", None, True),
+    "problem.family": ("str", not_in({"quadratic", "logistic", "trig", "quadratic_clusters"}), True),
+    "problem.n_devices": ("int", st.integers(max_value=0), True),
+    "problem.dim": ("int", st.integers(max_value=0), True),
+    "problem.mu": ("float", st.one_of(at_most(0.0), NOT_FINITE), True),
+    "problem.smoothness": ("float", st.one_of(at_most(0.0), NOT_FINITE), True),
+    "problem.sigma": ("float", st.one_of(below(0.0), NOT_FINITE), True),
+    "problem.heterogeneity": ("float", st.one_of(below(0.0), NOT_FINITE), True),
+    "problem.seed": ("int", st.integers(max_value=-1), True),
+    "availability": ("object", None, True),
+    "availability.variant": (
+        "str", not_in({"full", "bernoulli", "periodic", "adversarial_linear", "trace_replay"}), True
+    ),
+    "availability.uniform": ("object", None, False),
+    "availability.uniform.low": ("float", OUTSIDE_UNIT, True),
+    "availability.uniform.high": ("float", OUTSIDE_UNIT, True),
+    "availability.uniform.seed": ("int", st.integers(max_value=-1), True),
+    "algorithm": ("object", None, True),
+    "algorithm.name": ("str", not_in(set(fedsim.algorithms.SERVERS)), True),
+    "algorithm.subset_size": ("int", st.integers(max_value=0), False),
+    "schedule": ("object", None, True),
+    "schedule.variant": ("str", not_in({"strongly_convex", "nonconvex_constant", "inverse_decay"}), True),
+    "schedule.delay_offset": ("float", st.one_of(below(0.0), NOT_FINITE), False),
+    "run": ("object", None, True),
+    "run.horizon": ("int", st.integers(max_value=1), True),
+    "run.local_steps": ("int", st.integers(max_value=0), True),
+    "run.seeds": (
+        "int list", st.one_of(st.just([]), st.lists(st.integers(max_value=-1), min_size=1, max_size=3)), True
+    ),
+    "run.out": ("str", None, False),
+}
+
+
+def key_paths(node, prefix=""):
+    for key, value in node.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from key_paths(value, f"{prefix}{key}.")
+
+
+def mutations():
+    """(config, path, mutation) for every key of both configs and every
+    mutation that applies to it; "unknown" adds a key inside an object."""
+    for name, cfg in (("base", base_config()), ("quickstart", quickstart_config())):
+        for path in ["", *key_paths(cfg)]:
+            kind, out_of_range, required = CONFIG_KEYS[path] if path else ("object", None, True)
+            applicable = {
+                "wrong_type": path != "",
+                "out_of_range": out_of_range is not None,
+                "missing": required and path != "",
+                "unknown": kind == "object",
+            }
+            for mutation, applies in applicable.items():
+                if applies:
+                    yield pytest.param(cfg, path, mutation, id=f"{name}-{path or 'root'}-{mutation}")
+
+
+@pytest.mark.parametrize("cfg, path, mutation", mutations())
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_every_single_key_mutation_exits_2_naming_the_key(cfg, path, mutation, data):
+    cfg = json.loads(json.dumps(cfg))
+    if mutation == "unknown":
+        key = "x_" + data.draw(st.text(alphabet="abcdefghijklmnopqrstuvwxyz_", max_size=8))
+        path = f"{path}.{key}" if path else key
+        value = data.draw(st.one_of(st.integers(), st.text(), st.none()))
+    else:
+        kind, out_of_range, _ = CONFIG_KEYS[path]
+        value = {"wrong_type": WRONG_TYPE[kind], "out_of_range": out_of_range, "missing": st.just(DELETE)}[mutation]
+        value = data.draw(value)
+    set_key(cfg, path, value)
+    command = data.draw(st.sampled_from(["validate", "run", "compare"]))
+    with tempfile.TemporaryDirectory() as tmp_dir:
+        code, err = run_main(tmp_dir, cfg, command)
+        assert code == 2, err
+        assert f"config key '{path}'" in err
+        assert os.listdir(tmp_dir) == ["cfg.json"]
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        ({"problem.mu": None}, "config key 'problem.mu'"),
+        ({"problem.heterogeneity": [1]}, "config key 'problem.heterogeneity'"),
+        ({"availability.uniform.seed": DELETE}, "config key 'availability.uniform.seed'"),
+        ({"availability.uniform": "x"}, "config key 'availability.uniform'"),
+        ({"availability": {"variant": "adversarial_linear", "offset": 1.0}},
+         "config key 'availability.slope_divisor'"),
+        ({"run.horizon": "abc"}, "config key 'run.horizon'"),
+        ({"problem.dim": "ten"}, "config key 'problem.dim'"),
+        ({"run.seeds": ["x"]}, "config key 'run.seeds'"),
+        ({"problem.n_devices": -3}, "config key 'problem.n_devices'"),
+        ({"schedule.delay_offset": "big"}, "config key 'schedule.delay_offset'"),
+        ({"availability": {"variant": "bernoulli", "probs": [1.5] + [0.5] * 9}},
+         "config key 'availability.probs'"),
+        ({"availability.uniform.low": 0.9, "availability.uniform.high": 0.5},
+         "config key 'availability.uniform.low'"),
+        ({"availability": {"variant": "periodic", "periods": [0] + [1] * 9, "phases": [0] * 10}},
+         "config key 'availability.periods'"),
+        ({"availability": {"variant": "adversarial_linear", "offset": 1.0, "slope_divisor": 0.5}},
+         "config key 'availability.slope_divisor'"),
+        ({"schedule": {"variant": "inverse_decay", "eta0": -1}}, "config key 'schedule.eta0'"),
+        ({"schedule": {"variant": "nonconvex_constant", "staleness_cap_mean": 1.0, "scale": -1}},
+         "config key 'schedule.scale'"),
+        ({"problem.mu": 0}, "config key 'problem.mu'"),
+        ({"problem.smoothness": 0.5}, "config key 'problem.smoothness'"),
+        ({"problem.dim": 2.5}, "config key 'problem.dim'"),
+        ({"run.horizon": 20.7}, "config key 'run.horizon'"),
+        ({"run.seeds": [1.5]}, "config key 'run.seeds'"),
+        ({"run.local_steps": "5"}, "config key 'run.local_steps'"),
+        ({"algorithm.subset_size": "x"}, "config key 'algorithm.subset_size'"),
+        ({"run.out": 5}, "config key 'run.out'"),
+        ({"run.horizon": True}, "config key 'run.horizon': expected an integer, got True"),
+    ],
+    ids=[
+        "mu_null", "heterogeneity_list", "uniform_without_seed", "uniform_string",
+        "adversarial_without_slope_divisor", "horizon_string", "dim_string", "seed_string",
+        "negative_devices", "delay_offset_string", "probability_above_one", "uniform_low_above_high",
+        "zero_period", "slope_divisor_below_one", "negative_eta0", "negative_scale", "zero_mu",
+        "smoothness_below_mu", "fractional_dim", "fractional_horizon", "fractional_seed",
+        "local_steps_string", "subset_size_string", "numeric_out", "bool_horizon",
+    ],
+)
+def test_cli_run_names_each_malformed_quickstart_key(tmp_path, monkeypatch, edits, message):
+    cfg = set_key(quickstart_config(), "run.horizon", 20)
+    for path, value in edits.items():
+        set_key(cfg, path, value)
+    monkeypatch.chdir(tmp_path)  # run.out is relative to the working directory
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = fedsim.cli.main(["run", "cfg.json"])
+    assert code == 2
+    assert message in err.getvalue()
+    assert os.listdir(tmp_path) == ["cfg.json"]
