@@ -47,7 +47,7 @@ import numpy as np
 from . import _kernels
 from .availability import ActiveSet, BernoulliParticipation, StalenessTracker
 from .exact import ExactVectorSum, exact_mean, two_diff
-from .problems import ProblemInstance, sphere_noise
+from .problems import ProblemInstance, SpecError, logistic_sample_grad, sphere_noise
 from .records import RoundMetrics, RunResult
 from .rng import (
     SUBSET_SAMPLING,
@@ -61,15 +61,6 @@ from .schedules import AveragedIterate, LrSchedule, StronglyConvexDecay
 
 class DivergenceError(RuntimeError):
     """A local iterate or the server model became non-finite."""
-
-
-class SpecError(ValueError):
-    """An algorithm's spec rejects the value of ``key`` in its config section,
-    raised by ``from_config`` or by the spec itself."""
-
-    def __init__(self, key: str, message: str):
-        self.key = key
-        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -98,31 +89,18 @@ def local_update(
         raise ValueError("eta must be > 0")
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    if instance.kind == "quadratic":
-        noise = sphere_noise(rng, n_steps, instance.dim, instance.constants.noise_std)
-        total, w_final = _kernels.quad_local_sgd(
-            instance.stacked["hessians"][i], instance.stacked["centers"][i], w, eta, n_steps, noise
-        )
-    elif instance.kind == "trig":
-        noise = sphere_noise(rng, n_steps, instance.dim, instance.constants.noise_std)
-        total, w_final = _kernels.trig_local_sgd(
-            instance.stacked["centers"][i],
-            instance.stacked["curvature"],
-            instance.stacked["amplitude"],
-            w,
-            eta,
-            n_steps,
-            noise,
-        )
+    s = instance.stacked
+    if instance.kind == "logistic":
+        picks = rng.integers(s["labels"].shape[1], size=n_steps).tolist()
+        total, w_final = _kernels.local_sgd(lambda v, k: logistic_sample_grad(s, i, v, picks[k]), w, eta, n_steps)
     else:
-        dev = instance.devices[i]
-        picks = rng.integers(len(dev.labels), size=n_steps)
-        w_final = w.copy()
-        total = np.zeros_like(w)
-        for k in range(n_steps):
-            g = dev.sample_grad(w_final, int(picks[k]))
-            total += g
-            w_final -= eta * g
+        noise = sphere_noise(rng, n_steps, instance.dim, instance.constants.noise_std)
+        if instance.kind == "quadratic":
+            total, w_final = _kernels.quad_local_sgd(s["hessians"][i], s["centers"][i], w, eta, n_steps, noise)
+        else:
+            total, w_final = _kernels.trig_local_sgd(
+                s["centers"][i], s["curvature"], s["amplitude"], w, eta, n_steps, noise
+            )
     if not (np.all(np.isfinite(total)) and np.all(np.isfinite(w_final))):
         raise DivergenceError(f"device {i} produced a non-finite local iterate")
     return LocalUpdate(device=i, value=total, produced_at=produced_at)

@@ -334,6 +334,14 @@ class StalenessTracker:
         return out
 
 
+def realized_staleness(model: ParticipationModel, seed: int, horizon: int) -> StalenessStats:
+    """Staleness statistics of the trace ``model`` realizes for ``seed`` over ``horizon`` >= 2 rounds."""
+    sampler, tracker = model.sampler(seed), StalenessTracker(model.n_devices)
+    for t in range(1, horizon + 1):
+        tracker.update(sampler.active_set(t))
+    return tracker.stats()
+
+
 def check_linear_delay_bound(rounds, offset: float, smoothness: float, mu: float):
     """Replay a trace and test staleness(t, i) <= offset + t/b with
     b = 40 (smoothness/mu)^1.5.

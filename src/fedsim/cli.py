@@ -21,6 +21,7 @@ import numpy as np
 from . import availability as av
 from .config import (
     ConfigError,
+    Key,
     build_algo_spec,
     build_instance,
     build_model,
@@ -37,20 +38,28 @@ from .experiment import (
 )
 
 
+def bounded(kind, interval: str):
+    """An argparse ``type``: a ``kind`` number in ``interval``, checked by the
+    config schema's ``Key``, so a bad value exits 2 naming its flag."""
+
+    def parse(text: str):
+        try:
+            return Key(kind, interval).parse(kind(text), "", None)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {kind.__name__} in {interval}, got {text!r}") from None
+
+    return parse
+
+
 def _add_common(parser):
-    parser.add_argument("--seed", type=int, default=None, help="override run.seeds with one seed")
+    parser.add_argument("--seed", type=bounded(int, "[0, inf)"), help="override run.seeds with one seed")
     parser.add_argument("--out", default=None, help="override the output path base")
-
-
-def _apply_overrides(args):
-    seeds = [args.seed] if args.seed is not None else None
-    return seeds, args.out
 
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
-    seeds, out = _apply_overrides(args)
-    result = run_experiment(cfg, out=out, seeds=seeds, base_dir=os.path.dirname(os.path.abspath(args.config)))
+    seeds = None if args.seed is None else [args.seed]
+    result = run_experiment(cfg, out=args.out, seeds=seeds, base_dir=os.path.dirname(os.path.abspath(args.config)))
     if result.csv_path:
         print(f"wrote {result.csv_path}")
         print(f"wrote {result.aggregate_path}")
@@ -64,11 +73,9 @@ def cmd_run(args) -> int:
 def cmd_compare(args) -> int:
     cfg = load_config(args.config)
     names = [name.strip() for name in args.algorithms.split(",") if name.strip()]
-    seeds, out = _apply_overrides(args)
-    if seeds is not None:
-        cfg = dict(cfg)
-        cfg["run"] = dict(cfg["run"], seeds=seeds)
-    out = out if out is not None else cfg["run"].get("out")
+    if args.seed is not None:
+        cfg = dict(cfg, run=dict(cfg["run"], seeds=[args.seed]))
+    out = args.out if args.out is not None else cfg["run"].get("out")
     if not out:
         print("error: compare needs an output path (run.out or --out)", file=sys.stderr)
         return 2
@@ -151,8 +158,8 @@ def main(argv=None) -> int:
 
     p_tau = sub.add_parser("tau-study", help="Monte Carlo staleness bounds")
     p_tau.add_argument("config")
-    p_tau.add_argument("--traces", type=int, default=200)
-    p_tau.add_argument("--delta", type=float, default=0.01)
+    p_tau.add_argument("--traces", type=bounded(int, "[1, inf)"), default=200)
+    p_tau.add_argument("--delta", type=bounded(float, "(0, 1)"), default=0.01)
     _add_common(p_tau)
     p_tau.set_defaults(func=cmd_tau_study)
 
@@ -162,13 +169,12 @@ def main(argv=None) -> int:
     p_wait.add_argument(
         "--p", type=probability_list, required=True, help="comma-separated per-device probabilities"
     )
-    p_wait.add_argument("--trials", type=int, default=10000)
+    p_wait.add_argument("--trials", type=bounded(int, "[1, inf)"), default=10000)
     _add_common(p_wait)
     p_wait.set_defaults(func=cmd_wait_study)
 
     p_val = sub.add_parser("validate", help="check a config without running")
     p_val.add_argument("config")
-    _add_common(p_val)
     p_val.set_defaults(func=cmd_validate)
 
     args = parser.parse_args(argv)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import availability as av
 from . import problems, schedules
-from .algorithms import SERVERS, SpecError
+from .algorithms import SERVERS
 
 
 class ConfigError(ValueError):
@@ -179,7 +179,10 @@ def _build(cfg: dict, name: str, **context):
     variant = section.variants[keys.pop(section.tag)]
     module, _, function = variant.builder.rpartition(".")
     builder = getattr(globals()[module], function) if module else globals()[function]
-    return builder(*(context[c] for c in variant.context), **keys)
+    try:
+        return builder(*(context[c] for c in variant.context), **keys)
+    except problems.SpecError as exc:
+        raise ConfigError(f"{name}.{exc.key}", str(exc)) from None
 
 
 def validate_config(cfg: dict) -> dict:
@@ -251,13 +254,7 @@ def _trace_replay(n, base_dir, path):
 
 def measured_staleness_cap_mean(model, horizon: int, seed: int) -> float:
     """Mean per-device staleness peak of the realized trace for this seed."""
-    sampler = model.sampler(seed)
-    tracker = av.StalenessTracker(model.n_devices)
-    for t in range(1, horizon + 1):
-        tracker.update(sampler.active_set(t))
-    if horizon < 2:
-        return 0.0
-    return tracker.stats().device_peak_mean
+    return av.realized_staleness(model, seed, horizon).device_peak_mean if horizon >= 2 else 0.0
 
 
 def build_schedule(cfg: dict, instance, model, seed: int) -> schedules.LrSchedule:
@@ -287,5 +284,5 @@ def build_algo_spec(cfg: dict, model, name: str | None = None):
         return SERVERS[name].from_config(algo, model)
     except KeyError as exc:
         raise ConfigError(f"algorithm.{exc.args[0]}", f"missing required key for {name}") from None
-    except SpecError as exc:
+    except problems.SpecError as exc:
         raise ConfigError(f"algorithm.{exc.key}", str(exc)) from None

@@ -205,12 +205,7 @@ def _horizon_conditions(cfg, instance, model, horizon, n_steps, seed) -> dict | 
         return None
     c = instance.constants
     n = instance.n_devices
-    sampler = model.sampler(seed)
-    tracker = av.StalenessTracker(n)
-    for t in range(1, horizon + 1):
-        tracker.update(sampler.active_set(t))
-    stats = tracker.stats()
-    peak = stats.peak
+    peak = av.realized_staleness(model, seed, horizon).peak
     lhs = float(horizon)
     return {
         "T >= 32 alpha L N K": lhs >= 32.0 * c.alpha * c.smoothness * n * n_steps,
@@ -303,11 +298,7 @@ def staleness_study(probs, horizon: int, n_traces: int, delta: float, seed: int)
     bounds = av.bernoulli_staleness_bounds(probs, horizon, delta)
     rows = []
     for trace_id in range(n_traces):
-        sampler = model.sampler(seed + trace_id)
-        tracker = av.StalenessTracker(model.n_devices)
-        for t in range(1, horizon + 1):
-            tracker.update(sampler.active_set(t))
-        stats = tracker.stats()
+        stats = av.realized_staleness(model, seed + trace_id, horizon)
         rows.append(
             {
                 "trace": trace_id,

@@ -15,7 +15,9 @@ random streams are always caller-owned.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,6 +31,27 @@ CERTIFICATE_BLOCK_FLOATS = 1 << 18
 
 class MissingOptimumError(RuntimeError):
     """Raised when suboptimality is requested but no certified f* exists."""
+
+
+class SpecError(ValueError):
+    """A builder rejects the value of its argument ``key``, the same key in
+    the config section it builds: a value an algorithm's spec rules out, or
+    a problem family's value that passes its range check but that the build
+    cannot carry in double precision."""
+
+    def __init__(self, key: str, message: str):
+        self.key = key
+        super().__init__(message)
+
+
+def _check_scale(smoothness_key, smoothness, log_alpha, heterogeneity, dim):
+    """Name the argument that would overflow the dissimilarity certificate:
+    it squares gradients of norm below 2 * smoothness * radius * sqrt(dim),
+    on the ball of radius max(1, 10 * heterogeneity), and scales them by
+    alpha, so that product must stay below the largest double."""
+    for key, radius in ((smoothness_key, 1.0), ("heterogeneity", max(1.0, 10.0 * heterogeneity))):
+        if log_alpha + math.log(dim) + 2.0 * math.log(2.0 * smoothness * radius) > math.log(sys.float_info.max):
+            raise SpecError(key, f"{key} is too large: the dissimilarity certificate overflows double precision")
 
 
 def _check_finite(name, value):
@@ -53,58 +76,73 @@ def sphere_noise(rng: np.random.Generator, steps: int, dim: int, sigma: float) -
     return raw * (sigma / norms)
 
 
-@dataclass(frozen=True)
-class QuadraticDevice:
-    hessian: np.ndarray
-    center: np.ndarray
-
-    def value(self, w):
-        diff = w - self.center
-        return 0.5 * float(diff @ self.hessian @ diff)
-
-    def grad(self, w):
-        return self.hessian @ (w - self.center)
+# Each family's per-device formulas, written once on the instance's stacked
+# parameters ``s``: device i is row i of every array in ``s``.
 
 
-@dataclass(frozen=True)
-class LogisticDevice:
-    features: np.ndarray  # (n_samples, dim)
-    labels: np.ndarray    # (n_samples,), entries in {-1, +1}
-    l2: float
-
-    def value(self, w):
-        margins = self.labels * (self.features @ w)
-        loss = float(np.mean(np.logaddexp(0.0, -margins)))
-        return loss + 0.5 * self.l2 * float(w @ w)
-
-    def grad(self, w):
-        margins = self.labels * (self.features @ w)
-        s = _sigmoid(-margins)
-        g = -(self.features * (self.labels * s)[:, None]).mean(axis=0)
-        return g + self.l2 * w
-
-    def sample_grad(self, w, j):
-        x = self.features[j]
-        y = self.labels[j]
-        s = _sigmoid(-y * float(x @ w))
-        return -y * s * x + self.l2 * w
+def _quadratic_value(s, i, w):
+    diff = w - s["centers"][i]
+    return 0.5 * float(diff @ s["hessians"][i] @ diff)
 
 
-@dataclass(frozen=True)
-class TrigDevice:
-    center: np.ndarray
-    curvature: float
-    amplitude: float
+def _quadratic_grad(s, i, w):
+    return s["hessians"][i] @ (w - s["centers"][i])
 
-    def value(self, w):
-        diff = w - self.center
-        return 0.5 * self.curvature * float(diff @ diff) + self.amplitude * float(np.sum(np.cos(w)))
 
-    def grad(self, w):
-        return self.curvature * (w - self.center) - self.amplitude * np.sin(w)
+def _logistic_value(s, i, w):
+    margins = s["labels"][i] * (s["features"][i] @ w)
+    loss = float(np.mean(np.logaddexp(0.0, -margins)))
+    return loss + 0.5 * s["l2"] * float(w @ w)
 
-    def hessian(self, w):
-        return self.curvature * np.eye(len(w)) - self.amplitude * np.diag(np.cos(w))
+
+def _logistic_grad(s, i, w):
+    features, labels = s["features"][i], s["labels"][i]
+    margins = labels * (features @ w)
+    g = -(features * (labels * _sigmoid(-margins))[:, None]).mean(axis=0)
+    return g + s["l2"] * w
+
+
+def logistic_sample_grad(s, i, w, j):
+    """Gradient of device i's loss on its sample j alone, plus the l2 term."""
+    x, y = s["features"][i, j], s["labels"][i, j]
+    sig = _sigmoid(-y * float(x @ w))
+    return -y * sig * x + s["l2"] * w
+
+
+def _trig_value(s, i, w):
+    diff = w - s["centers"][i]
+    return 0.5 * s["curvature"] * float(diff @ diff) + s["amplitude"] * float(np.sum(np.cos(w)))
+
+
+def _trig_grad(s, i, w):
+    return s["curvature"] * (w - s["centers"][i]) - s["amplitude"] * np.sin(w)
+
+
+class _Rows(NamedTuple):
+    value: Callable   # (s, i, w) -> f_i(w)
+    grad: Callable    # (s, i, w) -> grad f_i(w)
+    per_device: str   # a key of ``s`` with one row per device
+
+
+FAMILIES = {
+    "quadratic": _Rows(_quadratic_value, _quadratic_grad, "centers"),
+    "logistic": _Rows(_logistic_value, _logistic_grad, "labels"),
+    "trig": _Rows(_trig_value, _trig_grad, "centers"),
+}
+
+
+def _mean_value(kind, s, w):
+    """f(w) = mean_i f_i(w), the per-device values summed exactly."""
+    rows = FAMILIES[kind]
+    n = len(s[rows.per_device])
+    return math.fsum(rows.value(s, i, w) for i in range(n)) / n
+
+
+def _dissimilarity_of(kind, s, w_star):
+    """mean_i ||grad_i(w*)||^2, summed exactly."""
+    rows = FAMILIES[kind]
+    n = len(s[rows.per_device])
+    return math.fsum(float(np.dot(g, g)) for g in (rows.grad(s, i, w_star) for i in range(n))) / n
 
 
 def _sigmoid(z):
@@ -128,19 +166,26 @@ class ProblemConstants:
 class ProblemInstance:
     """N per-device objectives plus certified constants and optimum.
 
-    ``stacked`` holds the per-device parameters as (N, ...) arrays; each
-    device object holds views of them, so the data is stored once.
+    ``stacked`` holds the family's parameters: per-device data as (N, ...)
+    arrays, whose row i is device i, and shared scalars as floats:
+
+    - quadratic: ``hessians`` (N, d, d) and ``centers`` (N, d);
+    - logistic: ``features`` (N, S, d), ``labels`` (N, S) and ``l2``;
+    - trig: ``centers`` (N, d), ``curvature`` and ``amplitude``.
+
     ``aggregates`` holds what the closed-form metrics need, computed once
     when the instance is built:
 
     - quadratic: ``h_bar`` = mean H_i and ``b_bar`` = mean H_i c_i;
-    - logistic: ``l2`` and, at w*, the negated margins' sigmoid ``p_star``
-      and the logs ``log_p_star``, ``log_q_star`` of sigmoid(+-margin);
+    - logistic: at w*, the negated margins' sigmoid ``p_star`` and the logs
+      ``log_p_star``, ``log_q_star`` of sigmoid(+-margin);
     - trig: ``mean_center``.
+
+    Every array of ``stacked`` and ``aggregates``, ``w_star`` and
+    ``constants.beta_i`` is read-only, so runs can share one instance.
     """
 
     kind: str                  # "quadratic" | "logistic" | "trig"
-    devices: tuple
     dim: int
     constants: ProblemConstants
     w_star: np.ndarray | None
@@ -149,9 +194,14 @@ class ProblemInstance:
     stacked: dict = field(default_factory=dict, repr=False)
     aggregates: dict = field(default_factory=dict, repr=False)
 
+    def __post_init__(self):
+        for a in (*self.stacked.values(), *self.aggregates.values(), self.w_star, self.constants.beta_i):
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
+
     @property
     def n_devices(self) -> int:
-        return len(self.devices)
+        return len(self.stacked[FAMILIES[self.kind].per_device])
 
     def _check_device(self, i):
         if not 0 <= i < self.n_devices:
@@ -159,12 +209,12 @@ class ProblemInstance:
 
     def value(self, i: int, w: np.ndarray) -> float:
         self._check_device(i)
-        return self.devices[i].value(w)
+        return FAMILIES[self.kind].value(self.stacked, i, w)
 
     def grad(self, i: int, w: np.ndarray) -> np.ndarray:
         self._check_device(i)
         w = _check_finite("w", w)
-        return self.devices[i].grad(w)
+        return FAMILIES[self.kind].grad(self.stacked, i, w)
 
     def stoch_grad(self, i: int, w: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Unbiased gradient estimate for device i.
@@ -172,38 +222,27 @@ class ProblemInstance:
         Quadratic/trig families add uniform-sphere noise of radius
         ``noise_std``; the logistic family draws a single-sample gradient.
         """
-        self._check_device(i)
-        w = _check_finite("w", w)
         if self.kind == "logistic":
-            dev = self.devices[i]
-            j = int(rng.integers(len(dev.labels), size=1)[0])
-            return dev.sample_grad(w, j)
-        noise = sphere_noise(rng, 1, self.dim, self.constants.noise_std)[0]
-        return self.devices[i].grad(w) + noise
+            self._check_device(i)
+            w = _check_finite("w", w)
+            j = int(rng.integers(self.stacked["labels"].shape[1], size=1)[0])
+            return logistic_sample_grad(self.stacked, i, w, j)
+        return self.grad(i, w) + sphere_noise(rng, 1, self.dim, self.constants.noise_std)[0]
 
     def global_value(self, w: np.ndarray) -> float:
         """f(w) = mean_i f_i(w), the per-device values summed exactly."""
-        w = _check_finite("w", w)
-        if self.kind == "quadratic":
-            diffs = w - self.stacked["centers"]
-            values = 0.5 * np.einsum("ni,nij,nj->n", diffs, self.stacked["hessians"], diffs)
-        elif self.kind == "logistic":
-            margins = self.stacked["labels"] * (self.stacked["features"] @ w)
-            values = np.logaddexp(0.0, -margins).mean(axis=1) + 0.5 * self.aggregates["l2"] * float(w @ w)
-        else:
-            values = (dev.value(w) for dev in self.devices)
-        return math.fsum(values) / self.n_devices
+        return _mean_value(self.kind, self.stacked, _check_finite("w", w))
 
     def global_grad(self, w: np.ndarray) -> np.ndarray:
         w = _check_finite("w", w)
-        agg = self.aggregates
+        s, agg = self.stacked, self.aggregates
         if self.kind == "quadratic":
             return agg["h_bar"] @ w - agg["b_bar"]
         if self.kind == "trig":
-            return self.stacked["curvature"] * (w - agg["mean_center"]) - self.stacked["amplitude"] * np.sin(w)
-        features, labels = self.stacked["features"], self.stacked["labels"]
+            return s["curvature"] * (w - agg["mean_center"]) - s["amplitude"] * np.sin(w)
+        features, labels = s["features"], s["labels"]
         weights = labels * _sigmoid(-labels * (features @ w))  # (N, S)
-        return -np.einsum("ns,nsd->d", weights, features) / weights.size + agg["l2"] * w
+        return -np.einsum("ns,nsd->d", weights, features) / weights.size + s["l2"] * w
 
     def suboptimality(self, w: np.ndarray) -> float:
         """f(w) - f(w*), measured against the stored optimum w*.
@@ -227,17 +266,13 @@ class ProblemInstance:
         near = np.log1p(agg["p_star"] * np.expm1(np.clip(d, -1.0, 1.0)))
         far = np.logaddexp(agg["log_q_star"], agg["log_p_star"] + d)
         loss_gap = float(np.where(np.abs(d) <= 1.0, near, far).mean())
-        return loss_gap + 0.5 * agg["l2"] * float(e @ (w + self.w_star))
+        return loss_gap + 0.5 * self.stacked["l2"] * float(e @ (w + self.w_star))
 
     def recompute_dissimilarity(self) -> float:
         """mean_i ||grad_i(w*)||^2 recomputed from the stored optimum."""
         if self.w_star is None:
             raise MissingOptimumError("instance has no certified optimum")
-        return _dissimilarity_of(self.devices, self.w_star)
-
-
-def _dissimilarity_of(devices, w_star):
-    return math.fsum(float(np.dot(g, g)) for g in (dev.grad(w_star) for dev in devices)) / len(devices)
+        return _dissimilarity_of(self.kind, self.stacked, self.w_star)
 
 
 def _ball_points(rng, count, dim, radius):
@@ -296,6 +331,7 @@ def make_quadratic_instance(
         raise ValueError("need 0 < mu <= smoothness")
     if heterogeneity < 0:
         raise ValueError("heterogeneity must be >= 0")
+    _check_scale("smoothness", smoothness, math.log(2.0) + 2.0 * math.log(smoothness / mu), heterogeneity, dim)
 
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5EED]))
     hessians = np.empty((n_devices, dim, dim))
@@ -308,6 +344,9 @@ def make_quadratic_instance(
         q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
         hessians[i] = (q * eigs) @ q.T
         hessians[i] = 0.5 * (hessians[i] + hessians[i].T)
+    if np.linalg.eigvalsh(hessians).min() <= 0.0:
+        raise SpecError("smoothness", f"smoothness / mu = {smoothness / mu:.3g} is too large for double "
+                        "precision to keep the Hessians positive definite")
     return quadratic_instance_from_arrays(hessians, centers, sigma, seed=seed)
 
 
@@ -316,8 +355,7 @@ def quadratic_instance_from_arrays(
 ) -> ProblemInstance:
     """Quadratic instance from explicit per-device (H_i, c_i) arrays.
 
-    The instance keeps its own copy of the arrays; each device holds views
-    of that copy.
+    The instance keeps its own read-only copy of the arrays.
     """
     hessians = np.array(_check_finite("hessians", hessians))
     centers = np.array(_check_finite("centers", centers))
@@ -326,7 +364,7 @@ def quadratic_instance_from_arrays(
     n_devices, dim = centers.shape
     _validate_family_args(n_devices, dim, sigma)
 
-    devices = tuple(QuadraticDevice(hessians[i], centers[i]) for i in range(n_devices))
+    stacked = {"hessians": hessians, "centers": centers}
     eigs = np.concatenate([np.linalg.eigvalsh(h) for h in hessians])
     mu_eff = float(eigs.min())
     l_eff = float(eigs.max())
@@ -336,7 +374,7 @@ def quadratic_instance_from_arrays(
     h_sum = hessians.sum(axis=0)
     rhs = np.einsum("nij,nj->i", hessians, centers)
     w_star = np.linalg.solve(h_sum, rhs)
-    f_star = math.fsum(dev.value(w_star) for dev in devices) / n_devices
+    f_star = _mean_value("quadratic", stacked, w_star)
 
     grad_residual = np.linalg.norm(np.einsum("nij,nj->i", hessians, w_star[None, :] - centers) / n_devices)
     grad_at_zero = np.linalg.norm(rhs / n_devices)
@@ -355,17 +393,16 @@ def quadratic_instance_from_arrays(
         alpha=alpha,
         beta_i=beta_i,
         beta=float(beta_i.mean()),
-        dissimilarity=_dissimilarity_of(devices, w_star),
+        dissimilarity=_dissimilarity_of("quadratic", stacked, w_star),
     )
     return ProblemInstance(
         kind="quadratic",
-        devices=devices,
         dim=dim,
         constants=constants,
         w_star=w_star,
         f_star=f_star,
         strongly_convex=True,
-        stacked={"hessians": hessians, "centers": centers},
+        stacked=stacked,
         aggregates={"h_bar": h_sum / n_devices, "b_bar": rhs / n_devices},
     )
 
@@ -402,15 +439,13 @@ def make_logistic_instance(
         p_pos = 0.5 + 0.5 * label_skew * (1 if i % 2 == 0 else -1)
         labels[i] = np.where(rng.random(samples_per_device) < p_pos, 1.0, -1.0)
         features[i] = rng.standard_normal((samples_per_device, dim)) + labels[i][:, None] * class_shift
-    devices = tuple(LogisticDevice(features[i], labels[i], float(l2)) for i in range(n_devices))
+    stacked = {"features": features, "labels": labels, "l2": float(l2)}
 
-    max_curv = max(
-        float(np.linalg.eigvalsh(dev.features.T @ dev.features).max()) for dev in devices
-    )
+    max_curv = max(float(np.linalg.eigvalsh(x.T @ x).max()) for x in features)
     smooth = l2 + max_curv / (4.0 * samples_per_device)
-    w_star, f_star = _logistic_optimum(devices, dim, smooth)
+    w_star, f_star = _logistic_optimum(stacked, dim, smooth)
 
-    max_x = max(float(np.linalg.norm(dev.features, axis=1).max()) for dev in devices)
+    max_x = max(float(np.linalg.norm(x, axis=1).max()) for x in features)
     beta_i = np.full(n_devices, 8.0 * max_x**2)
     constants = ProblemConstants(
         smoothness=smooth,
@@ -421,9 +456,9 @@ def make_logistic_instance(
         alpha=2.0,
         beta_i=beta_i,
         beta=float(beta_i.mean()),
-        dissimilarity=_dissimilarity_of(devices, w_star),
+        dissimilarity=_dissimilarity_of("logistic", stacked, w_star),
     )
-    aggregates = {"l2": float(l2)}
+    aggregates = {}
     if w_star is not None:
         neg_margins = -labels * (features @ w_star)
         aggregates.update(
@@ -433,27 +468,23 @@ def make_logistic_instance(
         )
     return ProblemInstance(
         kind="logistic",
-        devices=devices,
         dim=dim,
         constants=constants,
         w_star=w_star,
         f_star=f_star,
         strongly_convex=True,
-        stacked={"features": features, "labels": labels},
+        stacked=stacked,
         aggregates=aggregates,
     )
 
 
-def _logistic_optimum(devices, dim, smooth, tol_scale=1e-10, max_iters=1_000_000):
+def _logistic_optimum(s, dim, smooth, tol_scale=1e-10, max_iters=1_000_000):
     # Deterministic full-batch gradient descent with step 1/L. Independent
     # of every simulated optimizer path, so suboptimality curves stay honest.
-    n = len(devices)
+    n = len(s["labels"])
 
     def full_grad(w):
-        acc = np.zeros(dim)
-        for dev in devices:
-            acc += dev.grad(w)
-        return acc / n
+        return sum((_logistic_grad(s, i, w) for i in range(n)), np.zeros(dim)) / n
 
     w = np.zeros(dim)
     g = full_grad(w)
@@ -468,8 +499,7 @@ def _logistic_optimum(devices, dim, smooth, tol_scale=1e-10, max_iters=1_000_000
         return None, None
     if np.linalg.norm(g) > target:
         return None, None
-    f_star = math.fsum(dev.value(w) for dev in devices) / n
-    return w, f_star
+    return w, _mean_value("logistic", s, w)
 
 
 def make_nonconvex_instance(
@@ -497,14 +527,15 @@ def make_nonconvex_instance(
         raise ValueError("amplitude must not exceed curvature")
     if heterogeneity < 0:
         raise ValueError("heterogeneity must be >= 0")
+    _check_scale("curvature", curvature + amplitude, math.log(2.0), heterogeneity, dim)
 
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x7819]))
     centers = _ball_points(rng, n_devices, dim, heterogeneity)
-    devices = tuple(TrigDevice(centers[i], float(curvature), float(amplitude)) for i in range(n_devices))
+    stacked = {"centers": centers, "curvature": float(curvature), "amplitude": float(amplitude)}
 
     mean_center = centers.mean(axis=0)
     w_star = _trig_optimum(mean_center, curvature, amplitude)
-    f_star = math.fsum(dev.value(w_star) for dev in devices) / n_devices
+    f_star = _mean_value("trig", stacked, w_star)
 
     # grad_i - grad = curvature * (mean_center - c_i) exactly, so alpha = 2
     # with the algebraic beta_i below is a global certificate; the sampled
@@ -521,17 +552,16 @@ def make_nonconvex_instance(
         alpha=2.0,
         beta_i=beta_i,
         beta=float(beta_i.mean()),
-        dissimilarity=_dissimilarity_of(devices, w_star),
+        dissimilarity=_dissimilarity_of("trig", stacked, w_star),
     )
     return ProblemInstance(
         kind="trig",
-        devices=devices,
         dim=dim,
         constants=constants,
         w_star=w_star,
         f_star=f_star,
         strongly_convex=False,
-        stacked={"centers": centers, "curvature": float(curvature), "amplitude": float(amplitude)},
+        stacked=stacked,
         aggregates={"mean_center": mean_center},
     )
 

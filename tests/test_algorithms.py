@@ -17,7 +17,9 @@ from fedsim.algorithms import (
 from fedsim.availability import ActiveSet, BernoulliParticipation, FullParticipation, TraceReplay
 from fedsim.exact import exact_mean
 from fedsim.problems import (
+    logistic_sample_grad,
     make_logistic_instance,
+    make_nonconvex_instance,
     make_quadratic_instance,
     quadratic_instance_from_arrays,
     sphere_noise,
@@ -71,7 +73,7 @@ def test_single_step_noiseless_update_is_the_gradient():
     rng = np.random.default_rng(0)
     w = np.array([0.5, -1.0, 2.0, 0.0])
     lu = local_update(inst, 1, w, eta=0.01, n_steps=1, rng=rng)
-    assert np.allclose(lu.value, inst.grad(1, w), rtol=1e-12, atol=1e-15)
+    assert np.array_equal(lu.value, inst.grad(1, w))
 
 
 def test_two_step_manual_unroll():
@@ -97,6 +99,29 @@ def test_update_times_eta_equals_displacement():
     assert np.allclose(eta * lu.value, w - w_k, rtol=1e-10, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "inst",
+    [
+        make_quadratic_instance(4, 6, mu=1.0, smoothness=5.0, sigma=0.8, heterogeneity=2.0, seed=5),
+        make_nonconvex_instance(4, 6, curvature=1.3, amplitude=0.7, sigma=0.5, heterogeneity=2.0, seed=5),
+    ],
+    ids=["quadratic", "trig"],
+)
+def test_local_update_replays_the_k_step_recurrence_bitwise(inst):
+    # the gradient sum is the recurrence g_k = grad_i(w_k) + noise_k,
+    # w_{k+1} = w_k - eta g_k, evaluated in the same order, to the last bit
+    w = np.random.default_rng(3).standard_normal(inst.dim)
+    for i in range(inst.n_devices):
+        lu = local_update(inst, i, w, eta=0.05, n_steps=7, rng=substream(9, GRADIENT_NOISE, i))
+        noise = sphere_noise(substream(9, GRADIENT_NOISE, i), 7, inst.dim, inst.constants.noise_std)
+        w_k, total = w.copy(), np.zeros(inst.dim)
+        for k in range(7):
+            g = inst.grad(i, w_k) + noise[k]
+            total += g
+            w_k -= 0.05 * g
+        assert np.array_equal(lu.value, total), i
+
+
 def test_logistic_local_update_consumes_sample_indices():
     inst = make_logistic_instance(2, 3, samples_per_device=4, l2=1.0, label_skew=0.0, seed=3)
     rng = np.random.default_rng(5)
@@ -107,7 +132,7 @@ def test_logistic_local_update_consumes_sample_indices():
     w_k = w.copy()
     total = np.zeros(3)
     for k in range(3):
-        g = inst.devices[0].sample_grad(w_k, int(picks[k]))
+        g = logistic_sample_grad(inst.stacked, 0, w_k, int(picks[k]))
         total += g
         w_k -= 0.1 * g
     assert np.array_equal(lu.value, total)

@@ -282,7 +282,7 @@ def test_meta_file_echoes_schedule_and_backend(tmp_path):
     cfg = base_config()
     res = run_experiment(cfg, out=str(tmp_path / "m"))
     meta = json.loads((tmp_path / "m_meta.json").read_text())
-    assert meta["backend"] in ("cython", "python")
+    assert meta["backend"] == "python"
     assert meta["schedule"]["variant"] == "StronglyConvexDecay"
     assert meta["schedule"]["shift"] >= 100.0
     assert meta["schedule"]["eta_1"] > meta["schedule"]["eta_T"] > 0
@@ -768,6 +768,8 @@ def test_every_single_key_mutation_exits_2_naming_the_key(cfg, path, mutation, d
         ({"algorithm.subset_size": "x"}, "config key 'algorithm.subset_size'"),
         ({"run.out": 5}, "config key 'run.out'"),
         ({"run.horizon": True}, "config key 'run.horizon': expected an integer, got True"),
+        ({"problem.heterogeneity": 1e300}, "config key 'problem.heterogeneity'"),
+        ({"problem.smoothness": 1e300}, "config key 'problem.smoothness'"),
     ],
     ids=[
         "mu_null", "heterogeneity_list", "uniform_without_seed", "uniform_string",
@@ -776,6 +778,7 @@ def test_every_single_key_mutation_exits_2_naming_the_key(cfg, path, mutation, d
         "zero_period", "slope_divisor_below_one", "negative_eta0", "negative_scale", "zero_mu",
         "smoothness_below_mu", "fractional_dim", "fractional_horizon", "fractional_seed",
         "local_steps_string", "subset_size_string", "numeric_out", "bool_horizon",
+        "overflowing_heterogeneity", "overflowing_smoothness",
     ],
 )
 def test_cli_run_names_each_malformed_quickstart_key(tmp_path, monkeypatch, edits, message):
@@ -788,5 +791,37 @@ def test_cli_run_names_each_malformed_quickstart_key(tmp_path, monkeypatch, edit
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = fedsim.cli.main(["run", "cfg.json"])
     assert code == 2
+    assert message in err.getvalue()
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+WAIT = ["wait-study", "--devices", "2", "--subset-size", "1", "--p", "0.5,0.5", "--out", "w"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "cfg.json", "--seed", "-1"], "argument --seed: expected int in [0, inf), got '-1'"),
+        (["compare", "cfg.json", "--algorithms", "mifa", "--seed", "-1"], "argument --seed"),
+        (["tau-study", "cfg.json", "--seed", "-1", "--out", "tau"], "argument --seed"),
+        (WAIT + ["--seed", "-1"], "argument --seed"),
+        (["tau-study", "cfg.json", "--traces", "0", "--out", "tau"], "argument --traces"),
+        (WAIT + ["--trials", "0"], "argument --trials"),
+        (["tau-study", "cfg.json", "--delta", "1.5", "--out", "tau"], "argument --delta: expected float in (0, 1)"),
+        (["tau-study", "cfg.json", "--delta", "0", "--out", "tau"], "argument --delta"),
+        (["validate", "cfg.json", "--seed", "1"], "unrecognized arguments: --seed"),
+        (["validate", "cfg.json", "--out", "v"], "unrecognized arguments: --out"),
+    ],
+    ids=["run_seed", "compare_seed", "tau_seed", "wait_seed", "traces", "trials", "delta_above_one",
+         "delta_zero", "validate_seed", "validate_out"],
+)
+def test_cli_flags_name_themselves(tmp_path, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(set_key(quickstart_config(), "run.horizon", 20)))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        with pytest.raises(SystemExit) as exit_:
+            fedsim.cli.main(argv)
+    assert exit_.value.code == 2
     assert message in err.getvalue()
     assert os.listdir(tmp_path) == ["cfg.json"]

@@ -1,51 +1,8 @@
-"""Backend agreement: the compiled kernels and the numpy reference must
-produce the same results up to summation-order rounding."""
+"""The numpy local-SGD kernels."""
 
 import numpy as np
-import pytest
 
-from fedsim._kernels import BACKEND, _reference
-
-try:
-    from fedsim._kernels import _local_sgd
-except ImportError:
-    _local_sgd = None
-
-needs_compiled = pytest.mark.skipif(_local_sgd is None, reason="compiled kernel not built")
-
-
-def test_backend_selection_reports_a_known_name():
-    assert BACKEND in ("cython", "python")
-
-
-@needs_compiled
-@pytest.mark.parametrize("dim", [1, 3, 8])
-@pytest.mark.parametrize("steps", [1, 4])
-def test_quadratic_kernel_matches_reference(dim, steps):
-    rng = np.random.default_rng(dim * 10 + steps)
-    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-    hessian = np.ascontiguousarray((q * rng.uniform(0.5, 3.0, dim)) @ q.T)
-    center = rng.standard_normal(dim)
-    w0 = rng.standard_normal(dim)
-    noise = rng.standard_normal((steps, dim)) * 0.3
-    total_c, w_c = _local_sgd.quad_local_sgd(hessian, center, w0, 0.05, steps, noise)
-    total_p, w_p = _reference.quad_local_sgd(hessian, center, w0, 0.05, steps, noise)
-    assert np.allclose(total_c, total_p, rtol=1e-12, atol=1e-14)
-    assert np.allclose(w_c, w_p, rtol=1e-12, atol=1e-14)
-
-
-@needs_compiled
-@pytest.mark.parametrize("steps", [1, 5])
-def test_trig_kernel_matches_reference(steps):
-    rng = np.random.default_rng(steps)
-    dim = 6
-    center = rng.standard_normal(dim)
-    w0 = rng.standard_normal(dim)
-    noise = rng.standard_normal((steps, dim)) * 0.2
-    total_c, w_c = _local_sgd.trig_local_sgd(center, 2.0, 0.7, w0, 0.03, steps, noise)
-    total_p, w_p = _reference.trig_local_sgd(center, 2.0, 0.7, w0, 0.03, steps, noise)
-    assert np.allclose(total_c, total_p, rtol=1e-12, atol=1e-14)
-    assert np.allclose(w_c, w_p, rtol=1e-12, atol=1e-14)
+from fedsim import _kernels
 
 
 def test_reference_kernels_leave_inputs_untouched():
@@ -53,28 +10,5 @@ def test_reference_kernels_leave_inputs_untouched():
     w0 = rng.standard_normal(4)
     w0_copy = w0.copy()
     noise = np.zeros((3, 4))
-    _reference.trig_local_sgd(np.zeros(4), 1.0, 0.5, w0, 0.1, 3, noise)
+    _kernels.trig_local_sgd(np.zeros(4), 1.0, 0.5, w0, 0.1, 3, noise)
     assert np.array_equal(w0, w0_copy)
-
-
-def test_pure_python_env_override():
-    """``FEDSIM_PURE_PYTHON=1`` makes the import select the numpy reference.
-
-    The child inherits the caller's environment (so it finds the same
-    ``fedsim``, installed or via ``PYTHONPATH``) with only the override added.
-    Where the compiled kernel is not built the fallback selects ``"python"``
-    anyway, so there this only confirms the override is accepted; it tells
-    the override apart from the fallback only where the extension is built.
-    """
-    import os
-    import subprocess
-    import sys
-
-    out = subprocess.run(
-        [sys.executable, "-c", "from fedsim._kernels import BACKEND; print(BACKEND)"],
-        env={**os.environ, "FEDSIM_PURE_PYTHON": "1"},
-        capture_output=True,
-        text=True,
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "python"

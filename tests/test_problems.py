@@ -11,6 +11,7 @@ from fedsim import problems
 from fedsim.experiment import fit_rate_slope
 from fedsim.problems import (
     MissingOptimumError,
+    logistic_sample_grad,
     make_logistic_instance,
     make_nonconvex_instance,
     make_quadratic_instance,
@@ -97,10 +98,12 @@ def test_quadratic_rejects_bad_arguments(kwargs):
 
 def test_logistic_zero_features_optimum_is_origin():
     inst = make_logistic_instance(2, 3, samples_per_device=4, l2=1.0, label_skew=0.0, seed=3)
-    zeroed = [dataclasses.replace(d, features=np.zeros_like(d.features)) for d in inst.devices]
+    zeroed = dataclasses.replace(
+        inst, stacked={**inst.stacked, "features": np.zeros_like(inst.stacked["features"])}
+    )
     # with zero features the gradient is exactly l2 * w
-    for dev in zeroed:
-        assert np.array_equal(dev.grad(np.array([1.0, -2.0, 3.0])), np.array([1.0, -2.0, 3.0]))
+    for i in range(zeroed.n_devices):
+        assert np.array_equal(zeroed.grad(i, np.array([1.0, -2.0, 3.0])), np.array([1.0, -2.0, 3.0]))
 
 
 def test_logistic_oracle_optimum_has_small_gradient():
@@ -115,10 +118,9 @@ def test_logistic_minibatch_variance_within_declared_bound():
     draws = 100_000
     exact = inst.grad(0, w0)
     sq_norms = np.empty(draws)
-    dev = inst.devices[0]
-    picks = rng.integers(len(dev.labels), size=draws)
+    picks = rng.integers(inst.stacked["labels"].shape[1], size=draws)
     for idx in range(draws):
-        noise = dev.sample_grad(w0, int(picks[idx])) - exact
+        noise = logistic_sample_grad(inst.stacked, 0, w0, int(picks[idx])) - exact
         sq_norms[idx] = noise @ noise
     mean = sq_norms.mean()
     stderr = sq_norms.std(ddof=1) / math.sqrt(draws)
@@ -139,17 +141,21 @@ def test_trig_amplitude_zero_reduces_to_quadratic():
     inst = make_nonconvex_instance(3, 2, curvature=2.0, amplitude=0.0, sigma=0.0, heterogeneity=1.0, seed=4)
     assert inst.constants.hessian_lipschitz == 0.0
     w = np.array([0.3, -0.7])
-    for i, dev in enumerate(inst.devices):
-        expected = 2.0 * (w - dev.center)
+    for i, center in enumerate(inst.stacked["centers"]):
+        expected = 2.0 * (w - center)
         assert np.allclose(inst.grad(i, w), expected)
+
+
+def _trig_hessian(inst, w):
+    """Every trig device's Hessian at w: curvature * I - amplitude * diag(cos w)."""
+    return inst.stacked["curvature"] * np.eye(len(w)) - inst.stacked["amplitude"] * np.diag(np.cos(w))
 
 
 def test_trig_hand_derivatives_at_origin():
     # d=1, center 0, curvature 2, amplitude 1: grad(0) = 0, hessian(0) = 1
     inst = make_nonconvex_instance(1, 1, curvature=2.0, amplitude=1.0, sigma=0.0, heterogeneity=0.0, seed=0)
-    dev = inst.devices[0]
-    assert dev.grad(np.zeros(1)) == pytest.approx([0.0])
-    assert dev.hessian(np.zeros(1))[0, 0] == pytest.approx(1.0)
+    assert inst.grad(0, np.zeros(1)) == pytest.approx([0.0])
+    assert _trig_hessian(inst, np.zeros(1))[0, 0] == pytest.approx(1.0)
 
 
 def test_trig_hessian_difference_bounded_by_declared_constant():
@@ -159,7 +165,7 @@ def test_trig_hessian_difference_bounded_by_declared_constant():
     for _ in range(100):
         w = rng.standard_normal(3) * 3
         v = rng.standard_normal(3) * 3
-        gap = np.linalg.norm(inst.devices[0].hessian(w) - inst.devices[0].hessian(v), ord=2)
+        gap = np.linalg.norm(_trig_hessian(inst, w) - _trig_hessian(inst, v), ord=2)
         assert gap <= rho * np.linalg.norm(w - v) + 1e-12
 
 
@@ -316,28 +322,41 @@ def test_suboptimality_at_optimum_and_signalling():
         broken.suboptimality(inst.w_star)
 
 
+def _values_over_devices(inst, w):
+    """Every device's f_i(w) at once, from the family formulas over all rows."""
+    s = inst.stacked
+    if inst.kind == "quadratic":
+        diffs = w - s["centers"]
+        return 0.5 * np.einsum("ni,nij,nj->n", diffs, s["hessians"], diffs)
+    if inst.kind == "logistic":
+        return np.logaddexp(0.0, -s["labels"] * (s["features"] @ w)).mean(axis=1) + 0.5 * s["l2"] * (w @ w)
+    diffs = w - s["centers"]
+    return 0.5 * s["curvature"] * np.sum(diffs * diffs, axis=1) + s["amplitude"] * np.sum(np.cos(w))
+
+
 def test_global_value_matches_the_device_loop():
     for inst in _instances():
         w = np.random.default_rng(31).standard_normal(inst.dim)
-        loop = math.fsum(dev.value(w) for dev in inst.devices) / inst.n_devices
+        loop = math.fsum(inst.value(i, w) for i in range(inst.n_devices)) / inst.n_devices
         assert inst.global_value(w) == pytest.approx(loop, rel=1e-13)
+        reference = _values_over_devices(inst, w)
+        assert np.allclose([inst.value(i, w) for i in range(inst.n_devices)], reference, rtol=1e-13, atol=0.0)
+        assert inst.global_value(w) == pytest.approx(math.fsum(reference) / inst.n_devices, rel=1e-13)
 
 
-def test_devices_hold_views_of_the_stacked_arrays():
-    inst_q, inst_l, inst_t = _instances()
+def test_instance_arrays_are_read_only():
     hessians = np.stack([np.eye(2), 2.0 * np.eye(2)])
     centers = np.array([[1.0, 0.0], [0.0, 1.0]])
     from_arrays = quadratic_instance_from_arrays(hessians, centers, sigma=0.0)
     assert not np.shares_memory(from_arrays.stacked["hessians"], hessians)
-    cases = [(inst, name, attr) for inst in (inst_q, from_arrays) for name, attr in
-             (("hessians", "hessian"), ("centers", "center"))]
-    cases += [(inst_l, "features", "features"), (inst_l, "labels", "labels"), (inst_t, "centers", "center")]
-    for inst, name, attr in cases:
-        stacked = inst.stacked[name]
-        assert stacked.flags.writeable  # the compiled kernels' memoryviews need writable buffers
-        for i, dev in enumerate(inst.devices):
-            assert np.shares_memory(getattr(dev, attr), stacked), (inst.kind, name)
-            assert np.array_equal(getattr(dev, attr), stacked[i])
+    assert hessians.flags.writeable and centers.flags.writeable  # the caller's arrays stay writable
+    for inst in (*_instances(), from_arrays):
+        arrays = {f"stacked[{k!r}]": v for k, v in inst.stacked.items() if isinstance(v, np.ndarray)}
+        arrays.update({f"aggregates[{k!r}]": v for k, v in inst.aggregates.items() if isinstance(v, np.ndarray)})
+        arrays.update(w_star=inst.w_star, beta_i=inst.constants.beta_i)
+        for name, array in arrays.items():
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = 1.0
 
 
 def _unit(rng, dim):
@@ -353,7 +372,7 @@ def quad_workload_instance():
 
 def test_quadratic_gap_matches_exact_rational_near_the_optimum(quad_workload_instance):
     inst = quad_workload_instance
-    hessians = np.stack([dev.hessian for dev in inst.devices])
+    hessians = inst.stacked["hessians"]
     h_bar = [[sum(map(Fraction, hessians[:, i, j])) / inst.n_devices for j in range(inst.dim)] for i in range(inst.dim)]
     v = _unit(np.random.default_rng(37), inst.dim)
     for k in range(2, 10):
@@ -371,10 +390,9 @@ def _softplus(x):
 
 def test_logistic_gap_matches_50_digit_decimal():
     inst = _instances()[1]
-    features = np.stack([dev.features for dev in inst.devices])
-    labels = np.stack([dev.labels for dev in inst.devices])
+    features, labels = inst.stacked["features"], inst.stacked["labels"]
     x_max = float(np.linalg.norm(features, axis=2).max())
-    lam = Decimal(inst.devices[0].l2)
+    lam = Decimal(inst.stacked["l2"])
     rng = np.random.default_rng(41)
 
     def value(w):
