@@ -7,8 +7,9 @@ algorithm keeps. ``Runner`` plays every wall-round the same way:
 1. ``server.needs(active)`` checks that ``active`` is the next round and
    returns the sorted ids of the devices that compute in it;
 2. each of those devices runs ``local_update`` (K local SGD steps whose
-   sampled gradients are summed) from ``server.w`` on its own noise stream;
-3. ``server.aggregate(updates, schedule)`` folds those updates in and steps
+   sampled gradients are summed) from ``server.w`` on its own noise stream,
+   into one row of the round's (A, d) block ``values``;
+3. ``server.aggregate(ids, values, schedule)`` folds that block in and steps
    the model.
 
 ``state_dict``/``load_state_dict`` checkpoint a server. The five servers
@@ -19,9 +20,7 @@ differ only in steps 1 and 3:
 - ``mifa_delta``: the memory-lean variant; devices transmit the difference
   against their own stored previous update and the server keeps only a
   running average. Differences travel as two-term error-free expansions
-  (``hi``, ``lo``) into an exact fixed-point limb accumulator
-  (``exact.ExactVectorSum``), so the running average equals the array
-  average bit for bit.
+  (``hi``, ``lo``), or as (new, -old) where the difference is no double.
 - ``biased_fedavg``: averages fresh updates from the active devices only.
 - ``is_fedavg``: reweights fresh updates by inverse participation
   probability, normalizing by the active count (literal form) or by the
@@ -33,9 +32,14 @@ differ only in steps 1 and 3:
 ``from_config`` turns a config's ``algorithm`` section into the algorithm's
 spec, the frozen parameter holder that ``Runner`` and ``run`` take.
 
-All server aggregation rounds an exact sum correctly (``exact.exact_mean``,
-or ``ExactVectorSum.rounded`` for ``mifa_delta``), so algebraically equal
-updates are bitwise equal.
+Every server sums through one exact accumulator, ``exact.ExactVectorSum``,
+and rounds the sum correctly, so algebraically equal updates are bitwise
+equal. The FedAvg servers sum each aggregated block afresh
+(``exact.exact_mean``). The two memory servers keep the exact sum of their
+(N, d) table and add each round's new rows and the negated rows they
+replace, in O(A d); the running average of ``mifa_delta`` thus equals the
+array average of ``mifa`` bit for bit. The sum is derived state: a
+checkpoint holds the table alone, and restoring rebuilds the sum from it.
 """
 
 from __future__ import annotations
@@ -63,13 +67,6 @@ class DivergenceError(RuntimeError):
     """A local iterate or the server model became non-finite."""
 
 
-@dataclass(frozen=True)
-class LocalUpdate:
-    device: int
-    value: np.ndarray  # sum of the K sampled gradients
-    produced_at: int
-
-
 def local_update(
     instance: ProblemInstance,
     i: int,
@@ -77,8 +74,7 @@ def local_update(
     eta: float,
     n_steps: int,
     rng: np.random.Generator,
-    produced_at: int = 0,
-) -> LocalUpdate:
+) -> np.ndarray:
     """Run K local SGD steps from ``w`` and return the gradient sum.
 
     The returned value times eta equals the local displacement w - w_K
@@ -103,7 +99,7 @@ def local_update(
             )
     if not (np.all(np.isfinite(total)) and np.all(np.isfinite(w_final))):
         raise DivergenceError(f"device {i} produced a non-finite local iterate")
-    return LocalUpdate(device=i, value=total, produced_at=produced_at)
+    return total
 
 
 # --------------------------------------------------------------------------
@@ -183,9 +179,10 @@ class Server:
         self.t = active.round
         return sorted(active.members)
 
-    def aggregate(self, updates: list, schedule: LrSchedule) -> None:
-        """Fold in the ``LocalUpdate``s of the devices ``needs`` returned, in
-        that order, and step the model."""
+    def aggregate(self, ids: list, values: np.ndarray, schedule: LrSchedule) -> None:
+        """Fold in the (A, d) block ``values`` of the local updates (gradient
+        sums) of the devices ``ids`` that ``needs`` returned, row by row, and
+        step the model."""
         raise NotImplementedError
 
     def _step(self, eta: float, direction: np.ndarray) -> None:
@@ -203,69 +200,79 @@ class Server:
         self.t_prime = int(state.get("t_prime", self.t))
 
 
-class MifaServer(Server):
-    """Overwrites the active devices' stored updates, then steps by the
-    full-array average. Inactive entries are reused untouched; an empty
-    active set still steps, since the array is complete after round 1."""
+class MemoryServer(Server):
+    """A server that remembers every device's latest update in the (N, d)
+    table ``memory`` and keeps ``exact_sum``, the exact sum of the table's
+    rows. The sum is derived state: a checkpoint holds the table alone, under
+    the key ``table_key``, and restoring rebuilds the sum from it, exactly."""
 
-    spec_class = MifaSpec
+    table_key: str
 
     def __init__(self, spec, n_devices, w0, subset_rng):
         super().__init__(spec, n_devices, w0, subset_rng)
-        self.update_array = np.zeros((n_devices, len(w0)))
-
-    def aggregate(self, updates, schedule):
-        for lu in updates:
-            self.update_array[lu.device] = lu.value
-        self._step(schedule.eta(self.t), exact_mean(self.update_array, self.n_devices))
+        self.memory = np.zeros((n_devices, len(w0)))
+        self.exact_sum = ExactVectorSum(len(w0))
 
     def state_dict(self):
-        return {"w": self.w.tolist(), "update_array": self.update_array.tolist(), "t": self.t}
+        return {"w": self.w.tolist(), self.table_key: self.memory.tolist(), "t": self.t}
 
     def load_state_dict(self, state):
+        # checkpoint versions 1 and 2 also held mifa_delta's exact sum, which is not read
         super().load_state_dict(state)
-        self.update_array = np.asarray(state["update_array"], dtype=np.float64)
+        self.memory = np.asarray(state[self.table_key], dtype=np.float64)
+        self.exact_sum = ExactVectorSum(self.memory.shape[1])
+        self.exact_sum.add(self.memory)
 
 
-class MifaDeltaServer(Server):
+class MifaServer(MemoryServer):
+    """Overwrites the active devices' stored updates, then steps by the
+    full-array average. Inactive entries are reused untouched; an empty
+    active set still steps, since the array is complete after round 1.
+    A round adds the fresh rows and the negated rows they replace."""
+
+    spec_class = MifaSpec
+    table_key = "update_array"
+
+    @property
+    def update_array(self) -> np.ndarray:
+        return self.memory
+
+    def aggregate(self, ids, values, schedule):
+        self.exact_sum.add(np.concatenate((values, -self.memory[ids])))
+        self.memory[ids] = values
+        self._step(schedule.eta(self.t), self.exact_sum.rounded() / self.n_devices)
+
+
+class MifaDeltaServer(MemoryServer):
     """Server keeps one running-average vector; each device keeps its own
-    previous update. ``exact_sum`` carries the exact real sum of the stored
-    updates, so the running average never drifts from the array average.
-    A round adds every active device's (hi, lo) difference pair in one
-    (2A, d) block."""
+    previous update (``device_memory``, the device-side storage). A round
+    adds every active device's (hi, lo) difference pair in one (2A, d)
+    block, so the running average never drifts from the array average.
+    Where a difference of two finite updates passes the largest double, the
+    device sends the pair (new, -old) instead, which sums to the same value."""
 
     spec_class = MifaDeltaSpec
+    table_key = "device_memory"
 
-    def __init__(self, spec, n_devices, w0, subset_rng):
-        super().__init__(spec, n_devices, w0, subset_rng)
-        self.device_memory = np.zeros((n_devices, len(w0)))  # device-side stored previous updates
-        self.exact_sum = ExactVectorSum(len(w0))
+    @property
+    def device_memory(self) -> np.ndarray:
+        return self.memory
 
     @property
     def running_average(self) -> np.ndarray:
         return self.exact_sum.rounded() / self.n_devices
 
-    def aggregate(self, updates, schedule):
-        if updates:
-            devices = [lu.device for lu in updates]
-            values = np.stack([lu.value for lu in updates])
-            hi, lo = two_diff(values, self.device_memory[devices])
+    def aggregate(self, ids, values, schedule):
+        if len(ids):
+            old = self.memory[ids]
+            with np.errstate(over="ignore", invalid="ignore"):
+                hi, lo = two_diff(values, old)
+            spilled = np.isinf(hi)
+            if spilled.any():
+                hi, lo = np.where(spilled, values, hi), np.where(spilled, -old, lo)
             self.exact_sum.add(np.concatenate((hi, lo)))
-            self.device_memory[devices] = values
+            self.memory[ids] = values
         self._step(schedule.eta(self.t), self.running_average)
-
-    def state_dict(self):
-        return {
-            "w": self.w.tolist(),
-            "device_memory": self.device_memory.tolist(),
-            "exact_sum": self.exact_sum.state_dict(),
-            "t": self.t,
-        }
-
-    def load_state_dict(self, state):
-        super().load_state_dict(state)
-        self.device_memory = np.asarray(state["device_memory"], dtype=np.float64)
-        self.exact_sum = ExactVectorSum.from_state_dict(state["exact_sum"])
 
 
 class BiasedFedAvgServer(Server):
@@ -274,10 +281,9 @@ class BiasedFedAvgServer(Server):
 
     spec_class = BiasedFedAvgSpec
 
-    def aggregate(self, updates, schedule):
-        if updates:
-            values = np.stack([lu.value for lu in updates])
-            self._step(schedule.eta(self.t), exact_mean(values, len(updates)))
+    def aggregate(self, ids, values, schedule):
+        if len(ids):
+            self._step(schedule.eta(self.t), exact_mean(values, len(ids)))
 
 
 class ImportanceFedAvgServer(Server):
@@ -306,11 +312,13 @@ class ImportanceFedAvgServer(Server):
             raise SpecError("probs", f"{len(probs)} probabilities for {model.n_devices} devices")
         return cls.spec_class(probs=probs, normalization=section.get("normalization", "active_count"))
 
-    def aggregate(self, updates, schedule):
-        if updates:
-            values = np.stack([lu.value / self.probs[lu.device] for lu in updates])
-            denom = len(updates) if self.spec.normalization == "active_count" else self.n_devices
-            self._step(schedule.eta(self.t), exact_mean(values, denom))
+    def aggregate(self, ids, values, schedule):
+        if len(ids):
+            weighted = values / self.probs[ids, None]
+            if not np.all(np.isfinite(weighted)):
+                raise DivergenceError(f"an importance-weighted update passed the largest double in round {self.t}")
+            denom = len(ids) if self.spec.normalization == "active_count" else self.n_devices
+            self._step(schedule.eta(self.t), exact_mean(weighted, denom))
 
 
 class SamplingFedAvgServer(Server):
@@ -330,7 +338,7 @@ class SamplingFedAvgServer(Server):
             raise ValueError("subset size must lie in [1, n_devices]")
         self.subset_rng = subset_rng
         self.pending: set = set()
-        self.collected: list = []  # LocalUpdate, completion order
+        self.collected: dict = {}  # device -> its update, in completion order
         self.window_start = 0
         self.waits: list = []  # wall-rounds consumed per update
 
@@ -349,24 +357,21 @@ class SamplingFedAvgServer(Server):
             self.window_start = self.t
         return sorted(self.pending & active.members)
 
-    def aggregate(self, updates, schedule):
-        self.collected += updates
-        self.pending -= {lu.device for lu in updates}
+    def aggregate(self, ids, values, schedule):
+        self.collected.update(zip(ids, values))
+        self.pending -= set(ids)
         if not self.pending:
-            values = np.stack([lu.value for lu in self.collected])
-            self._step(schedule.eta(self.t_prime + 1), exact_mean(values, self.spec.subset_size))
+            collected = np.array(list(self.collected.values()))
+            self._step(schedule.eta(self.t_prime + 1), exact_mean(collected, self.spec.subset_size))
             self.waits.append(self.t - self.window_start + 1)
-            self.collected = []
+            self.collected = {}
 
     def state_dict(self):
         return {
             "w": self.w.tolist(),
             "subset_size": self.spec.subset_size,
             "pending": sorted(self.pending),
-            "collected": [
-                {"device": lu.device, "value": lu.value.tolist(), "produced_at": lu.produced_at}
-                for lu in self.collected
-            ],
+            "collected": [{"device": int(i), "value": value.tolist()} for i, value in self.collected.items()],
             "t": self.t,
             "t_prime": self.t_prime,
             "window_start": self.window_start,
@@ -376,14 +381,8 @@ class SamplingFedAvgServer(Server):
     def load_state_dict(self, state):
         super().load_state_dict(state)
         self.pending = set(int(i) for i in state["pending"])
-        self.collected = [
-            LocalUpdate(
-                device=int(d["device"]),
-                value=np.asarray(d["value"], dtype=np.float64),
-                produced_at=int(d["produced_at"]),
-            )
-            for d in state["collected"]
-        ]
+        # version-2 entries also carry the round that produced them, which nothing reads
+        self.collected = {int(d["device"]): np.asarray(d["value"], dtype=np.float64) for d in state["collected"]}
         self.window_start = int(state["window_start"])
         self.waits = [int(x) for x in state["waits"]]
 
@@ -473,11 +472,10 @@ class Runner:
         if self.audit:
             self._snapshot_rng_states(computing, t)
         eta_t = self.schedule.eta(t)
-        updates = [
-            local_update(self.instance, i, self.state.w, eta_t, self.n_steps, self.noise_rngs[i], produced_at=t)
-            for i in computing
-        ]
-        self.state.aggregate(updates, self.schedule)
+        values = np.empty((len(computing), self.instance.dim))
+        for row, i in enumerate(computing):
+            values[row] = local_update(self.instance, i, self.state.w, eta_t, self.n_steps, self.noise_rngs[i])
+        self.state.aggregate(computing, values, self.schedule)
         self.oracle_calls += self.n_steps * len(computing)
         if not np.all(np.isfinite(self.state.w)):
             raise DivergenceError(f"server model non-finite after round {t}")
@@ -530,13 +528,13 @@ class Runner:
         return self.rows
 
     # ---- lossless mid-run checkpointing -----------------------------------
-    # Version 2 stores mifa_delta's exact sum as limbs; version 1 stored it as
-    # Shewchuk partials, which ``ExactVectorSum.from_state_dict`` still folds
-    # in exactly. Every other server state is the same in both versions.
+    # Version 3 stores no exact sum: the memory servers rebuild theirs from
+    # their table. Versions 1 and 2 also stored mifa_delta's exact sum (as
+    # Shewchuk partials, then as limbs), which restoring ignores.
 
     def checkpoint(self) -> dict:
         state = {
-            "version": 2,
+            "version": 3,
             "algorithm": self.algo_spec.name,
             "rounds_done": self.rounds_done,
             "oracle_calls": self.oracle_calls,
@@ -551,7 +549,7 @@ class Runner:
         return state
 
     def restore(self, state: dict) -> None:
-        if state["version"] not in (1, 2):
+        if state["version"] not in (1, 2, 3):
             raise ValueError(f"unsupported checkpoint version {state['version']}")
         if state["algorithm"] != self.algo_spec.name:
             raise ValueError("checkpoint belongs to a different algorithm")
@@ -560,12 +558,12 @@ class Runner:
         self.min_grad_sq = float(state["min_grad_sq"])
         self.state.load_state_dict(state["server"])
         self.sampler.restore(state["sampler"])
-        self.tracker = StalenessTracker.from_state_dict(state["tracker"])
+        self.tracker.load_state_dict(state["tracker"])
         self.noise_rngs = [restore_generator(s) for s in state["noise_rngs"]]
         # restored in place: the server draws its subsets from this generator
         self.subset_rng.bit_generator.state = state["subset_rng"]
         if state["averaged"] is not None:
-            self.averaged = AveragedIterate.from_state_dict(state["averaged"])
+            self.averaged.load_state_dict(state["averaged"])
 
 
 def run(

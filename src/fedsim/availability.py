@@ -324,14 +324,12 @@ class StalenessTracker:
             "folded_dev_peak": self._folded_dev_peak.tolist(),
         }
 
-    @classmethod
-    def from_state_dict(cls, state: dict) -> "StalenessTracker":
-        out = cls(int(state["n_devices"]))
-        out.round = int(state["round"])
-        out.staleness = np.asarray(state["staleness"], dtype=np.int64)
-        out._folded_sum = int(state["folded_sum"])
-        out._folded_dev_peak = np.asarray(state["folded_dev_peak"], dtype=np.int64)
-        return out
+    def load_state_dict(self, state: dict) -> None:
+        self.n_devices = int(state["n_devices"])
+        self.round = int(state["round"])
+        self.staleness = np.asarray(state["staleness"], dtype=np.int64)
+        self._folded_sum = int(state["folded_sum"])
+        self._folded_dev_peak = np.asarray(state["folded_dev_peak"], dtype=np.int64)
 
 
 def realized_staleness(model: ParticipationModel, seed: int, horizon: int) -> StalenessStats:

@@ -107,6 +107,10 @@ def cmd_tau_study(args) -> int:
 
 
 def cmd_wait_study(args) -> int:
+    if len(args.p) != args.devices:
+        args.error(f"argument --p: {len(args.p)} probabilities for --devices {args.devices}")
+    if args.subset_size > args.devices:
+        args.error(f"argument --subset-size: {args.subset_size} exceeds --devices {args.devices}")
     study = waiting_time_study(args.devices, args.subset_size, args.p, args.trials, args.seed or 0)
     print(
         f"mean_wait={study['mean_wait']:.6f} stderr={study['stderr']:.6f} "
@@ -138,7 +142,7 @@ def cmd_validate(args) -> int:
 
 
 def probability_list(text: str) -> np.ndarray:
-    return np.array([float(p) for p in text.split(",")])
+    return np.array([bounded(float, "(0, 1]")(p) for p in text.split(",")])
 
 
 def main(argv=None) -> int:
@@ -164,14 +168,14 @@ def main(argv=None) -> int:
     p_tau.set_defaults(func=cmd_tau_study)
 
     p_wait = sub.add_parser("wait-study", help="Monte Carlo waiting time for subset sampling")
-    p_wait.add_argument("--devices", type=int, required=True)
-    p_wait.add_argument("--subset-size", type=int, required=True)
+    p_wait.add_argument("--devices", type=bounded(int, "[1, inf)"), required=True)
+    p_wait.add_argument("--subset-size", type=bounded(int, "[1, inf)"), required=True)
     p_wait.add_argument(
         "--p", type=probability_list, required=True, help="comma-separated per-device probabilities"
     )
     p_wait.add_argument("--trials", type=bounded(int, "[1, inf)"), default=10000)
     _add_common(p_wait)
-    p_wait.set_defaults(func=cmd_wait_study)
+    p_wait.set_defaults(func=cmd_wait_study, error=p_wait.error)
 
     p_val = sub.add_parser("validate", help="check a config without running")
     p_val.add_argument("config")

@@ -265,7 +265,13 @@ def _strongly_convex(instance, run, delay_offset):
     c = instance.constants
     if c.strong_convexity <= 0:
         raise ConfigError("schedule.variant", "strongly_convex schedule needs mu > 0")
-    return schedules.StronglyConvexDecay(c.strong_convexity, c.smoothness, run["local_steps"], delay_offset)
+    try:
+        return schedules.StronglyConvexDecay(c.strong_convexity, c.smoothness, run["local_steps"], delay_offset)
+    except problems.SpecError as exc:
+        if exc.key != "mu":
+            raise
+        # mu is the problem's: its own key, or the logistic l2 weight
+        raise ConfigError("problem.l2" if instance.kind == "logistic" else "problem.mu", str(exc)) from None
 
 
 def _nonconvex_constant(instance, model, seed, run, staleness_cap_mean, scale):

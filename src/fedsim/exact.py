@@ -6,20 +6,20 @@ memory-efficient running-average server reproduce the naive update-array
 server bit for bit: both reduce to the correctly rounded value of the same
 exact real sum.
 
-``fsum_columns`` sums a whole array per column with ``math.fsum``. The
-running-average server instead keeps an *exact* running sum,
-``ExactVectorSum``: device-side differences are transmitted as two-term
-error-free expansions (``two_diff``) and added into a fixed-point
-superaccumulator, after Neal's "small superaccumulator" (arXiv:1505.05571).
+Every server sums through one accumulator, ``ExactVectorSum``, a fixed-point
+superaccumulator after Neal's "small superaccumulator" (arXiv:1505.05571).
 Every finite double is an integer multiple of 2**-1074 below 2**1024, so a
 stack of int64 limbs, limb k weighing 2**(32k - 1074), holds any sum of
-doubles exactly. Adding is integer arithmetic on whole blocks of vectors,
-and ``rounded()`` reads the correctly rounded doubles off in one pass.
+doubles exactly, also one that outgrows the largest double. Adding is
+integer arithmetic on whole blocks of vectors, and ``rounded()`` reads the
+correctly rounded doubles off in one pass (+-inf for a sum past the largest
+double). ``exact_mean`` sums one block afresh. The memory servers keep a
+running sum and add each round's new rows and the negated rows they replace;
+where devices send only the difference, it arrives as a two-term error-free
+expansion (``two_diff``).
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -34,22 +34,7 @@ _SCATTER_ROWS = 1 << 20
 # than 2**32, so int64 limbs take 2**30 rows before carries must propagate
 _ROWS_BEFORE_CARRY = 1 << 30
 _LOW = np.int64((1 << LIMB_BITS) - 1)
-
-
-def fsum_columns(rows: np.ndarray) -> np.ndarray:
-    """Correctly rounded column sums of a 2-D array."""
-    if rows.ndim != 2:
-        raise ValueError("expected a 2-D array of row vectors")
-    return np.array([math.fsum(col) for col in rows.T], dtype=np.float64)
-
-
-def exact_mean(rows: np.ndarray, denom: int) -> np.ndarray:
-    """Correctly rounded column sums divided by ``denom``.
-
-    All server aggregation paths go through this helper so that equal
-    multisets of update vectors always map to the identical average.
-    """
-    return fsum_columns(rows) / denom
+_U1, _U32, _U64 = np.uint64(1), np.uint64(32), np.uint64(64)
 
 
 def two_diff(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -65,18 +50,19 @@ def two_diff(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _carry(limbs: np.ndarray) -> None:
     """Propagate carries upward in place, without changing the value: every
     row but the last ends in [0, 2**32), the last keeps the sign."""
-    for k in range(len(limbs) - 1):
-        limbs[k + 1] += limbs[k] >> LIMB_BITS
-        limbs[k] &= _LOW
+    for row, above in zip(limbs[:-1], limbs[1:]):
+        above += row >> LIMB_BITS
+        row &= _LOW
 
 
 class ExactVectorSum:
     """Exact running sum of float64 vectors of length ``dim``.
 
-    The state is an (N_LIMBS, dim) int64 array; column j holds
-    sum_k limbs[k, j] * 2**(32k - 1074), the exact sum of every coordinate j
-    added so far. Only limbs ``lo..hi`` have ever been touched (plus carry
-    headroom), and carries are propagated over that window alone.
+    The state is an int64 array of N_LIMBS rows of ``dim`` limbs, below two
+    rows that stay zero; column j holds sum_k limb[k, j] * 2**(32k - 1074),
+    the exact sum of every coordinate j added so far. Only limbs ``lo..hi``
+    have ever been touched (plus carry headroom), and carries are propagated
+    over that window alone.
 
     ``rounded()`` returns the correctly rounded double for each coordinate,
     i.e. ``float(sum(map(Fraction, column)))`` over all added vectors.
@@ -84,10 +70,15 @@ class ExactVectorSum:
 
     def __init__(self, dim: int):
         self.dim = dim
-        self._limbs = np.zeros((N_LIMBS, dim), dtype=np.int64)
+        # limb k is row k + 2: the zero rows below limb 0 let every column
+        # read three limbs at and below its top one
+        self._limbs = np.zeros((N_LIMBS + 2, dim), dtype=np.int64)
         self._lo = N_LIMBS  # the used window is empty while lo > hi
         self._hi = -1
         self._rows = 0  # rows added since carries were last propagated
+        # the offsets of a column's limbs k, k - 1, k - 2 in a flattened window
+        self._three = -dim * np.arange(3)[:, None]
+        self._columns = np.arange(dim)
 
     def add(self, values: np.ndarray) -> None:
         """Add one vector (dim,) or every row of a block (rows, dim)."""
@@ -113,28 +104,24 @@ class ExactVectorSum:
         # above 2**-1074, so x's (at most 53) bits lie in limbs base..base+2
         base = np.maximum((np.frexp(x)[1] + 1073 - 2 * LIMB_BITS) // LIMB_BITS, 0)
         lo, top = int(base.min()), int(base.max())
-        # base's unit scales x to an integer below 2**96, split exactly into
-        # three signed 32-bit chunks
-        c0 = np.ldexp(x, 1074 - LIMB_BITS * base)
-        c2 = np.trunc(c0 * 2.0**-64)
-        c0 -= c2 * 2.0**64
-        c1 = np.trunc(c0 * 2.0**-32)
-        c0 -= c1 * 2.0**32
+        # base's unit scales x to an integer below 2**96; split it exactly
+        # into three signed 32-bit chunks, the top one first
+        chunks = np.empty((3, len(x)))
+        np.modf(np.ldexp(x, 1074 - 2 * LIMB_BITS - LIMB_BITS * base), out=(chunks[1], chunks[0]))
+        np.modf(chunks[1] * 2.0**32, out=(chunks[2], chunks[1]))
+        chunks[2] *= 2.0**32
         width = top - lo + 3
-        index = (base - lo) * self.dim + entries % self.dim
-        sums = np.bincount(
-            (index + np.array([[0], [self.dim], [2 * self.dim]])).ravel(),
-            weights=np.stack((c0, c1, c2)).ravel(),
-            minlength=width * self.dim,
-        )
-        self._limbs[lo : lo + width] += sums.reshape(width, self.dim).astype(np.int64)
+        index = (base - lo + 2) * self.dim + entries % self.dim
+        sums = np.bincount((index + self._three).ravel(), weights=chunks.ravel(), minlength=width * self.dim)
+        self._limbs[lo + 2 : lo + 2 + width] += sums.reshape(width, self.dim).astype(np.int64)
         self._lo = min(self._lo, lo)
         self._hi = max(self._hi, min(top + 4, N_LIMBS - 1))
 
     def _normalise(self) -> np.ndarray:
-        """Propagate carries over the used window; returns that window."""
-        window = self._limbs[self._lo : self._hi + 1]
-        _carry(window)
+        """Propagate carries over the used window; returns the window with
+        the two limbs below it, which are zero."""
+        window = self._limbs[self._lo : self._hi + 3]
+        _carry(window[2:])
         self._rows = 0
         return window
 
@@ -146,53 +133,34 @@ class ExactVectorSum:
         window = self._normalise()
         negative = window[-1] < 0
         if negative.any():
-            window = np.where(negative, -window, window)
-            _carry(window)
-        # two zero limbs below the window stand for the untouched limbs
-        # there, so every column's top three limbs exist
-        mag = np.zeros((len(window) + 2, self.dim), dtype=np.uint64)
-        mag[2:] = window
+            window = np.negative(window, out=window.copy(), where=negative)
+            _carry(window[2:])
+        mag = window.view(np.uint64)
         nonzero = mag != 0
+        # each column's top nonzero limb a and the two below it, b and c
         top = len(mag) - 1 - np.argmax(nonzero[::-1], axis=0)
-        at = top * self.dim + np.arange(self.dim)
-        a, b, c = (mag.ravel()[at - k * self.dim] for k in range(3))
-        # w = a*2**64 + b*2**32 + c has a's bit length plus 64 bits; keep its
-        # top 63 bits and round to odd: set the last kept bit when any
-        # dropped bit (of w, or of a lower limb) is set
-        shift = np.frexp(a.astype(np.float64))[1].astype(np.uint64) + np.uint64(1)
-        high = (a << np.uint64(32)) | b
-        over = shift > 32
-        kept = np.where(over, high >> np.uint64(1), (high << (np.uint64(32) - np.minimum(shift, 32))) | (c >> shift))
-        dropped = (c & ((np.uint64(1) << np.minimum(shift, 32)) - np.uint64(1))) | np.where(over, b & np.uint64(1), 0)
-        sticky = (dropped != 0) | (np.argmax(nonzero, axis=0) < top - 2)
+        a, b, c = mag.ravel()[top * self.dim + self._columns + self._three]
+        # w = a*2**64 + b*2**32 + c has a's bit length plus 64 bits; u is its
+        # top 64 bits and kept its top 63 bits, rounded to odd: the last bit
+        # is set when any dropped bit (of w, or of a lower limb) is set
+        bits = np.frexp(a.astype(np.float64))[1]
+        shift = bits.astype(np.uint64)
+        u = (((a << _U32) | b) << (_U32 - shift)) | (c >> shift)
+        sticky = (c << (_U64 - shift) != 0) | (np.argmax(nonzero, axis=0) < top - 2)
+        kept = (u >> _U1) | (u & _U1) | sticky
         # 63 bits rounded to odd round correctly to 53; the scaling by a
         # power of two is then exact (or overflows to inf)
-        exponent = shift.astype(np.int64) + LIMB_BITS * (self._lo + top - 4) - 1074
+        exponent = bits + LIMB_BITS * (self._lo + top - 4) - 1073
         with np.errstate(over="ignore"):
-            value = np.ldexp((kept | sticky).astype(np.float64), exponent)
-        return np.where(nonzero.any(axis=0), np.where(negative, -value, value), 0.0)
+            value = np.ldexp(kept.astype(np.float64), exponent, out=np.zeros(self.dim), where=a != 0)
+        return np.negative(value, out=value, where=negative)
 
-    def state_dict(self) -> dict:
-        """The used limb window, carried (which leaves the value unchanged)."""
-        if self._lo > self._hi:
-            return {"dim": self.dim, "lo": 0, "limbs": []}
-        return {"dim": self.dim, "lo": self._lo, "limbs": self._normalise().tolist()}
 
-    @classmethod
-    def from_state_dict(cls, state: dict) -> "ExactVectorSum":
-        out = cls(int(state["dim"]))
-        if "partials" in state:
-            # version-1 checkpoints hold Shewchuk partials per coordinate;
-            # their exact sum is the coordinate's, so adding them is lossless
-            partials = state["partials"]
-            block = np.zeros((max(map(len, partials), default=0), out.dim))
-            for j, column in enumerate(partials):
-                block[: len(column), j] = column
-            out.add(block)
-            return out
-        limbs = np.asarray(state["limbs"], dtype=np.int64).reshape(-1, out.dim)
-        if len(limbs):
-            out._lo = int(state["lo"])
-            out._hi = out._lo + len(limbs) - 1
-            out._limbs[out._lo : out._hi + 1] = limbs
-        return out
+def exact_mean(rows: np.ndarray, denom: int) -> np.ndarray:
+    """Correctly rounded column sums of a 2-D array, divided by ``denom``,
+    so that equal multisets of update vectors map to the identical average."""
+    if rows.ndim != 2:
+        raise ValueError("expected a 2-D array of row vectors")
+    total = ExactVectorSum(rows.shape[1])
+    total.add(rows)
+    return total.rounded() / denom

@@ -37,7 +37,8 @@ class SpecError(ValueError):
     """A builder rejects the value of its argument ``key``, the same key in
     the config section it builds: a value an algorithm's spec rules out, or
     a problem family's value that passes its range check but that the build
-    cannot carry in double precision."""
+    cannot carry in double precision. A builder whose argument comes from
+    another section (the schedule's ``mu``) is re-keyed by its caller."""
 
     def __init__(self, key: str, message: str):
         self.key = key

@@ -12,9 +12,12 @@ T^3/3 + (a-1) T^2 + (a^2 - 2a + 2/3) T.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .problems import SpecError
 
 
 class LrSchedule:
@@ -43,13 +46,25 @@ class StronglyConvexDecay(LrSchedule):
             raise ValueError("local_steps must be >= 1")
         if self.delay_offset < 0:
             raise ValueError("delay_offset must be >= 0")
+        if not 100.0 * self._condition < math.inf:
+            raise SpecError("mu", f"smoothness / mu = {self.smoothness / self.mu:.3g} overflows the step-size shift")
+        if not 4.0 / (self.mu * self.local_steps * (1.0 + self.shift)) > 0.0:
+            raise SpecError("delay_offset", f"{self.delay_offset:.3g} leaves no positive step size")
         if self.eta(1) > 1.0 / (25.0 * self.local_steps * self.smoothness) + 1e-15:
             raise ValueError("schedule violates eta_1 <= 1/(25 K L)")
 
     @property
+    def _condition(self) -> float:
+        """(smoothness / mu)^1.5, inf where it passes the largest double."""
+        try:
+            return (self.smoothness / self.mu) ** 1.5
+        except OverflowError:
+            return math.inf
+
+    @property
     def shift(self) -> float:
         """The additive shift a in eta_t = 4 / (mu K (t + a))."""
-        return max(100.0, 40.0 * self.delay_offset) * (self.smoothness / self.mu) ** 1.5
+        return max(100.0, 40.0 * self.delay_offset) * self._condition
 
     def eta(self, t: int) -> float:
         if t < 1:
@@ -144,10 +159,9 @@ class AveragedIterate:
             "rounds_seen": self.rounds_seen,
         }
 
-    @classmethod
-    def from_state_dict(cls, state: dict) -> "AveragedIterate":
-        out = cls(float(state["shift"]), int(state["dim"]))
-        out.weighted_sum = np.asarray(state["weighted_sum"], dtype=np.float64)
-        out.weight_total = float(state["weight_total"])
-        out.rounds_seen = int(state["rounds_seen"])
-        return out
+    def load_state_dict(self, state: dict) -> None:
+        self.shift = float(state["shift"])
+        self.dim = int(state["dim"])
+        self.weighted_sum = np.asarray(state["weighted_sum"], dtype=np.float64)
+        self.weight_total = float(state["weight_total"])
+        self.rounds_seen = int(state["rounds_seen"])

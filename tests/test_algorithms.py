@@ -56,11 +56,11 @@ def server(cls, n, w0, spec=None):
 
 def play_round(server, active, eta, inst, n_steps, rngs):
     """One wall-round as Runner plays it, at a constant step ``eta``."""
-    updates = [
-        local_update(inst, i, server.w, eta, n_steps, rngs[i], produced_at=active.round)
-        for i in server.needs(active)
-    ]
-    server.aggregate(updates, ConstantStep(eta))
+    ids = server.needs(active)
+    values = np.empty((len(ids), len(server.w)))
+    for row, i in enumerate(ids):
+        values[row] = local_update(inst, i, server.w, eta, n_steps, rngs[i])
+    server.aggregate(ids, values, ConstantStep(eta))
 
 
 # ---------------------------------------------------------------------------
@@ -72,15 +72,15 @@ def test_single_step_noiseless_update_is_the_gradient():
     inst = make_quadratic_instance(3, 4, mu=1.0, smoothness=3.0, sigma=0.0, heterogeneity=1.0, seed=1)
     rng = np.random.default_rng(0)
     w = np.array([0.5, -1.0, 2.0, 0.0])
-    lu = local_update(inst, 1, w, eta=0.01, n_steps=1, rng=rng)
-    assert np.array_equal(lu.value, inst.grad(1, w))
+    total = local_update(inst, 1, w, eta=0.01, n_steps=1, rng=rng)
+    assert np.array_equal(total, inst.grad(1, w))
 
 
 def test_two_step_manual_unroll():
     # f(w) = w^2/2 from w = 1 with eta = 0.1: gradients 1.0 then 0.9
     inst = quadratic_instance_from_arrays(np.ones((1, 1, 1)), np.zeros((1, 1)), sigma=0.0)
-    lu = local_update(inst, 0, np.array([1.0]), eta=0.1, n_steps=2, rng=np.random.default_rng(0))
-    assert lu.value[0] == pytest.approx(1.9, rel=1e-14)
+    total = local_update(inst, 0, np.array([1.0]), eta=0.1, n_steps=2, rng=np.random.default_rng(0))
+    assert total[0] == pytest.approx(1.9, rel=1e-14)
 
 
 def test_update_times_eta_equals_displacement():
@@ -90,13 +90,13 @@ def test_update_times_eta_equals_displacement():
     w = rng.standard_normal(5)
     replica.standard_normal(5)
     eta = 1e-4
-    lu = local_update(inst, 0, w, eta=eta, n_steps=6, rng=rng)
+    total = local_update(inst, 0, w, eta=eta, n_steps=6, rng=rng)
     # replay the iterates with the reference oracle to recover w_K
     noise = sphere_noise(replica, 6, 5, inst.constants.noise_std)
     w_k = w.copy()
     for k in range(6):
         w_k = w_k - eta * (inst.grad(0, w_k) + noise[k])
-    assert np.allclose(eta * lu.value, w - w_k, rtol=1e-10, atol=1e-12)
+    assert np.allclose(eta * total, w - w_k, rtol=1e-10, atol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -112,14 +112,14 @@ def test_local_update_replays_the_k_step_recurrence_bitwise(inst):
     # w_{k+1} = w_k - eta g_k, evaluated in the same order, to the last bit
     w = np.random.default_rng(3).standard_normal(inst.dim)
     for i in range(inst.n_devices):
-        lu = local_update(inst, i, w, eta=0.05, n_steps=7, rng=substream(9, GRADIENT_NOISE, i))
+        update = local_update(inst, i, w, eta=0.05, n_steps=7, rng=substream(9, GRADIENT_NOISE, i))
         noise = sphere_noise(substream(9, GRADIENT_NOISE, i), 7, inst.dim, inst.constants.noise_std)
         w_k, total = w.copy(), np.zeros(inst.dim)
         for k in range(7):
             g = inst.grad(i, w_k) + noise[k]
             total += g
             w_k -= 0.05 * g
-        assert np.array_equal(lu.value, total), i
+        assert np.array_equal(update, total), i
 
 
 def test_logistic_local_update_consumes_sample_indices():
@@ -127,7 +127,7 @@ def test_logistic_local_update_consumes_sample_indices():
     rng = np.random.default_rng(5)
     replica = np.random.default_rng(5)
     w = np.zeros(3)
-    lu = local_update(inst, 0, w, eta=0.1, n_steps=3, rng=rng)
+    update = local_update(inst, 0, w, eta=0.1, n_steps=3, rng=rng)
     picks = replica.integers(4, size=3)
     w_k = w.copy()
     total = np.zeros(3)
@@ -135,9 +135,11 @@ def test_logistic_local_update_consumes_sample_indices():
         g = logistic_sample_grad(inst.stacked, 0, w_k, int(picks[k]))
         total += g
         w_k -= 0.1 * g
-    assert np.array_equal(lu.value, total)
+    assert np.array_equal(update, total)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
 def test_local_update_signals_divergence():
     inst = make_quadratic_instance(1, 2, mu=1.0, smoothness=10.0, sigma=0.0, heterogeneity=1.0, seed=4)
     with pytest.raises(DivergenceError):
@@ -422,6 +424,64 @@ def test_divergence_flags_partial_trajectory():
     assert len(result.rounds) < 50
 
 
+# the gap and gradient norm overflow at these iterates
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+@pytest.mark.parametrize("w0, eta0, rounds_done", [(1.7e307, 1e-10, 0), (3.3e305, 1.0, 2)])
+@pytest.mark.parametrize("name", list(SERVERS))
+def test_finite_updates_whose_sum_overflows_flag_divergence(name, w0, eta0, rounds_done):
+    # f_i(w) = 5 w^2, so with K = 1 each device sends 10 w: finite while
+    # |w| < 1.8e307, yet two of them sum past the largest double from
+    # |w| > 9e306 on. w reaches that at once, or after growing 9- then 4-fold.
+    # Every server's exact sum rounds to inf there, and the run stops as
+    # diverged in that round.
+    inst = quadratic_instance_from_arrays(np.full((2, 1, 1), 10.0), np.zeros((2, 1)), sigma=0.0)
+    model = FullParticipation(2)
+
+    def run(spec):
+        return fedsim.run(spec, inst, model, InverseDecay(eta0), horizon=5, n_steps=1, seed=0, w0=np.array([w0]))
+
+    result = run(SERVERS[name].from_config({"subset_size": 2, "probs": [1.0, 1.0]}, model))
+    assert result.diverged
+    assert len(result.rounds) == rounds_done
+    if name == "mifa":
+        assert result.rounds == run(fedsim.MifaDeltaSpec()).rounds
+
+
+# the gap, the gradient norm and the 1 / p weighting overflow at these iterates
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("normalization", ["active_count", "total_count"])
+def test_importance_weighted_updates_that_overflow_flag_divergence(normalization):
+    # each device sends a finite 10 w = 1e308, which the weight 1 / 0.5
+    # takes past the largest double: the run stops as diverged in round 1
+    inst = quadratic_instance_from_arrays(np.full((2, 1, 1), 10.0), np.zeros((2, 1)), sigma=0.0)
+    spec = fedsim.ImportanceFedAvgSpec(probs=(0.5, 0.5), normalization=normalization)
+    result = fedsim.run(
+        spec, inst, FullParticipation(2), InverseDecay(1e-10), horizon=5, n_steps=1, seed=0, w0=np.array([1e307])
+    )
+    assert result.diverged
+    assert result.rounds == []
+
+
+# the gap and gradient norm overflow at these iterates
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_sign_flipping_updates_whose_difference_overflows_keep_mifa_delta_equal_to_mifa():
+    # one device, f(w) = 5 w^2, K = 1 and eta_t = 0.5 / t: w is multiplied
+    # by -4, then by -1.5, so the device sends 4e307, then -1.6e308. Both are
+    # finite, but their difference is not a double; round 3's update, 2.4e308,
+    # is not finite either, and both runs stop there.
+    inst = quadratic_instance_from_arrays(np.full((1, 1, 1), 10.0), np.zeros((1, 1)), sigma=0.0)
+
+    def run(spec):
+        return fedsim.run(spec, inst, FullParticipation(1), InverseDecay(0.5), horizon=5, n_steps=1, seed=0,
+                          w0=np.array([4e306]))
+
+    mifa, delta = run(fedsim.MifaSpec()), run(fedsim.MifaDeltaSpec())
+    assert mifa.diverged and delta.diverged
+    assert len(mifa.rounds) == 2
+    assert mifa.rounds == delta.rounds
+    assert np.array_equal(mifa.final_w, delta.final_w)
+
+
 def test_update_array_matches_audit_replay():
     inst = make_quadratic_instance(3, 2, mu=1.0, smoothness=3.0, sigma=0.7, heterogeneity=1.0, seed=15)
     model = BernoulliParticipation([0.5, 0.8, 1.0])
@@ -434,7 +494,7 @@ def test_update_array_matches_audit_replay():
         replayed = local_update(
             inst, i, snap["w"], snap["eta"], 2, restore_generator(snap["rng_state"])
         )
-        assert np.array_equal(replayed.value, runner.state.update_array[i])
+        assert np.array_equal(replayed, runner.state.update_array[i])
 
 
 def checkpoint_runner(name):
@@ -465,29 +525,65 @@ def test_checkpoint_resume_reproduces_trajectory(name):
     assert np.array_equal(second.state.w, full.state.w)
 
 
-@pytest.mark.parametrize("name", list(SERVERS))
-def test_version_1_checkpoint_resumes_identically(name):
+DATA = Path(__file__).parent / "data"
+
+
+def version_2_checkpoint(name):
+    """Algorithm ``name``'s checkpoint at round 21, as the version-2 format
+    wrote it: ``mifa_delta`` also stored its exact sum as limbs, and each
+    entry ``sampling_fedavg`` had collected also held its producing round."""
+    with open(DATA / "checkpoints_v2_round21.json") as fh:
+        return json.load(fh)[name]
+
+
+def assert_resumes_identically(name, snapshot, at):
     full = checkpoint_runner(name)
     rows_full = list(full.run_rounds(40))
+    assert snapshot["rounds_done"] == at
+    resumed = checkpoint_runner(name)
+    resumed.restore(snapshot)
+    assert list(resumed.run_rounds(40)) == rows_full[at:]
+    assert np.array_equal(resumed.state.w, full.state.w)
+
+
+@pytest.mark.parametrize("name", list(SERVERS))
+def test_version_1_checkpoint_resumes_identically(name):
     if name == "mifa_delta":
         # written at round 17 by the version-1 format, which stored the exact
         # sum as per-coordinate Shewchuk partials
-        with open(Path(__file__).parent / "data" / "mifa_delta_checkpoint_v1_round17.json") as fh:
+        with open(DATA / "mifa_delta_checkpoint_v1_round17.json") as fh:
             snapshot = json.load(fh)
         assert snapshot["server"]["exact_sum"]["partials"]
+        at = 17
     else:
-        # every other server's state is the same in both versions
-        head = checkpoint_runner(name)
-        head.run_rounds(17)
-        snapshot = json.loads(json.dumps(head.checkpoint()))
-        assert snapshot["version"] == 2
+        # every other server's state is the same in versions 1 and 2
+        snapshot, at = version_2_checkpoint(name), 21
         snapshot["version"] = 1
-    assert snapshot["version"] == 1 and snapshot["rounds_done"] == 17
+    assert snapshot["version"] == 1
+    assert_resumes_identically(name, snapshot, at)
 
-    resumed = checkpoint_runner(name)
-    resumed.restore(snapshot)
-    assert list(resumed.run_rounds(40)) == rows_full[17:]
-    assert np.array_equal(resumed.state.w, full.state.w)
+
+@pytest.mark.parametrize("name", list(SERVERS))
+def test_version_2_checkpoint_resumes_identically(name):
+    snapshot = version_2_checkpoint(name)
+    assert snapshot["version"] == 2
+    if name == "mifa_delta":
+        assert snapshot["server"]["exact_sum"]["limbs"]
+    if name == "sampling_fedavg":
+        assert snapshot["server"]["collected"] and "produced_at" in snapshot["server"]["collected"][0]
+    assert_resumes_identically(name, snapshot, 21)
+
+
+@pytest.mark.parametrize("name", list(SERVERS))
+def test_checkpoints_are_version_3_without_an_exact_sum(name):
+    runner = checkpoint_runner(name)
+    runner.run_rounds(21)
+    snapshot = json.loads(json.dumps(runner.checkpoint()))
+    assert snapshot["version"] == 3
+    assert "exact_sum" not in snapshot["server"]
+    if name == "sampling_fedavg":
+        assert [set(entry) for entry in snapshot["server"]["collected"]] == [{"device", "value"}]
+    assert_resumes_identically(name, snapshot, 21)
 
 
 def test_averaged_iterate_gap_decays_by_two_orders():

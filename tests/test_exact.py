@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 from fractions import Fraction
@@ -8,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsim import exact as exact_module
-from fedsim.exact import ExactVectorSum, exact_mean, fsum_columns, two_diff
+from fedsim.algorithms import MifaDeltaServer, MifaServer
+from fedsim.availability import ActiveSet
+from fedsim.exact import ExactVectorSum, exact_mean, two_diff
 
 MAX = sys.float_info.max
 TINY = 5e-324  # the smallest subnormal
@@ -33,12 +36,11 @@ def assert_bitwise_equal(got: np.ndarray, expected: list) -> None:
         assert g == e and math.copysign(1.0, g) == math.copysign(1.0, e), (g, e)
 
 
-def test_fsum_columns_matches_fsum():
+def test_exact_mean_matches_exact_rational_sums():
     rng = np.random.default_rng(0)
     rows = rng.standard_normal((40, 6)) * 10.0 ** rng.integers(-8, 8, size=(40, 6))
-    out = fsum_columns(rows)
-    for j in range(6):
-        assert out[j] == math.fsum(rows[:, j])
+    assert_bitwise_equal(exact_mean(rows, 1), exact_column_sums(rows))
+    assert_bitwise_equal(exact_mean(rows, 40), [x / 40 for x in exact_column_sums(rows)])
 
 
 def test_two_diff_is_error_free():
@@ -60,20 +62,7 @@ def test_exact_vector_sum_equals_correctly_rounded_sum():
     acc = ExactVectorSum(4)
     for v in vecs:
         acc.add(v)
-    expected = fsum_columns(np.stack(vecs))
-    assert np.array_equal(acc.rounded(), expected)
-
-
-def test_exact_vector_sum_roundtrips_through_state():
-    acc = ExactVectorSum(3)
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        acc.add(rng.standard_normal(3))
-    clone = ExactVectorSum.from_state_dict(acc.state_dict())
-    extra = rng.standard_normal(3)
-    acc.add(extra)
-    clone.add(extra)
-    assert np.array_equal(acc.rounded(), clone.rounded())
+    assert_bitwise_equal(acc.rounded(), exact_column_sums(np.stack(vecs)))
 
 
 def test_exact_mean_rejects_bad_shapes():
@@ -96,10 +85,9 @@ hard_floats = st.one_of(
 
 @st.composite
 def summations(draw):
-    """(rows, splits, roundtrip_at): a block of rows whose columns mix every
-    exponent range, with some rows' negations added for heavy cancellation;
-    the block is added in the given split sizes, and the state goes through
-    ``state_dict`` after split ``roundtrip_at``."""
+    """(rows, splits): a block of rows whose columns mix every exponent
+    range, with some rows' negations added for heavy cancellation; the block
+    is added in the given split sizes."""
     dim = draw(st.integers(1, 4))
     n = draw(st.integers(1, 12))
     rows = [draw(st.lists(hard_floats, min_size=dim, max_size=dim)) for _ in range(n)]
@@ -109,19 +97,16 @@ def summations(draw):
     splits = []
     while sum(splits) < len(rows):
         splits.append(draw(st.integers(1, len(rows) - sum(splits))))
-    roundtrip_at = draw(st.integers(0, len(splits)))
-    return np.array(rows, dtype=np.float64), splits, roundtrip_at
+    return np.array(rows, dtype=np.float64), splits
 
 
 @settings(max_examples=300, deadline=None)
 @given(summations())
 def test_rounded_equals_exact_rational_sum(case):
-    rows, splits, roundtrip_at = case
+    rows, splits = case
     acc = ExactVectorSum(rows.shape[1])
     start = 0
-    for k, size in enumerate(splits):
-        if k == roundtrip_at:
-            acc = ExactVectorSum.from_state_dict(acc.state_dict())
+    for size in splits:
         part = rows[start : start + size]
         acc.add(part[0] if size == 1 else part)  # one vector, or a block
         start += size
@@ -145,7 +130,6 @@ def test_near_ties_round_by_the_bits_below_the_tie(x, below, negative, split):
         acc = ExactVectorSum(1)
         if split:
             acc.add(rows[2])
-            acc = ExactVectorSum.from_state_dict(acc.state_dict())
             acc.add(rows[:2])
         else:
             acc.add(rows)
@@ -231,8 +215,47 @@ def test_add_rejects_shapes_other_than_a_vector_or_block(shape):
         ExactVectorSum(2).add(np.zeros(shape))
 
 
-def test_version_1_partials_state_folds_in_exactly():
-    partials = [[-5.551115123125783e-17, 1.333315718054407], [], [1e-300, -2.0**-60, 3.0, 1e300]]
-    acc = ExactVectorSum.from_state_dict({"dim": 3, "partials": partials})
-    assert_bitwise_equal(acc.rounded(), [math.fsum(p) for p in partials])
-    assert acc.state_dict()["limbs"]  # saved again in the limb format
+# ---------------------------------------------------------------------------
+# the memory servers' running sums against their tables
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def memory_traces(draw):
+    """(n, dim, rounds, roundtrip_at): each round is the sorted active ids
+    (all of them in round 1) with one row of values per active device, and
+    the server goes through a JSON checkpoint after round ``roundtrip_at``."""
+    n, dim = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    # |values| <= 1e300 keeps every sum of n of them, and every step, finite
+    values = st.one_of(st.floats(-1e300, 1e300), st.sampled_from([0.0, -0.0, TINY, -TINY, 1e300, -1e300, 1.0]))
+    rounds = []
+    for t in range(draw(st.integers(1, 8))):
+        ids = list(range(n)) if t == 0 else sorted(draw(st.sets(st.integers(0, n - 1))))
+        rows = [draw(st.lists(values, min_size=dim, max_size=dim)) for _ in ids]
+        rounds.append((ids, np.array(rows, dtype=np.float64).reshape(len(ids), dim)))
+    return n, dim, rounds, draw(st.integers(1, len(rounds)))
+
+
+class UnitStep:
+    def eta(self, t):
+        return 1.0
+
+
+@pytest.mark.parametrize("server_class", [MifaServer, MifaDeltaServer])
+@settings(max_examples=150, deadline=None)
+@given(case=memory_traces())
+def test_memory_server_sum_is_the_exact_sum_of_its_table(server_class, case):
+    # mifa adds fresh rows and the negated rows they replace, mifa_delta the
+    # two_diff pairs of their differences; either way the running sum stays
+    # the table's exact column sums, also when rebuilt from a checkpoint
+    n, dim, rounds, roundtrip_at = case
+    server = server_class(server_class.spec_class(), n, np.zeros(dim), None)
+    for t, (ids, values) in enumerate(rounds, start=1):
+        assert server.needs(ActiveSet(t, frozenset(ids))) == ids
+        server.aggregate(ids, values, UnitStep())
+        if t == roundtrip_at:
+            state = json.loads(json.dumps(server.state_dict()))
+            server = server_class(server_class.spec_class(), n, np.zeros(dim), None)
+            server.load_state_dict(state)
+        table = server.memory
+        assert_bitwise_equal(server.exact_sum.rounded(), exact_column_sums(table))

@@ -770,6 +770,9 @@ def test_every_single_key_mutation_exits_2_naming_the_key(cfg, path, mutation, d
         ({"run.horizon": True}, "config key 'run.horizon': expected an integer, got True"),
         ({"problem.heterogeneity": 1e300}, "config key 'problem.heterogeneity'"),
         ({"problem.smoothness": 1e300}, "config key 'problem.smoothness'"),
+        ({"problem": {"family": "logistic", "n_devices": 10, "dim": 5, "samples_per_device": 20,
+                      "l2": 1e-300, "label_skew": 0.0, "seed": 7}}, "config key 'problem.l2'"),
+        ({"schedule.delay_offset": 1e308}, "config key 'schedule.delay_offset'"),
     ],
     ids=[
         "mu_null", "heterogeneity_list", "uniform_without_seed", "uniform_string",
@@ -778,7 +781,8 @@ def test_every_single_key_mutation_exits_2_naming_the_key(cfg, path, mutation, d
         "zero_period", "slope_divisor_below_one", "negative_eta0", "negative_scale", "zero_mu",
         "smoothness_below_mu", "fractional_dim", "fractional_horizon", "fractional_seed",
         "local_steps_string", "subset_size_string", "numeric_out", "bool_horizon",
-        "overflowing_heterogeneity", "overflowing_smoothness",
+        "overflowing_heterogeneity", "overflowing_smoothness", "logistic_l2_overflowing_the_shift",
+        "delay_offset_overflowing_the_shift",
     ],
 )
 def test_cli_run_names_each_malformed_quickstart_key(tmp_path, monkeypatch, edits, message):
@@ -811,9 +815,14 @@ WAIT = ["wait-study", "--devices", "2", "--subset-size", "1", "--p", "0.5,0.5", 
         (["tau-study", "cfg.json", "--delta", "0", "--out", "tau"], "argument --delta"),
         (["validate", "cfg.json", "--seed", "1"], "unrecognized arguments: --seed"),
         (["validate", "cfg.json", "--out", "v"], "unrecognized arguments: --out"),
+        (WAIT + ["--devices", "0"], "argument --devices: expected int in [1, inf), got '0'"),
+        (WAIT + ["--p", "0.5"], "argument --p: 1 probabilities for --devices 2"),
+        (WAIT + ["--subset-size", "3"], "argument --subset-size: 3 exceeds --devices 2"),
+        (WAIT + ["--p", "0.5,1.5"], "argument --p: expected float in (0, 1], got '1.5'"),
     ],
     ids=["run_seed", "compare_seed", "tau_seed", "wait_seed", "traces", "trials", "delta_above_one",
-         "delta_zero", "validate_seed", "validate_out"],
+         "delta_zero", "validate_seed", "validate_out", "wait_zero_devices", "wait_too_few_probabilities",
+         "wait_subset_above_devices", "wait_probability_above_one"],
 )
 def test_cli_flags_name_themselves(tmp_path, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)

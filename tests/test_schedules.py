@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fedsim.problems import SpecError
 from fedsim.schedules import (
     AveragedIterate,
     InverseDecay,
@@ -44,6 +45,21 @@ def test_strongly_convex_rejects_bad_parameters():
         StronglyConvexDecay(mu=1.0, smoothness=1.0, local_steps=0)
     with pytest.raises(ValueError):
         StronglyConvexDecay(mu=1.0, smoothness=1.0, local_steps=1, delay_offset=-1.0)
+
+
+@pytest.mark.parametrize(
+    "kwargs, key",
+    [
+        ({"mu": 1e-300}, "mu"),  # (1 / mu)^1.5 is past the largest double
+        ({"mu": 1e-205}, "mu"),  # the power is finite, 100 times it is not
+        ({"delay_offset": 1e308}, "delay_offset"),  # the shift is inf, every step 0
+        ({"mu": 1e10, "smoothness": 1e10, "delay_offset": 1e300}, "delay_offset"),  # finite a, infinite mu K a
+    ],
+)
+def test_strongly_convex_names_the_argument_that_leaves_no_step(kwargs, key):
+    with pytest.raises(SpecError) as err:
+        StronglyConvexDecay(**{"mu": 1.0, "smoothness": 1.0, "local_steps": 1, **kwargs})
+    assert err.value.key == key
 
 
 def test_nonconvex_constant_formula():
