@@ -10,7 +10,7 @@ from .algorithms import (
     MifaSpec,
     Runner,
     SamplingFedAvgSpec,
-    local_update,
+    local_updates,
     run,
 )
 from .availability import (
@@ -40,7 +40,6 @@ from .config import (
     build_instance,
     build_model,
     build_schedule,
-    dump_config,
     label_correlated_probabilities,
     load_config,
     validate_config,

@@ -1,10 +1,15 @@
-"""The local-SGD inner loop, in numpy.
+"""The local-SGD inner loop, in numpy, over a block of devices.
 
-``local_sgd`` runs K steps w <- w - eta * g_k and returns (sum of the g_k,
-final local iterate). The gradient sum is accumulated directly rather than
-recovered from the displacement, so small steps never suffer cancellation.
-The quadratic and trig kernels add pre-drawn noise to the same gradient
-expression as the instance's ``grad``, so an update replays bit for bit.
+``local_sgd`` runs K steps W <- W - eta * G_k on an (A, d) block ``W`` whose
+row r is device r's local iterate, and returns (sum of the G_k, final
+block). The gradient sum is accumulated directly rather than recovered from
+the displacement, so small steps never suffer cancellation.
+
+The quadratic and trig kernels add the (A, K, d) block of pre-drawn noise
+to the same gradient expression as the instance's ``grad``. Every
+expression acts row by row: elementwise, or one ``np.matmul`` per row,
+which computes each row as the one-device ``H @ v`` does. A row therefore
+replays bit for bit, whatever the other rows of its block.
 """
 
 from __future__ import annotations
@@ -16,7 +21,8 @@ BACKEND = "python"
 
 
 def local_sgd(step_grad, w0, eta, n_steps):
-    """K local steps from ``w0``, where ``step_grad(w, k)`` is step k's gradient."""
+    """K local steps from the (A, d) block ``w0``, where ``step_grad(W, k)``
+    is step k's (A, d) block of gradients at the block ``W``."""
     w = w0.copy()
     total = np.zeros_like(w0)
     for k in range(n_steps):
@@ -26,9 +32,11 @@ def local_sgd(step_grad, w0, eta, n_steps):
     return total, w
 
 
-def quad_local_sgd(hessian, center, w0, eta, n_steps, noise):
-    return local_sgd(lambda w, k: hessian @ (w - center) + noise[k], w0, eta, n_steps)
+def quad_local_sgd(hessians, centers, w0, eta, n_steps, noise):
+    return local_sgd(
+        lambda w, k: np.matmul(hessians, (w - centers)[:, :, None])[:, :, 0] + noise[:, k], w0, eta, n_steps
+    )
 
 
-def trig_local_sgd(center, curvature, amplitude, w0, eta, n_steps, noise):
-    return local_sgd(lambda w, k: curvature * (w - center) - amplitude * np.sin(w) + noise[k], w0, eta, n_steps)
+def trig_local_sgd(centers, curvature, amplitude, w0, eta, n_steps, noise):
+    return local_sgd(lambda w, k: curvature * (w - centers) - amplitude * np.sin(w) + noise[:, k], w0, eta, n_steps)

@@ -6,9 +6,12 @@ algorithm keeps. ``Runner`` plays every wall-round the same way:
 
 1. ``server.needs(active)`` checks that ``active`` is the next round and
    returns the sorted ids of the devices that compute in it;
-2. each of those devices runs ``local_update`` (K local SGD steps whose
-   sampled gradients are summed) from ``server.w`` on its own noise stream,
-   into one row of the round's (A, d) block ``values``;
+2. ``local_updates`` runs those devices' K local SGD steps from
+   ``server.w`` as one batch and returns the round's (A, d) block
+   ``values`` of their summed sampled gradients: each device draws its
+   randomness from its own noise stream into its row of a draw block
+   (``local_update``), then each step is one expression over the block.
+   A device's row does not depend on which devices share its batch;
 3. ``server.aggregate(ids, values, schedule)`` folds that block in and steps
    the model.
 
@@ -51,7 +54,7 @@ import numpy as np
 from . import _kernels
 from .availability import ActiveSet, BernoulliParticipation, StalenessTracker
 from .exact import ExactVectorSum, exact_mean, two_diff
-from .problems import ProblemInstance, SpecError, logistic_sample_grad, sphere_noise
+from .problems import ProblemInstance, SpecError, logistic_sample_grads, sphere_noise
 from .records import RoundMetrics, RunResult
 from .rng import (
     SUBSET_SAMPLING,
@@ -67,38 +70,65 @@ class DivergenceError(RuntimeError):
     """A local iterate or the server model became non-finite."""
 
 
-def local_update(
+def local_update(instance: ProblemInstance, rng: np.random.Generator, out: np.ndarray) -> None:
+    """Draw one device's randomness for its K local steps from its own
+    stream ``rng`` into ``out``, the device's row of the round's draw block:
+    K sample indices (logistic) or K standard normal vectors, which
+    ``local_updates`` then scales onto the noise sphere. Noise of radius 0
+    draws nothing and leaves ``out`` zero."""
+    if instance.kind == "logistic":
+        out[:] = rng.integers(instance.stacked["labels"].shape[1], size=len(out))
+    elif instance.constants.noise_std != 0.0:
+        rng.standard_normal(out=out)
+
+
+def local_updates(
     instance: ProblemInstance,
-    i: int,
+    ids,
     w: np.ndarray,
     eta: float,
     n_steps: int,
-    rng: np.random.Generator,
+    rngs,
 ) -> np.ndarray:
-    """Run K local SGD steps from ``w`` and return the gradient sum.
+    """Run K local SGD steps from ``w`` on each device of ``ids`` and return
+    the (A, d) block of their gradient sums, row r for device ``ids[r]``.
 
-    The returned value times eta equals the local displacement w - w_K
-    exactly in real arithmetic; it is accumulated as a running sum of the
-    sampled gradients so small steps lose no precision to cancellation.
+    Device ``ids[r]`` draws from its own stream ``rngs[r]``; then the noise
+    (quadratic, trig) is normalised, and each of the K steps runs, once over
+    the whole block. A row is bitwise what the one-device call ``[ids[r]]``
+    returns, whatever the other ids and their order. A row times eta equals
+    the local displacement w - w_K exactly in real arithmetic; it is
+    accumulated as a running sum of the sampled gradients so small steps
+    lose no precision to cancellation.
     """
     if eta <= 0:
         raise ValueError("eta must be > 0")
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
+    ids = np.asarray(ids, dtype=np.intp)
+    if not len(ids):
+        return np.empty((0, instance.dim))
     s = instance.stacked
-    if instance.kind == "logistic":
-        picks = rng.integers(s["labels"].shape[1], size=n_steps).tolist()
-        total, w_final = _kernels.local_sgd(lambda v, k: logistic_sample_grad(s, i, v, picks[k]), w, eta, n_steps)
+    logistic = instance.kind == "logistic"
+    draws = np.empty((len(ids), n_steps), np.int64) if logistic else np.zeros((len(ids), n_steps, instance.dim))
+    for row, rng in zip(draws, rngs, strict=True):
+        local_update(instance, rng, row)
+    w0 = np.broadcast_to(w, (len(ids), instance.dim))
+    if logistic:
+        total, w_final = _kernels.local_sgd(
+            lambda v, k: logistic_sample_grads(s, ids, v, draws[:, k]), w0, eta, n_steps
+        )
     else:
-        noise = sphere_noise(rng, n_steps, instance.dim, instance.constants.noise_std)
+        noise = sphere_noise(draws, instance.constants.noise_std)
         if instance.kind == "quadratic":
-            total, w_final = _kernels.quad_local_sgd(s["hessians"][i], s["centers"][i], w, eta, n_steps, noise)
+            total, w_final = _kernels.quad_local_sgd(s["hessians"][ids], s["centers"][ids], w0, eta, n_steps, noise)
         else:
             total, w_final = _kernels.trig_local_sgd(
-                s["centers"][i], s["curvature"], s["amplitude"], w, eta, n_steps, noise
+                s["centers"][ids], s["curvature"], s["amplitude"], w0, eta, n_steps, noise
             )
-    if not (np.all(np.isfinite(total)) and np.all(np.isfinite(w_final))):
-        raise DivergenceError(f"device {i} produced a non-finite local iterate")
+    finite = np.isfinite(total).all(axis=1) & np.isfinite(w_final).all(axis=1)
+    if not finite.all():
+        raise DivergenceError(f"device {ids[~finite].min()} produced a non-finite local iterate")
     return total
 
 
@@ -416,7 +446,6 @@ class Runner:
         n_steps: int,
         seed: int,
         w0: np.ndarray | None = None,
-        audit: bool = False,
     ):
         if horizon < 2:
             raise ValueError("horizon must be >= 2")
@@ -429,8 +458,6 @@ class Runner:
         self.horizon = horizon
         self.n_steps = n_steps
         self.seed = seed
-        self.audit = audit
-        self.audit_log: dict = {}
 
         dim = instance.dim
         self.w0 = np.zeros(dim) if w0 is None else np.asarray(w0, dtype=np.float64).copy()
@@ -469,12 +496,8 @@ class Runner:
             avg_gap = self.instance.suboptimality(self.averaged.current())
 
         computing = self.state.needs(active)
-        if self.audit:
-            self._snapshot_rng_states(computing, t)
-        eta_t = self.schedule.eta(t)
-        values = np.empty((len(computing), self.instance.dim))
-        for row, i in enumerate(computing):
-            values[row] = local_update(self.instance, i, self.state.w, eta_t, self.n_steps, self.noise_rngs[i])
+        rngs = [self.noise_rngs[i] for i in computing]
+        values = local_updates(self.instance, computing, self.state.w, self.schedule.eta(t), self.n_steps, rngs)
         self.state.aggregate(computing, values, self.schedule)
         self.oracle_calls += self.n_steps * len(computing)
         if not np.all(np.isfinite(self.state.w)):
@@ -494,15 +517,6 @@ class Runner:
             )
         )
         self.rounds_done = t
-
-    def _snapshot_rng_states(self, devices: list, t: int) -> None:
-        for i in devices:
-            self.audit_log[i] = {
-                "round": t,
-                "w": self.state.w.copy(),
-                "eta": self.schedule.eta(t),
-                "rng_state": generator_state(self.noise_rngs[i]),
-            }
 
     def run(self) -> RunResult:
         diverged = False

@@ -200,10 +200,6 @@ def load_config(path: str) -> dict:
     return validate_config(cfg)
 
 
-def dump_config(cfg: dict) -> str:
-    return json.dumps(cfg, indent=2, sort_keys=True)
-
-
 def label_correlated_probabilities(n_devices: int, label_pairs, p_min: float):
     """Participation probability from a device's two held label ids (j, k):
     p = p_min * min(j, k) / 9 + (1 - p_min). Rejects any degenerate p = 0."""

@@ -1,7 +1,9 @@
 """Synthetic per-device objective families with machine-checkable constants.
 
-Three families are provided, each exposing exact and stochastic gradient
-oracles plus certified smoothness/convexity/noise constants:
+Three families are provided, each exposing exact gradient oracles plus
+certified smoothness/convexity/noise constants. The stochastic oracle is
+the local update in ``algorithms``; its noise comes from ``sphere_noise``
+(quadratic, trig) or from sampled data rows, ``logistic_sample_grads``:
 
 - quadratic:      f_i(w) = 0.5 (w - c_i)^T H_i (w - c_i)
 - logistic:       binary logistic loss + (lam/2) ||w||^2 per device
@@ -62,17 +64,16 @@ def _check_finite(name, value):
     return arr
 
 
-def sphere_noise(rng: np.random.Generator, steps: int, dim: int, sigma: float) -> np.ndarray:
-    """Draw ``steps`` noise vectors uniform on the radius-``sigma`` sphere.
+def sphere_noise(raw: np.ndarray, sigma: float) -> np.ndarray:
+    """Scale every length-d vector along the last axis of ``raw``, a block
+    of standard normal draws of any shape (..., d), onto the radius-``sigma``
+    sphere.
 
     Mean zero by symmetry, ||noise|| == sigma exactly, so the noise meets a
     variance bound of sigma^2 and an almost-sure norm bound of sigma at the
-    same time. ``sigma == 0`` consumes no randomness.
+    same time. A zero vector stays zero, so ``sigma == 0`` needs no draws.
     """
-    if sigma == 0.0:
-        return np.zeros((steps, dim))
-    raw = rng.standard_normal((steps, dim))
-    norms = np.linalg.norm(raw, axis=1, keepdims=True)
+    norms = np.linalg.norm(raw, axis=-1, keepdims=True)
     norms[norms == 0.0] = 1.0
     return raw * (sigma / norms)
 
@@ -103,11 +104,13 @@ def _logistic_grad(s, i, w):
     return g + s["l2"] * w
 
 
-def logistic_sample_grad(s, i, w, j):
-    """Gradient of device i's loss on its sample j alone, plus the l2 term."""
-    x, y = s["features"][i, j], s["labels"][i, j]
-    sig = _sigmoid(-y * float(x @ w))
-    return -y * sig * x + s["l2"] * w
+def logistic_sample_grads(s, ids, w, picks):
+    """Row r: the gradient of device ids[r]'s loss on its sample picks[r]
+    alone, at w[r], plus the l2 term. The margins are one matmul per row,
+    which computes each as the one-device ``x @ w`` does."""
+    x, y = s["features"][ids, picks], s["labels"][ids, picks]
+    sig = _sigmoid(-y * np.matmul(x[:, None, :], w[:, :, None])[:, 0, 0])
+    return (-y * sig)[:, None] * x + s["l2"] * w
 
 
 def _trig_value(s, i, w):
@@ -216,19 +219,6 @@ class ProblemInstance:
         self._check_device(i)
         w = _check_finite("w", w)
         return FAMILIES[self.kind].grad(self.stacked, i, w)
-
-    def stoch_grad(self, i: int, w: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Unbiased gradient estimate for device i.
-
-        Quadratic/trig families add uniform-sphere noise of radius
-        ``noise_std``; the logistic family draws a single-sample gradient.
-        """
-        if self.kind == "logistic":
-            self._check_device(i)
-            w = _check_finite("w", w)
-            j = int(rng.integers(self.stacked["labels"].shape[1], size=1)[0])
-            return logistic_sample_grad(self.stacked, i, w, j)
-        return self.grad(i, w) + sphere_noise(rng, 1, self.dim, self.constants.noise_std)[0]
 
     def global_value(self, w: np.ndarray) -> float:
         """f(w) = mean_i f_i(w), the per-device values summed exactly."""

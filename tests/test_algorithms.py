@@ -1,8 +1,11 @@
+import functools
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fedsim
 from fedsim.algorithms import (
@@ -12,12 +15,11 @@ from fedsim.algorithms import (
     ImportanceFedAvgServer,
     MifaDeltaServer,
     MifaServer,
-    local_update,
+    local_updates,
 )
 from fedsim.availability import ActiveSet, BernoulliParticipation, FullParticipation, TraceReplay
 from fedsim.exact import exact_mean
 from fedsim.problems import (
-    logistic_sample_grad,
     make_logistic_instance,
     make_nonconvex_instance,
     make_quadratic_instance,
@@ -57,10 +59,12 @@ def server(cls, n, w0, spec=None):
 def play_round(server, active, eta, inst, n_steps, rngs):
     """One wall-round as Runner plays it, at a constant step ``eta``."""
     ids = server.needs(active)
-    values = np.empty((len(ids), len(server.w)))
-    for row, i in enumerate(ids):
-        values[row] = local_update(inst, i, server.w, eta, n_steps, rngs[i])
-    server.aggregate(ids, values, ConstantStep(eta))
+    server.aggregate(ids, local_updates(inst, ids, server.w, eta, n_steps, [rngs[i] for i in ids]), ConstantStep(eta))
+
+
+def device_update(inst, i, w, eta, n_steps, rng):
+    """Device i's gradient sum alone: its one-device batch."""
+    return local_updates(inst, [i], w, eta, n_steps, [rng])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -72,14 +76,14 @@ def test_single_step_noiseless_update_is_the_gradient():
     inst = make_quadratic_instance(3, 4, mu=1.0, smoothness=3.0, sigma=0.0, heterogeneity=1.0, seed=1)
     rng = np.random.default_rng(0)
     w = np.array([0.5, -1.0, 2.0, 0.0])
-    total = local_update(inst, 1, w, eta=0.01, n_steps=1, rng=rng)
+    total = device_update(inst, 1, w, eta=0.01, n_steps=1, rng=rng)
     assert np.array_equal(total, inst.grad(1, w))
 
 
 def test_two_step_manual_unroll():
     # f(w) = w^2/2 from w = 1 with eta = 0.1: gradients 1.0 then 0.9
     inst = quadratic_instance_from_arrays(np.ones((1, 1, 1)), np.zeros((1, 1)), sigma=0.0)
-    total = local_update(inst, 0, np.array([1.0]), eta=0.1, n_steps=2, rng=np.random.default_rng(0))
+    total = device_update(inst, 0, np.array([1.0]), eta=0.1, n_steps=2, rng=np.random.default_rng(0))
     assert total[0] == pytest.approx(1.9, rel=1e-14)
 
 
@@ -90,9 +94,9 @@ def test_update_times_eta_equals_displacement():
     w = rng.standard_normal(5)
     replica.standard_normal(5)
     eta = 1e-4
-    total = local_update(inst, 0, w, eta=eta, n_steps=6, rng=rng)
+    total = device_update(inst, 0, w, eta=eta, n_steps=6, rng=rng)
     # replay the iterates with the reference oracle to recover w_K
-    noise = sphere_noise(replica, 6, 5, inst.constants.noise_std)
+    noise = sphere_noise(replica.standard_normal((6, 5)), inst.constants.noise_std)
     w_k = w.copy()
     for k in range(6):
         w_k = w_k - eta * (inst.grad(0, w_k) + noise[k])
@@ -112,8 +116,8 @@ def test_local_update_replays_the_k_step_recurrence_bitwise(inst):
     # w_{k+1} = w_k - eta g_k, evaluated in the same order, to the last bit
     w = np.random.default_rng(3).standard_normal(inst.dim)
     for i in range(inst.n_devices):
-        update = local_update(inst, i, w, eta=0.05, n_steps=7, rng=substream(9, GRADIENT_NOISE, i))
-        noise = sphere_noise(substream(9, GRADIENT_NOISE, i), 7, inst.dim, inst.constants.noise_std)
+        update = device_update(inst, i, w, eta=0.05, n_steps=7, rng=substream(9, GRADIENT_NOISE, i))
+        noise = sphere_noise(substream(9, GRADIENT_NOISE, i).standard_normal((7, inst.dim)), inst.constants.noise_std)
         w_k, total = w.copy(), np.zeros(inst.dim)
         for k in range(7):
             g = inst.grad(i, w_k) + noise[k]
@@ -127,12 +131,14 @@ def test_logistic_local_update_consumes_sample_indices():
     rng = np.random.default_rng(5)
     replica = np.random.default_rng(5)
     w = np.zeros(3)
-    update = local_update(inst, 0, w, eta=0.1, n_steps=3, rng=rng)
+    update = device_update(inst, 0, w, eta=0.1, n_steps=3, rng=rng)
     picks = replica.integers(4, size=3)
     w_k = w.copy()
     total = np.zeros(3)
     for k in range(3):
-        g = logistic_sample_grad(inst.stacked, 0, w_k, int(picks[k]))
+        # the sampled row's loss gradient, -y sigmoid(-y x.w) x, plus the l2 term
+        x, y = inst.stacked["features"][0, picks[k]], inst.stacked["labels"][0, picks[k]]
+        g = -y * (0.5 * (1.0 + np.tanh(0.5 * (-y * float(x @ w_k))))) * x + inst.stacked["l2"] * w_k
         total += g
         w_k -= 0.1 * g
     assert np.array_equal(update, total)
@@ -143,7 +149,54 @@ def test_logistic_local_update_consumes_sample_indices():
 def test_local_update_signals_divergence():
     inst = make_quadratic_instance(1, 2, mu=1.0, smoothness=10.0, sigma=0.0, heterogeneity=1.0, seed=4)
     with pytest.raises(DivergenceError):
-        local_update(inst, 0, np.array([1e200, 1e200]), eta=1e200, n_steps=3, rng=np.random.default_rng(0))
+        device_update(inst, 0, np.array([1e200, 1e200]), eta=1e200, n_steps=3, rng=np.random.default_rng(0))
+
+
+@functools.lru_cache(maxsize=None)
+def batch_instance(kind, dim):
+    if kind == "quadratic":
+        return make_quadratic_instance(6, dim, mu=1.0, smoothness=5.0, sigma=0.8, heterogeneity=2.0, seed=21)
+    if kind == "trig":
+        return make_nonconvex_instance(6, dim, curvature=1.3, amplitude=0.7, sigma=0.5, heterogeneity=2.0, seed=21)
+    return make_logistic_instance(6, dim, samples_per_device=7, l2=0.5, label_skew=0.4, seed=21)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    kind=st.sampled_from(["quadratic", "trig", "logistic"]),
+    dim=st.sampled_from([1, 2, 5, 17, 40]),
+    ids=st.lists(st.integers(0, 5), min_size=1, max_size=6, unique=True),
+    n_steps=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+)
+def test_a_devices_row_does_not_depend_on_its_batch(kind, dim, ids, n_steps, seed):
+    # each row of a batch, whatever its other ids and their order, is bitwise
+    # the device's one-device batch
+    inst = batch_instance(kind, dim)
+    w = np.random.default_rng(seed).standard_normal(dim)
+    block = local_updates(inst, ids, w, 0.05, n_steps, [substream(seed, GRADIENT_NOISE, i) for i in ids])
+    for row, i in zip(block, ids):
+        assert np.array_equal(row, device_update(inst, i, w, 0.05, n_steps, substream(seed, GRADIENT_NOISE, i)))
+
+
+# the two curvature-1000 rows overflow on purpose
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_a_diverging_batch_names_its_lowest_diverging_device():
+    # devices 1 and 3 have curvature 1000: from w = 1e300 at eta = 1 their
+    # iterates pass the largest double within 3 steps, the others reach 0
+    curvature = np.array([1.0, 1000.0, 1.0, 1000.0, 1.0])
+    inst = quadratic_instance_from_arrays(curvature[:, None, None] * np.eye(2), np.zeros((5, 2)), sigma=0.0)
+    w = np.full(2, 1e300)
+    for ids, lowest in (([4, 3, 0, 1, 2], 1), ([3, 4, 2], 3), ([1, 3], 1)):
+        with pytest.raises(DivergenceError, match=f"device {lowest} produced"):
+            local_updates(inst, ids, w, 1.0, 4, [None] * len(ids))
+    assert np.all(np.isfinite(local_updates(inst, [4, 0, 2], w, 1.0, 4, [None] * 3)))
+
+
+def test_an_empty_batch_is_an_empty_block():
+    inst = two_center_instance(sigma=0.5)
+    assert local_updates(inst, [], np.zeros(1), 0.1, 3, []).shape == (0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -178,11 +231,13 @@ def test_array_server_reduces_to_parallel_sgd_under_full_participation():
     model = FullParticipation(4)
     sched = InverseDecay(eta0=0.05)
     result = fedsim.run(fedsim.MifaSpec(), inst, model, sched, horizon=6, n_steps=1, seed=seed)
-    # replay: w_{t+1} = w_t - (eta_t / N) sum_i stoch_grad_i(w_t)
+    # replay: w_{t+1} = w_t - (eta_t / N) sum_i g_i(w_t), with the stochastic
+    # gradient g_i = grad_i + sphere noise drawn from device i's stream
     replicas = noise_rngs(seed, 4)
     w = np.zeros(3)
     for t in range(1, 7):
-        grads = np.stack([inst.stoch_grad(i, w, replicas[i]) for i in range(4)])
+        noise = sphere_noise(np.stack([g.standard_normal(3) for g in replicas]), inst.constants.noise_std)
+        grads = np.stack([inst.grad(i, w) for i in range(4)]) + noise
         w = w - sched.eta(t) * grads.mean(axis=0)
     assert np.allclose(result.final_w, w, rtol=1e-12, atol=1e-14)
 
@@ -364,19 +419,6 @@ def test_sampling_freezes_model_while_waiting():
     assert all(r.t_prime <= r.t for r in result.rounds)
 
 
-def test_sampling_audit_snapshots_only_computing_devices():
-    inst = make_quadratic_instance(2, 2, mu=1.0, smoothness=2.0, sigma=0.0, heterogeneity=1.0, seed=10)
-    model = TraceReplay(2, [{0, 1}, {0}, {0}, {1}, {0, 1}, {0}, {0}, {1}])
-    runner = fedsim.Runner(
-        fedsim.SamplingFedAvgSpec(subset_size=2), inst, model, InverseDecay(eta0=0.05),
-        horizon=8, n_steps=1, seed=0, audit=True,
-    )
-    runner.run()
-    # device 0 last computes in round 6 (it is idle but active in round 7,
-    # while the window waits for device 1), device 1 in round 8
-    assert {i: snap["round"] for i, snap in runner.audit_log.items()} == {0: 6, 1: 8}
-
-
 def test_sampling_oracle_calls_count_only_computing_devices():
     inst = make_quadratic_instance(4, 2, mu=1.0, smoothness=2.0, sigma=0.0, heterogeneity=1.0, seed=11)
     model = FullParticipation(4)
@@ -482,17 +524,25 @@ def test_sign_flipping_updates_whose_difference_overflows_keep_mifa_delta_equal_
     assert np.array_equal(mifa.final_w, delta.final_w)
 
 
-def test_update_array_matches_audit_replay():
+def test_update_array_matches_checkpoint_replay():
+    # every stored update replays from a checkpoint taken before the round
+    # in which its device last computed: the checkpoint holds w and the
+    # device's noise stream
     inst = make_quadratic_instance(3, 2, mu=1.0, smoothness=3.0, sigma=0.7, heterogeneity=1.0, seed=15)
     model = BernoulliParticipation([0.5, 0.8, 1.0])
     sched = StronglyConvexDecay(mu=1.0, smoothness=3.0, local_steps=2)
-    runner = fedsim.Runner(fedsim.MifaSpec(), inst, model, sched, horizon=20, n_steps=2, seed=6, audit=True)
-    runner.run()
+    runner = fedsim.Runner(fedsim.MifaSpec(), inst, model, sched, horizon=20, n_steps=2, seed=6)
+    sampler = model.sampler(6)
+    last = {}
+    for t in range(1, 21):
+        snap = json.loads(json.dumps(runner.checkpoint()))
+        last.update((i, (t, snap)) for i in sampler.active_set(t).members)
+        runner.run_rounds(t)
     from fedsim.rng import restore_generator
 
-    for i, snap in runner.audit_log.items():
-        replayed = local_update(
-            inst, i, snap["w"], snap["eta"], 2, restore_generator(snap["rng_state"])
+    for i, (t, snap) in last.items():
+        replayed = device_update(
+            inst, i, np.asarray(snap["server"]["w"]), sched.eta(t), 2, restore_generator(snap["noise_rngs"][i])
         )
         assert np.array_equal(replayed, runner.state.update_array[i])
 

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from fedsim import problems
+from fedsim.algorithms import local_updates
 from fedsim.experiment import fit_rate_slope
 from fedsim.problems import (
     MissingOptimumError,
-    logistic_sample_grad,
+    logistic_sample_grads,
     make_logistic_instance,
     make_nonconvex_instance,
     make_quadratic_instance,
@@ -117,11 +118,9 @@ def test_logistic_minibatch_variance_within_declared_bound():
     rng = np.random.default_rng(0)
     draws = 100_000
     exact = inst.grad(0, w0)
-    sq_norms = np.empty(draws)
     picks = rng.integers(inst.stacked["labels"].shape[1], size=draws)
-    for idx in range(draws):
-        noise = logistic_sample_grad(inst.stacked, 0, w0, int(picks[idx])) - exact
-        sq_norms[idx] = noise @ noise
+    noise = logistic_sample_grads(inst.stacked, np.zeros(draws, int), np.broadcast_to(w0, (draws, 3)), picks) - exact
+    sq_norms = np.sum(noise**2, axis=1)
     mean = sq_norms.mean()
     stderr = sq_norms.std(ddof=1) / math.sqrt(draws)
     assert mean <= inst.constants.noise_std**2 + 3 * stderr
@@ -437,36 +436,51 @@ def test_rate_fit_near_the_optimum_recovers_the_quadratic_order(quad_workload_in
 
 def test_sphere_noise_norm_is_exact_and_centered():
     rng = np.random.default_rng(31)
-    draws = sphere_noise(rng, 20_000, 4, sigma=0.7)
+    draws = sphere_noise(rng.standard_normal((20_000, 4)), sigma=0.7)
     norms = np.linalg.norm(draws, axis=1)
     assert np.allclose(norms, 0.7, rtol=1e-12)
     mean = draws.mean(axis=0)
     assert np.all(np.abs(mean) <= 5 * 0.7 / math.sqrt(20_000))
 
 
-def test_stoch_grad_with_zero_sigma_equals_grad():
+def test_sphere_noise_normalises_every_vector_of_a_block_as_alone():
+    raw = np.random.default_rng(32).standard_normal((3, 5, 7))
+    block = sphere_noise(raw, 0.4)
+    for a in range(3):
+        for k in range(5):
+            assert np.array_equal(block[a, k], sphere_noise(raw[a, k], 0.4))
+    assert np.array_equal(sphere_noise(np.zeros((2, 3)), 0.0), np.zeros((2, 3)))
+
+
+def one_step_updates(inst, i, w, rng, count):
+    """``count`` one-step local updates of device i at w, drawn in turn from
+    ``rng`` as one batch: each row is one stochastic gradient."""
+    return local_updates(inst, [i] * count, w, 0.1, 1, [rng] * count)
+
+
+def test_one_step_update_with_zero_sigma_equals_grad_and_draws_nothing():
     inst = make_quadratic_instance(3, 3, mu=1.0, smoothness=2.0, sigma=0.0, heterogeneity=1.0, seed=3)
     rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
     w = np.array([0.5, -1.0, 2.0])
-    assert np.array_equal(inst.stoch_grad(0, w, rng), inst.grad(0, w))
+    assert np.array_equal(one_step_updates(inst, 0, w, rng, 1)[0], inst.grad(0, w))
+    assert rng.bit_generator.state == state
 
 
-def test_stoch_grad_monte_carlo_mean_matches_grad():
+def test_one_step_update_monte_carlo_mean_matches_grad():
     inst = make_quadratic_instance(2, 3, mu=1.0, smoothness=2.0, sigma=1.0, heterogeneity=1.0, seed=4)
     rng = np.random.default_rng(5)
     w = np.array([1.0, 0.0, -1.0])
     draws = 100_000
-    noise = sphere_noise(rng, draws, 3, 1.0)
-    mean = inst.grad(0, w) + noise.mean(axis=0)
+    mean = one_step_updates(inst, 0, w, rng, draws).mean(axis=0)
     assert np.all(np.abs(mean - inst.grad(0, w)) <= 4 * 1.0 / math.sqrt(draws))
 
 
-def test_stoch_grad_norm_deviation_is_sigma_exactly():
+def test_one_step_update_norm_deviation_is_sigma_exactly():
     inst = make_nonconvex_instance(2, 4, curvature=2.0, amplitude=1.0, sigma=0.9, heterogeneity=1.0, seed=5)
     rng = np.random.default_rng(6)
     w = np.zeros(4)
-    for _ in range(50):
-        dev = inst.stoch_grad(0, w, rng) - inst.grad(0, w)
+    for dev in one_step_updates(inst, 0, w, rng, 50) - inst.grad(0, w):
         assert np.linalg.norm(dev) == pytest.approx(0.9, rel=1e-12)
 
 
