@@ -4,8 +4,9 @@ Each algorithm is a server object that owns the model ``w``, the wall-round
 counter ``t``, the global-update counter ``t_prime`` and whatever memory the
 algorithm keeps. ``Runner`` plays every wall-round the same way:
 
-1. ``server.needs(active)`` checks that ``active`` is the next round and
-   returns the sorted ids of the devices that compute in it;
+1. ``server.needs(t, row)`` checks that ``t`` is the next round and returns
+   the sorted ids of the devices that compute in it, given the round's
+   participation mask ``row``;
 2. ``local_updates`` runs those devices' K local SGD steps from
    ``server.w`` as one batch and returns the round's (A, d) block
    ``values`` of their summed sampled gradients: each device draws its
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .availability import ActiveSet, BernoulliParticipation, StalenessTracker
+from .availability import BernoulliParticipation, ParticipationSampler, StalenessTracker
 from .exact import ExactVectorSum, exact_mean, two_diff
 from .problems import ProblemInstance, SpecError, logistic_sample_grads, sphere_noise
 from .records import RoundMetrics, RunResult
@@ -199,17 +200,18 @@ class Server:
         ``KeyError(key)``, a value the model rules out ``SpecError(key, message)``."""
         return cls.spec_class()
 
-    def needs(self, active: ActiveSet) -> list:
-        """Open round ``active.round`` and return the sorted ids of the
-        devices that compute in it: every active device, by default."""
-        if active.round != self.t + 1:
-            raise ValueError(f"expected round {self.t + 1}, got {active.round}")
-        if active.round == 1 and active.members != frozenset(range(self.n_devices)):
+    def needs(self, t: int, row: np.ndarray) -> np.ndarray:
+        """Open round ``t``, whose (N,) participation mask is ``row``, and
+        return the sorted ids of the devices that compute in it: every
+        active device, by default."""
+        if t != self.t + 1:
+            raise ValueError(f"expected round {self.t + 1}, got {t}")
+        if t == 1 and not row.all():
             raise ValueError("round 1 requires all devices to be active")
-        self.t = active.round
-        return sorted(active.members)
+        self.t = t
+        return np.flatnonzero(row)
 
-    def aggregate(self, ids: list, values: np.ndarray, schedule: LrSchedule) -> None:
+    def aggregate(self, ids: np.ndarray, values: np.ndarray, schedule: LrSchedule) -> None:
         """Fold in the (A, d) block ``values`` of the local updates (gradient
         sums) of the devices ``ids`` that ``needs`` returned, row by row, and
         step the model."""
@@ -367,7 +369,7 @@ class SamplingFedAvgServer(Server):
         if not 1 <= spec.subset_size <= n_devices:
             raise ValueError("subset size must lie in [1, n_devices]")
         self.subset_rng = subset_rng
-        self.pending: set = set()
+        self.pending = np.zeros(n_devices, dtype=bool)  # the selected devices yet to respond
         self.collected: dict = {}  # device -> its update, in completion order
         self.window_start = 0
         self.waits: list = []  # wall-rounds consumed per update
@@ -379,18 +381,18 @@ class SamplingFedAvgServer(Server):
             raise SpecError("subset_size", f"{subset_size} is not in [1, {model.n_devices}], the device count")
         return cls.spec_class(subset_size=subset_size)
 
-    def needs(self, active):
-        super().needs(active)
-        if not self.pending:
+    def needs(self, t, row):
+        super().needs(t, row)
+        if not self.pending.any():
             chosen = self.subset_rng.choice(self.n_devices, size=self.spec.subset_size, replace=False)
-            self.pending = set(int(i) for i in chosen)
+            self.pending[chosen] = True
             self.window_start = self.t
-        return sorted(self.pending & active.members)
+        return np.flatnonzero(self.pending & row)
 
     def aggregate(self, ids, values, schedule):
-        self.collected.update(zip(ids, values))
-        self.pending -= set(ids)
-        if not self.pending:
+        self.collected.update(zip(map(int, ids), values))
+        self.pending[ids] = False
+        if not self.pending.any():
             collected = np.array(list(self.collected.values()))
             self._step(schedule.eta(self.t_prime + 1), exact_mean(collected, self.spec.subset_size))
             self.waits.append(self.t - self.window_start + 1)
@@ -400,7 +402,7 @@ class SamplingFedAvgServer(Server):
         return {
             "w": self.w.tolist(),
             "subset_size": self.spec.subset_size,
-            "pending": sorted(self.pending),
+            "pending": np.flatnonzero(self.pending).tolist(),
             "collected": [{"device": int(i), "value": value.tolist()} for i, value in self.collected.items()],
             "t": self.t,
             "t_prime": self.t_prime,
@@ -410,7 +412,8 @@ class SamplingFedAvgServer(Server):
 
     def load_state_dict(self, state):
         super().load_state_dict(state)
-        self.pending = set(int(i) for i in state["pending"])
+        self.pending = np.zeros(self.n_devices, dtype=bool)
+        self.pending[[int(i) for i in state["pending"]]] = True
         # version-2 entries also carry the round that produced them, which nothing reads
         self.collected = {int(d["device"]): np.asarray(d["value"], dtype=np.float64) for d in state["collected"]}
         self.window_start = int(state["window_start"])
@@ -461,7 +464,7 @@ class Runner:
 
         dim = instance.dim
         self.w0 = np.zeros(dim) if w0 is None else np.asarray(w0, dtype=np.float64).copy()
-        self.sampler = model.sampler(seed)
+        self.sampler = ParticipationSampler(model, seed, horizon)
         self.noise_rngs = device_noise_streams(seed, instance.n_devices)
         self.subset_rng = substream(seed, SUBSET_SAMPLING, 0)
         self.tracker = StalenessTracker(instance.n_devices)
@@ -477,8 +480,8 @@ class Runner:
         self.state = SERVERS[algo_spec.name](algo_spec, instance.n_devices, self.w0, self.subset_rng)
 
     def _round_once(self, t: int) -> None:
-        active = self.sampler.active_set(t)
-        self.tracker.update(active)
+        row = self.sampler.row(t)
+        self.tracker.update(t, row)
         if self.averaged is not None:
             self.averaged.observe(t, self.state.w)
         w_before = self.state.w
@@ -495,7 +498,7 @@ class Runner:
         if self.averaged is not None and self.instance.f_star is not None:
             avg_gap = self.instance.suboptimality(self.averaged.current())
 
-        computing = self.state.needs(active)
+        computing = self.state.needs(t, row)
         rngs = [self.noise_rngs[i] for i in computing]
         values = local_updates(self.instance, computing, self.state.w, self.schedule.eta(t), self.n_steps, rngs)
         self.state.aggregate(computing, values, self.schedule)
@@ -542,19 +545,21 @@ class Runner:
         return self.rows
 
     # ---- lossless mid-run checkpointing -----------------------------------
-    # Version 3 stores no exact sum: the memory servers rebuild theirs from
-    # their table. Versions 1 and 2 also stored mifa_delta's exact sum (as
-    # Shewchuk partials, then as limbs), which restoring ignores.
+    # Version 4 stores no derived state. The memory servers rebuild their
+    # exact sum from their table (versions 1 and 2 also stored mifa_delta's,
+    # as Shewchuk partials, then as limbs). The participation sampler is a
+    # function of (seed, round), so restoring positions a fresh one at the
+    # next round (versions 1 to 3 also stored its generators or last-active
+    # rounds, which equal the positioned ones and are not read).
 
     def checkpoint(self) -> dict:
         state = {
-            "version": 3,
+            "version": 4,
             "algorithm": self.algo_spec.name,
             "rounds_done": self.rounds_done,
             "oracle_calls": self.oracle_calls,
             "min_grad_sq": self.min_grad_sq,
             "server": self.state.state_dict(),
-            "sampler": self.sampler.state_dict(),
             "tracker": self.tracker.state_dict(),
             "noise_rngs": [generator_state(g) for g in self.noise_rngs],
             "subset_rng": generator_state(self.subset_rng),
@@ -563,7 +568,7 @@ class Runner:
         return state
 
     def restore(self, state: dict) -> None:
-        if state["version"] not in (1, 2, 3):
+        if state["version"] not in (1, 2, 3, 4):
             raise ValueError(f"unsupported checkpoint version {state['version']}")
         if state["algorithm"] != self.algo_spec.name:
             raise ValueError("checkpoint belongs to a different algorithm")
@@ -571,7 +576,7 @@ class Runner:
         self.oracle_calls = int(state["oracle_calls"])
         self.min_grad_sq = float(state["min_grad_sq"])
         self.state.load_state_dict(state["server"])
-        self.sampler.restore(state["sampler"])
+        self.sampler = ParticipationSampler(self.model, self.seed, self.horizon, start=self.rounds_done + 1)
         self.tracker.load_state_dict(state["tracker"])
         self.noise_rngs = [restore_generator(s) for s in state["noise_rngs"]]
         # restored in place: the server draws its subsets from this generator

@@ -1,8 +1,12 @@
 """Device-participation models and inactive-round bookkeeping.
 
-A participation model is an immutable spec; ``model.sampler(seed)`` yields a
-single-writer stateful sampler producing the active set for rounds
-t = 1, 2, ... in order. Every model returns the full device set at round 1.
+A participation model is an immutable spec of one boolean mask per seed:
+row t - 1 of the mask says which devices are active at round t = 1, 2, ...,
+and row 0, round 1, is all true. ``model.mask(seed, start, stop)`` returns
+the (stop - start, N) block of rounds start .. stop - 1, so the active set
+of a round is a function of (seed, round) alone. A ``ParticipationSampler``
+hands out one seed's rows in round order, drawing them a block of at most
+``MASK_BLOCK_CELLS`` cells at a time.
 
 Staleness of device i at round t is the number of rounds since it last
 appeared in an active set: 0 when active at t, previous value + 1 otherwise.
@@ -18,52 +22,83 @@ import numpy as np
 
 from . import rng as rngmod
 
+# The most (round, device) cells a sampler holds at once, so memory is
+# bounded for any horizon.
+MASK_BLOCK_CELLS = 1 << 16
+
+
+def _block_rows(n_devices: int) -> int:
+    return max(1, MASK_BLOCK_CELLS // n_devices)
+
 
 class TraceExhaustedError(RuntimeError):
     """Raised when a trace-replay sampler runs past the stored rounds."""
 
 
-@dataclass(frozen=True)
-class ActiveSet:
-    round: int
-    members: frozenset
-
-    def __post_init__(self):
-        if self.round < 1:
-            raise ValueError("rounds are 1-indexed")
-
-
-def _as_active(round_, ids):
-    return ActiveSet(round_, frozenset(int(i) for i in ids))
-
-
 class ParticipationModel:
-    """Base class; subclasses define deterministic or seeded active sets."""
+    """Base class; subclasses define deterministic or seeded masks.
+
+    A subclass fills blocks in ``_fill(position, start, stop)``, which
+    continues from ``position``, the per-seed draw state that ``_position``
+    gives for round ``start`` (None for a model that draws nothing), and
+    advances it to round ``stop``. ``last_round`` is the last round the
+    model defines, None when it has no end.
+    """
 
     n_devices: int
+    last_round: int | None = None
 
-    def sampler(self, seed: int) -> "ParticipationSampler":
+    def mask(self, seed: int, start: int, stop: int) -> np.ndarray:
+        """The (stop - start, N) boolean mask of rounds start .. stop - 1."""
+        if not 1 <= start <= stop:
+            raise ValueError(f"need 1 <= start <= stop, got start={start}, stop={stop}")
+        return self._fill(self._position(seed, start), start, stop)
+
+    def _position(self, seed: int, start: int):
+        return None
+
+    def _fill(self, position, start: int, stop: int) -> np.ndarray:
         raise NotImplementedError
 
 
 class ParticipationSampler:
-    def __init__(self, n_devices: int):
-        self.n_devices = n_devices
-        self._next_round = 1
+    """One seed's mask rows, handed out in round order from ``start`` on.
 
-    def _check_round(self, t: int):
+    The sampler keeps one block of rows and the model's draw state between
+    blocks. A block stops at the ``horizon`` (unless already past it) and at
+    the model's last round, so it draws no row a run does not reach, and a
+    replayed trace raises ``TraceExhaustedError`` at the first round past its
+    end, not before.
+    """
+
+    def __init__(self, model: ParticipationModel, seed: int, horizon: int, start: int = 1):
+        if start < 1:
+            raise ValueError("rounds are 1-indexed")
+        self.model = model
+        self.horizon = horizon
+        self._rows = _block_rows(model.n_devices)
+        self._position = model._position(seed, start)
+        self._block = np.ones((0, model.n_devices), dtype=bool)
+        self._block_start = self._next_round = start
+
+    def next_block(self) -> tuple[int, np.ndarray]:
+        """Draw the rows that follow the last block; returns (first round, block)."""
+        start = self._block_start + len(self._block)
+        stop = min(start + self._rows, max(start, self.horizon) + 1)
+        if self.model.last_round is not None:
+            stop = min(stop, max(start, self.model.last_round) + 1)
+        self._block = self.model._fill(self._position, start, stop)
+        self._block_start = start
+        return start, self._block
+
+    def row(self, t: int) -> np.ndarray:
+        """The (N,) mask row of round ``t``, the round after the last one asked for."""
         if t != self._next_round:
             raise ValueError(f"rounds must be sampled in order; expected {self._next_round}, got {t}")
+        if t - self._block_start >= len(self._block):
+            self.next_block()
         self._next_round += 1
-
-    def active_set(self, t: int) -> ActiveSet:
-        raise NotImplementedError
-
-    def state_dict(self) -> dict:
-        return {"next_round": self._next_round}
-
-    def restore(self, state: dict) -> None:
-        self._next_round = int(state["next_round"])
+        return self._block[t - self._block_start]
 
 
 class FullParticipation(ParticipationModel):
@@ -72,22 +107,19 @@ class FullParticipation(ParticipationModel):
             raise ValueError("need at least one device")
         self.n_devices = n_devices
 
-    def sampler(self, seed: int = 0) -> ParticipationSampler:
-        return _FullSampler(self.n_devices)
-
-
-class _FullSampler(ParticipationSampler):
-    def active_set(self, t):
-        self._check_round(t)
-        return _as_active(t, range(self.n_devices))
+    def _fill(self, position, start, stop):
+        return np.ones((stop - start, self.n_devices), dtype=bool)
 
 
 class BernoulliParticipation(ParticipationModel):
     """Independent per-round activation with per-device probabilities.
 
-    Each device draws from its own dedicated substream, so changing one
-    device's probability never perturbs another device's realized pattern.
-    Round 1 is always fully active.
+    Device i draws one uniform from its own substream
+    ``substream(seed, PARTICIPATION, i)`` per round t >= 2 and is active when
+    it falls below p_i, so changing one device's probability never perturbs
+    another device's realized pattern. Draw t - 2 of a stream decides round
+    t, so a stream is positioned at any round by advancing it. Round 1 is
+    always fully active.
     """
 
     def __init__(self, probs):
@@ -99,31 +131,18 @@ class BernoulliParticipation(ParticipationModel):
         self.probs = probs
         self.n_devices = len(probs)
 
-    def sampler(self, seed: int) -> ParticipationSampler:
-        return _BernoulliSampler(self.probs, seed)
+    def _position(self, seed, start):
+        gens = [rngmod.substream(seed, rngmod.PARTICIPATION, i) for i in range(self.n_devices)]
+        for g in gens:
+            g.bit_generator.advance(max(start - 2, 0))  # one random() is one step of the stream
+        return gens
 
-
-class _BernoulliSampler(ParticipationSampler):
-    def __init__(self, probs, seed):
-        super().__init__(len(probs))
-        self.probs = probs
-        self._gens = [rngmod.substream(seed, rngmod.PARTICIPATION, i) for i in range(len(probs))]
-
-    def active_set(self, t):
-        self._check_round(t)
-        if t == 1:
-            return _as_active(t, range(self.n_devices))
-        members = [i for i in range(self.n_devices) if self._gens[i].random() < self.probs[i]]
-        return _as_active(t, members)
-
-    def state_dict(self):
-        state = super().state_dict()
-        state["gens"] = [rngmod.generator_state(g) for g in self._gens]
-        return state
-
-    def restore(self, state):
-        super().restore(state)
-        self._gens = [rngmod.restore_generator(s) for s in state["gens"]]
+    def _fill(self, gens, start, stop):
+        block = np.ones((stop - start, self.n_devices), dtype=bool)
+        drawn = block[1:] if start == 1 else block
+        for i, g in enumerate(gens):
+            np.less(g.random(len(drawn)), self.probs[i], out=drawn[:, i])
+        return block
 
 
 class PeriodicParticipation(ParticipationModel):
@@ -140,22 +159,11 @@ class PeriodicParticipation(ParticipationModel):
         self.phases = phases
         self.n_devices = len(periods)
 
-    def sampler(self, seed: int = 0) -> ParticipationSampler:
-        return _PeriodicSampler(self.periods, self.phases)
-
-
-class _PeriodicSampler(ParticipationSampler):
-    def __init__(self, periods, phases):
-        super().__init__(len(periods))
-        self.periods = periods
-        self.phases = phases
-
-    def active_set(self, t):
-        self._check_round(t)
-        if t == 1:
-            return _as_active(t, range(self.n_devices))
-        members = np.nonzero((t - self.phases) % self.periods == 0)[0]
-        return _as_active(t, members)
+    def _fill(self, position, start, stop):
+        rounds = np.arange(start, stop, dtype=np.int64)[:, None]
+        block = (rounds - self.phases) % self.periods == 0
+        block[rounds[:, 0] == 1] = True
+        return block
 
 
 class AdversarialLinearParticipation(ParticipationModel):
@@ -164,7 +172,9 @@ class AdversarialLinearParticipation(ParticipationModel):
     Every device stays inactive for the longest run permitted by
     staleness(t, i) <= offset + t / slope_divisor, then is active for one
     round, and repeats. This stresses the worst staleness the convergence
-    analysis tolerates.
+    analysis tolerates. All devices follow the one schedule, so the draw
+    state is the round the devices were last active, and positioning it at
+    a round replays the rounds before it.
     """
 
     def __init__(self, n_devices: int, offset: float, slope_divisor: float):
@@ -178,35 +188,23 @@ class AdversarialLinearParticipation(ParticipationModel):
         self.offset = float(offset)
         self.slope_divisor = float(slope_divisor)
 
-    def sampler(self, seed: int = 0) -> ParticipationSampler:
-        return _AdversarialSampler(self.n_devices, self.offset, self.slope_divisor)
+    def _position(self, seed, start):
+        last_active = [1]
+        rows = _block_rows(self.n_devices)
+        for begin in range(1, start, rows):
+            self._fill(last_active, begin, min(begin + rows, start))
+        return last_active
 
-
-class _AdversarialSampler(ParticipationSampler):
-    def __init__(self, n_devices, offset, slope_divisor):
-        super().__init__(n_devices)
-        self.offset = offset
-        self.slope_divisor = slope_divisor
-        self._last_active = np.ones(n_devices, dtype=np.int64)
-
-    def active_set(self, t):
-        self._check_round(t)
-        if t == 1:
-            self._last_active[:] = 1
-            return _as_active(t, range(self.n_devices))
-        would_be = t - self._last_active
-        active = would_be > self.offset + t / self.slope_divisor
-        self._last_active[active] = t
-        return _as_active(t, np.nonzero(active)[0])
-
-    def state_dict(self):
-        state = super().state_dict()
-        state["last_active"] = self._last_active.tolist()
-        return state
-
-    def restore(self, state):
-        super().restore(state)
-        self._last_active = np.asarray(state["last_active"], dtype=np.int64)
+    def _fill(self, last_active, start, stop):
+        active = np.ones(stop - start, dtype=bool)
+        for row, t in enumerate(range(start, stop)):
+            if t == 1:
+                last_active[0] = 1
+            elif t - last_active[0] > self.offset + t / self.slope_divisor:
+                last_active[0] = t
+            else:
+                active[row] = False
+        return np.repeat(active[:, None], self.n_devices, axis=1)
 
 
 class TraceReplay(ParticipationModel):
@@ -222,22 +220,15 @@ class TraceReplay(ParticipationModel):
             if any(i < 0 or i >= n_devices for i in s):
                 raise ValueError("trace contains an out-of-range device id")
         self.n_devices = n_devices
-        self.rounds = sets
+        self.last_round = len(sets)
+        self.table = np.zeros((len(sets), n_devices), dtype=bool)
+        for row, s in zip(self.table, sets):
+            row[list(s)] = True
 
-    def sampler(self, seed: int = 0) -> ParticipationSampler:
-        return _ReplaySampler(self.n_devices, self.rounds)
-
-
-class _ReplaySampler(ParticipationSampler):
-    def __init__(self, n_devices, rounds):
-        super().__init__(n_devices)
-        self.rounds = rounds
-
-    def active_set(self, t):
-        if t > len(self.rounds):
-            raise TraceExhaustedError(f"trace ends at round {len(self.rounds)}")
-        self._check_round(t)
-        return ActiveSet(t, self.rounds[t - 1])
+    def _fill(self, position, start, stop):
+        if stop > self.last_round + 1:
+            raise TraceExhaustedError(f"trace ends at round {self.last_round}")
+        return self.table[start - 1 : stop - 1].copy()
 
 
 @dataclass(frozen=True)
@@ -259,7 +250,7 @@ class StalenessStats:
 class StalenessTracker:
     """Incremental staleness recursion plus running aggregates.
 
-    ``update`` consumes active sets in round order. Aggregate statistics are
+    ``update`` consumes mask rows, ``extend`` blocks of them, in round order. Aggregate statistics are
     reported over rounds 1..T-1 where T is the latest observed round, which
     matches the summation limits of the convergence analysis.
     """
@@ -273,21 +264,29 @@ class StalenessTracker:
         self._folded_sum = 0
         self._folded_dev_peak = np.zeros(n_devices, dtype=np.int64)
 
-    def update(self, active: ActiveSet) -> None:
-        if active.round != self.round + 1:
-            raise ValueError(f"expected round {self.round + 1}, got {active.round}")
-        if active.round == 1:
-            if active.members != frozenset(range(self.n_devices)):
-                raise ValueError("round 1 must activate all devices")
-            self.round = 1
-            return
-        # fold the previous round into the 1..T-1 aggregates
-        self._folded_sum += int(self.staleness.sum())
+    def update(self, t: int, row: np.ndarray) -> None:
+        """Observe round ``t``, whose (N,) mask row is ``row``."""
+        self.extend(t, row[None])
+
+    def extend(self, start: int, block: np.ndarray) -> None:
+        """Observe the rounds start, start + 1, ... of the (rounds, N) mask ``block``."""
+        if start != self.round + 1:
+            raise ValueError(f"expected round {self.round + 1}, got {start}")
+        if start == 1 and not block[0].all():
+            raise ValueError("round 1 must activate all devices")
+        rounds = np.arange(start, start + len(block))[:, None]
+        # the round each device was last active, carried in from the current staleness
+        last_active = np.where(block, rounds, self.round - self.staleness)
+        np.maximum.accumulate(last_active, axis=0, out=last_active)
+        staleness = np.subtract(rounds, last_active, out=last_active)
+        # fold every round before the last into the 1..T-1 aggregates; round 0's zeros fold to nothing
+        folded = staleness[:-1]
+        self._folded_sum += int(self.staleness.sum()) + int(folded.sum())
         np.maximum(self._folded_dev_peak, self.staleness, out=self._folded_dev_peak)
-        mask = np.zeros(self.n_devices, dtype=bool)
-        mask[list(active.members)] = True
-        self.staleness = np.where(mask, 0, self.staleness + 1)
-        self.round = active.round
+        if len(folded):
+            np.maximum(self._folded_dev_peak, folded.max(axis=0), out=self._folded_dev_peak)
+        self.staleness = staleness[-1].copy()
+        self.round = start + len(block) - 1
 
     def stats(self) -> StalenessStats:
         if self.round < 2:
@@ -334,9 +333,9 @@ class StalenessTracker:
 
 def realized_staleness(model: ParticipationModel, seed: int, horizon: int) -> StalenessStats:
     """Staleness statistics of the trace ``model`` realizes for ``seed`` over ``horizon`` >= 2 rounds."""
-    sampler, tracker = model.sampler(seed), StalenessTracker(model.n_devices)
-    for t in range(1, horizon + 1):
-        tracker.update(sampler.active_set(t))
+    sampler, tracker = ParticipationSampler(model, seed, horizon), StalenessTracker(model.n_devices)
+    while tracker.round < horizon:
+        tracker.extend(*sampler.next_block())
     return tracker.stats()
 
 

@@ -217,11 +217,11 @@ def build_instance(cfg: dict) -> problems.ProblemInstance:
 
 
 def _clustered_quadratic(n_devices, dim, mu, sigma, cluster_centers, seed):
-    # identical-curvature devices split across explicit cluster centers
+    # identical-curvature devices split across explicit cluster centers; nothing is drawn, so ``seed`` is unused
     centers = np.asarray(cluster_centers, dtype=np.float64)
     assignment = np.array([centers[i % len(centers)] for i in range(n_devices)])
     hessians = np.array([np.eye(dim) * mu for _ in range(n_devices)])
-    return problems.quadratic_instance_from_arrays(hessians, assignment, sigma, seed=seed)
+    return problems.quadratic_instance_from_arrays(hessians, assignment, sigma)
 
 
 def build_model(cfg: dict, instance, base_dir: str = ".") -> av.ParticipationModel:

@@ -100,21 +100,28 @@ def aggregate_to_csv(per_seed: dict) -> str:
     lines = [",".join(header)]
 
     results = [per_seed[seed] for seed in sorted(per_seed)]
-    partial = any(res.diverged for res in results)
+    partial = "1" if any(res.diverged for res in results) else "0"
     n_rounds = min(len(res.rounds) for res in results)
+    # one (round, column) cell per row of seeds, contiguous along the last
+    # axis, so each cell reduces in the order of a 1-D call on its values
+    values = np.empty((n_rounds, len(_METRIC_COLUMNS), len(results)))
+    missing = np.zeros((n_rounds, len(_METRIC_COLUMNS)), dtype=bool)
+    for c, col in enumerate(_METRIC_COLUMNS):
+        for s, res in enumerate(results):
+            column = [getattr(row, col) for row in res.rounds[:n_rounds]]
+            missing[:, c] |= [v is None for v in column]
+            values[:, c, s] = np.array(column, dtype=np.float64)  # None reads as nan
+    means = values.mean(axis=-1)
+    if len(results) < 2:
+        stderrs = np.zeros_like(means)
+    else:
+        stderrs = values.std(axis=-1, ddof=1) / math.sqrt(len(results))
     for idx in range(n_rounds):
-        cells = [str(results[0].rounds[idx].t)]
-        for col in _METRIC_COLUMNS:
-            values = [getattr(res.rounds[idx], col) for res in results]
-            if any(v is None for v in values):
-                cells += ["", ""]
-                continue
-            values = np.asarray(values, dtype=np.float64)
-            mean = float(values.mean())
-            stderr = 0.0 if len(values) < 2 else float(values.std(ddof=1) / math.sqrt(len(values)))
-            cells += [_fmt(mean), _fmt(stderr)]
-        cells.append("1" if partial else "0")
-        lines.append(",".join(cells))
+        fields = [str(results[0].rounds[idx].t)]
+        for absent, mean, stderr in zip(missing[idx].tolist(), means[idx].tolist(), stderrs[idx].tolist()):
+            fields += ["", ""] if absent else [_fmt(mean), _fmt(stderr)]
+        fields.append(partial)
+        lines.append(",".join(fields))
     return "\n".join(lines) + "\n"
 
 

@@ -283,19 +283,24 @@ def _row_blocks(points, floats_per_row):
         yield points[start : start + rows]
 
 
-def _sampled_beta_quadratic(hessians, centers, alpha, radius, seed):
-    """Per-device sampled sup of ||grad_i||^2 - alpha ||grad||^2 over a ball."""
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xBE7A]))
-    n_devices, dim = centers.shape
-    points = _ball_points(rng, DISSIMILARITY_SAMPLES, dim, radius)
-    beta = np.zeros(n_devices)
-    for block in _row_blocks(points, n_devices * dim):
-        diffs = block[:, None, :] - centers[None, :, :]
-        grads = np.einsum("nij,snj->sni", hessians, diffs)  # (rows, N, d)
-        per_dev_sq = np.sum(grads**2, axis=2)               # (rows, N)
-        global_sq = np.sum(grads.mean(axis=1) ** 2, axis=1) # (rows,)
-        np.maximum(beta, (per_dev_sq - alpha * global_sq[:, None]).max(axis=0), out=beta)
-    return DISSIMILARITY_MARGIN * beta
+def _beta_quadratic(hessians, centers, h_bar, b_bar, alpha):
+    """Per-device sup over all w of g_i(w) = ||grad_i(w)||^2 - alpha ||grad(w)||^2,
+    times DISSIMILARITY_MARGIN and floored at 0.
+
+    With grad_i(w) = H_i (w - c_i) and grad(w) = H_bar w - b_bar, g_i has the
+    Hessian 2 M_i, M_i = H_i^2 - alpha H_bar^2, which alpha = 2 (L/mu)^2 makes
+    negative definite (M_i <= -L^2 I). So g_i is strongly concave and its
+    maximiser solves M_i w = H_i^2 c_i - alpha H_bar b_bar.
+    """
+    h_sq = hessians @ hessians
+    m = h_sq - alpha * (h_bar @ h_bar)
+    if np.linalg.eigvalsh(m).max() >= 0.0:
+        raise ArithmeticError("dissimilarity certificate: some H_i^2 - alpha H_bar^2 is not negative definite")
+    rhs = np.einsum("nij,nj->ni", h_sq, centers) - alpha * (h_bar @ b_bar)
+    w = np.linalg.solve(m, rhs[:, :, None])[:, :, 0]
+    per_dev_sq = np.sum(np.einsum("nij,nj->ni", hessians, w - centers) ** 2, axis=1)
+    global_sq = np.sum((w @ h_bar.T - b_bar) ** 2, axis=1)
+    return DISSIMILARITY_MARGIN * np.maximum(0.0, per_dev_sq - alpha * global_sq)
 
 
 def make_quadratic_instance(
@@ -338,11 +343,11 @@ def make_quadratic_instance(
     if np.linalg.eigvalsh(hessians).min() <= 0.0:
         raise SpecError("smoothness", f"smoothness / mu = {smoothness / mu:.3g} is too large for double "
                         "precision to keep the Hessians positive definite")
-    return quadratic_instance_from_arrays(hessians, centers, sigma, seed=seed)
+    return quadratic_instance_from_arrays(hessians, centers, sigma)
 
 
 def quadratic_instance_from_arrays(
-    hessians: np.ndarray, centers: np.ndarray, sigma: float, seed: int = 0
+    hessians: np.ndarray, centers: np.ndarray, sigma: float
 ) -> ProblemInstance:
     """Quadratic instance from explicit per-device (H_i, c_i) arrays.
 
@@ -373,8 +378,8 @@ def quadratic_instance_from_arrays(
         raise ArithmeticError("optimum solve failed the gradient-residual check")
 
     alpha = 2.0 * (l_eff / mu_eff) ** 2
-    radius = max(1.0, 10.0 * float(np.linalg.norm(centers, axis=1).max(initial=0.0)))
-    beta_i = _sampled_beta_quadratic(hessians, centers, alpha, radius, seed)
+    h_bar, b_bar = h_sum / n_devices, rhs / n_devices
+    beta_i = _beta_quadratic(hessians, centers, h_bar, b_bar, alpha)
     constants = ProblemConstants(
         smoothness=l_eff,
         strong_convexity=mu_eff,
@@ -394,7 +399,7 @@ def quadratic_instance_from_arrays(
         f_star=f_star,
         strongly_convex=True,
         stacked=stacked,
-        aggregates={"h_bar": h_sum / n_devices, "b_bar": rhs / n_devices},
+        aggregates={"h_bar": h_bar, "b_bar": b_bar},
     )
 
 

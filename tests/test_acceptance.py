@@ -22,7 +22,7 @@ def two_cluster_instance(n_devices=20, separation=2.0, sigma=0.5):
     centers = np.array([[0.0, 0.0], [separation, 0.0]])
     assignment = np.array([centers[i % 2] for i in range(n_devices)])
     hessians = np.array([np.eye(2) for _ in range(n_devices)])
-    return fedsim.quadratic_instance_from_arrays(hessians, assignment, sigma=sigma, seed=0)
+    return fedsim.quadratic_instance_from_arrays(hessians, assignment, sigma=sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -219,10 +219,10 @@ def test_criterion_07_staleness_tail_and_bounds():
     model = fedsim.BernoulliParticipation([p])
     counts = {k: 0 for k in (1, 2, 3, 5)}
     for trial in range(traces):
-        sampler = model.sampler(trial)
+        mask = model.mask(trial, 1, horizon + 1)
         tracker = fedsim.StalenessTracker(1)
         for t in range(1, horizon + 1):
-            tracker.update(sampler.active_set(t))
+            tracker.update(t, mask[t - 1])
         tau = int(tracker.staleness[0])
         for k in counts:
             counts[k] += tau >= k

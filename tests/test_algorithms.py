@@ -17,7 +17,13 @@ from fedsim.algorithms import (
     MifaServer,
     local_updates,
 )
-from fedsim.availability import ActiveSet, BernoulliParticipation, FullParticipation, TraceReplay
+from fedsim.availability import (
+    AdversarialLinearParticipation,
+    BernoulliParticipation,
+    FullParticipation,
+    PeriodicParticipation,
+    TraceReplay,
+)
 from fedsim.exact import exact_mean
 from fedsim.problems import (
     make_logistic_instance,
@@ -26,7 +32,7 @@ from fedsim.problems import (
     quadratic_instance_from_arrays,
     sphere_noise,
 )
-from fedsim.rng import GRADIENT_NOISE, substream
+from fedsim.rng import GRADIENT_NOISE, generator_state, substream
 from fedsim.schedules import InverseDecay, StronglyConvexDecay
 
 
@@ -56,9 +62,12 @@ def server(cls, n, w0, spec=None):
     return cls(spec or cls.spec_class(), n, np.asarray(w0, dtype=np.float64), None)
 
 
-def play_round(server, active, eta, inst, n_steps, rngs):
-    """One wall-round as Runner plays it, at a constant step ``eta``."""
-    ids = server.needs(active)
+def play_round(server, t, members, eta, inst, n_steps, rngs):
+    """Wall-round ``t`` with the devices ``members`` active, as Runner plays
+    it from the round's mask row, at a constant step ``eta``."""
+    row = np.zeros(server.n_devices, dtype=bool)
+    row[list(members)] = True
+    ids = server.needs(t, row)
     server.aggregate(ids, local_updates(inst, ids, server.w, eta, n_steps, [rngs[i] for i in ids]), ConstantStep(eta))
 
 
@@ -209,10 +218,10 @@ def test_array_server_hand_unroll_with_stale_entry():
     rngs = noise_rngs(0, 2)
     state = server(MifaServer, 2, np.zeros(1))
     eta = 0.1
-    play_round(state, ActiveSet(1, frozenset({0, 1})), eta, inst, 1, rngs)
+    play_round(state, 1, {0, 1}, eta, inst, 1, rngs)
     # gradients at 0 are (0, -2): w2 = 0 - 0.1 * (-1) = 0.1
     assert state.w[0] == pytest.approx(0.1, rel=1e-14)
-    play_round(state, ActiveSet(2, frozenset({0})), eta, inst, 1, rngs)
+    play_round(state, 2, {0}, eta, inst, 1, rngs)
     # device 1's stored round-1 value (-2) is reused alongside the fresh 0.1
     assert state.update_array[1, 0] == pytest.approx(-2.0)
     assert state.w[0] == pytest.approx(0.1 - 0.1 * (0.1 - 2.0) / 2.0, rel=1e-14)  # 0.195
@@ -222,7 +231,7 @@ def test_array_server_requires_total_first_round():
     inst = two_center_instance()
     state = server(MifaServer, 2, np.zeros(1))
     with pytest.raises(ValueError):
-        play_round(state, ActiveSet(1, frozenset({0})), 0.1, inst, 1, noise_rngs(0, 2))
+        play_round(state, 1, {0}, 0.1, inst, 1, noise_rngs(0, 2))
 
 
 def test_array_server_reduces_to_parallel_sgd_under_full_participation():
@@ -263,8 +272,8 @@ def test_delta_server_first_round_matches_array_server():
     inst = two_center_instance()
     a = server(MifaServer, 2, np.zeros(1))
     b = server(MifaDeltaServer, 2, np.zeros(1))
-    play_round(a, ActiveSet(1, frozenset({0, 1})), 0.1, inst, 1, noise_rngs(3, 2))
-    play_round(b, ActiveSet(1, frozenset({0, 1})), 0.1, inst, 1, noise_rngs(3, 2))
+    play_round(a, 1, {0, 1}, 0.1, inst, 1, noise_rngs(3, 2))
+    play_round(b, 1, {0, 1}, 0.1, inst, 1, noise_rngs(3, 2))
     assert np.array_equal(a.w, b.w)
 
 
@@ -292,7 +301,7 @@ def test_delta_running_average_equals_memory_mean_exactly():
     rngs = noise_rngs(5, 3)
     traces = [frozenset({0, 1, 2}), frozenset({2}), frozenset({0}), frozenset()]
     for t, members in enumerate(traces, start=1):
-        play_round(state, ActiveSet(t, members), 0.05, inst, 2, rngs)
+        play_round(state, t, members, 0.05, inst, 2, rngs)
         assert np.array_equal(state.running_average, exact_mean(state.device_memory, 3))
 
 
@@ -314,12 +323,12 @@ def test_biased_single_active_device_moves_toward_its_center():
     state = server(BiasedFedAvgServer, 2, np.zeros(1))
     state.t = 1
     is_empty_before = state.w.copy()
-    play_round(state, ActiveSet(2, frozenset({0})), 0.1, inst, 1, noise_rngs(0, 2))
+    play_round(state, 2, {0}, 0.1, inst, 1, noise_rngs(0, 2))
     # device 0's gradient at 0 is 0 (its center): no movement toward global optimum 1
     assert state.w[0] == pytest.approx(0.0)
     state2 = server(BiasedFedAvgServer, 2, np.zeros(1))
     state2.t = 1
-    play_round(state2, ActiveSet(2, frozenset({1})), 0.1, inst, 1, noise_rngs(0, 2))
+    play_round(state2, 2, {1}, 0.1, inst, 1, noise_rngs(0, 2))
     # device 1's gradient at 0 is -2: w moves toward device 1's center
     assert state2.w[0] == pytest.approx(0.2, rel=1e-14)
     assert is_empty_before is not state.w
@@ -329,7 +338,7 @@ def test_biased_empty_active_set_is_noop():
     inst = two_center_instance()
     state = server(BiasedFedAvgServer, 2, [0.3])
     state.t = state.t_prime = 1
-    play_round(state, ActiveSet(2, frozenset()), 0.1, inst, 1, noise_rngs(0, 2))
+    play_round(state, 2, set(), 0.1, inst, 1, noise_rngs(0, 2))
     assert state.w[0] == 0.3
     assert state.t == 2 and state.t_prime == 1
 
@@ -338,9 +347,9 @@ def test_importance_weighting_with_unit_probs_equals_biased():
     inst = make_quadratic_instance(3, 2, mu=1.0, smoothness=2.0, sigma=0.5, heterogeneity=1.0, seed=8)
     a = server(BiasedFedAvgServer, 3, np.zeros(2))
     b = server(ImportanceFedAvgServer, 3, np.zeros(2), fedsim.ImportanceFedAvgSpec((1.0, 1.0, 1.0), "total_count"))
-    full = ActiveSet(1, frozenset({0, 1, 2}))
-    play_round(a, full, 0.1, inst, 2, noise_rngs(4, 3))
-    play_round(b, full, 0.1, inst, 2, noise_rngs(4, 3))
+    full = {0, 1, 2}
+    play_round(a, 1, full, 0.1, inst, 2, noise_rngs(4, 3))
+    play_round(b, 1, full, 0.1, inst, 2, noise_rngs(4, 3))
     assert np.array_equal(a.w, b.w)
 
 
@@ -379,7 +388,7 @@ def test_importance_round_matches_enumerated_outcome():
     for members in [frozenset({0}), frozenset({1}), frozenset({0, 1})]:
         state = server(ImportanceFedAvgServer, 2, np.zeros(1), fedsim.ImportanceFedAvgSpec(tuple(probs)))
         state.t = 1
-        play_round(state, ActiveSet(2, members), 0.1, inst, 1, noise_rngs(0, 2))
+        play_round(state, 2, members, 0.1, inst, 1, noise_rngs(0, 2))
         g = [inst.grad(i, np.zeros(1))[0] / probs[i] for i in sorted(members)]
         assert state.w[0] == pytest.approx(-0.1 * np.mean(g), rel=1e-13)
 
@@ -532,11 +541,11 @@ def test_update_array_matches_checkpoint_replay():
     model = BernoulliParticipation([0.5, 0.8, 1.0])
     sched = StronglyConvexDecay(mu=1.0, smoothness=3.0, local_steps=2)
     runner = fedsim.Runner(fedsim.MifaSpec(), inst, model, sched, horizon=20, n_steps=2, seed=6)
-    sampler = model.sampler(6)
+    mask = model.mask(6, 1, 21)
     last = {}
     for t in range(1, 21):
         snap = json.loads(json.dumps(runner.checkpoint()))
-        last.update((i, (t, snap)) for i in sampler.active_set(t).members)
+        last.update((i, (t, snap)) for i in np.flatnonzero(mask[t - 1]))
         runner.run_rounds(t)
     from fedsim.rng import restore_generator
 
@@ -625,15 +634,72 @@ def test_version_2_checkpoint_resumes_identically(name):
 
 
 @pytest.mark.parametrize("name", list(SERVERS))
-def test_checkpoints_are_version_3_without_an_exact_sum(name):
+def test_version_3_checkpoint_resumes_identically(name):
+    # version 3 is version 2 without mifa_delta's exact sum and the
+    # producing rounds of sampling_fedavg's collected entries
+    snapshot = version_2_checkpoint(name)
+    snapshot["version"] = 3
+    snapshot["server"].pop("exact_sum", None)
+    for entry in snapshot["server"].get("collected", []):
+        del entry["produced_at"]
+    assert_resumes_identically(name, snapshot, 21)
+
+
+@pytest.mark.parametrize("name", list(SERVERS))
+def test_checkpoints_are_version_4_without_derived_state(name):
     runner = checkpoint_runner(name)
     runner.run_rounds(21)
     snapshot = json.loads(json.dumps(runner.checkpoint()))
-    assert snapshot["version"] == 3
+    assert snapshot["version"] == 4
     assert "exact_sum" not in snapshot["server"]
+    assert "sampler" not in snapshot
     if name == "sampling_fedavg":
         assert [set(entry) for entry in snapshot["server"]["collected"]] == [{"device", "value"}]
     assert_resumes_identically(name, snapshot, 21)
+
+
+def test_stored_participation_streams_equal_the_positioned_ones():
+    # versions 1-3 stored each participation stream's state; restoring skips
+    # it for a stream advanced to the next round, which is the same state
+    with open(DATA / "mifa_delta_checkpoint_v1_round17.json") as fh:
+        snapshots = [json.load(fh)] + [version_2_checkpoint(name) for name in SERVERS]
+    model = checkpoint_runner("mifa").model
+    for snapshot in snapshots:
+        next_round = snapshot["rounds_done"] + 1
+        assert snapshot["sampler"]["next_round"] == next_round
+        positioned = model._position(8, next_round)
+        assert [generator_state(g) for g in positioned] == snapshot["sampler"]["gens"]
+
+
+PARTICIPATION_MODELS = {
+    "full": FullParticipation(3),
+    "bernoulli": BernoulliParticipation([0.5, 0.8, 0.3]),
+    "periodic": PeriodicParticipation([2, 3, 1], [1, 0, 5]),
+    "adversarial": AdversarialLinearParticipation(3, offset=1.0, slope_divisor=3.0),
+    "replay": TraceReplay(3, [{0, 1, 2}] + [{t % 3} if t % 4 else set() for t in range(2, 20)]),
+}
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 1000])
+@pytest.mark.parametrize("kind", list(PARTICIPATION_MODELS))
+def test_checkpoint_at_any_round_resumes_identically(kind, block_rows, monkeypatch):
+    monkeypatch.setattr(fedsim.availability, "MASK_BLOCK_CELLS", 3 * block_rows)
+    model = PARTICIPATION_MODELS[kind]
+    inst = make_quadratic_instance(3, 2, mu=1.0, smoothness=3.0, sigma=0.5, heterogeneity=1.0, seed=16)
+    sched = StronglyConvexDecay(mu=1.0, smoothness=3.0, local_steps=2)
+
+    def make_runner():
+        return fedsim.Runner(SERVERS["sampling_fedavg"].from_config({"subset_size": 2}, model), inst, model, sched,
+                             horizon=19, n_steps=2, seed=8)
+
+    runner = make_runner()
+    rows_full = runner.run_rounds(19)
+    for at in range(1, 19):
+        first = make_runner()
+        first.run_rounds(at)
+        resumed = make_runner()
+        resumed.restore(json.loads(json.dumps(first.checkpoint())))
+        assert resumed.run_rounds(19) == rows_full[at:]
 
 
 def test_averaged_iterate_gap_decays_by_two_orders():

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fedsim
+from fedsim import availability
 from fedsim.availability import (
-    ActiveSet,
     AdversarialLinearParticipation,
     BernoulliParticipation,
     FullParticipation,
+    ParticipationSampler,
     PeriodicParticipation,
     StalenessTracker,
     TraceExhaustedError,
@@ -16,13 +20,21 @@ from fedsim.availability import (
     bernoulli_staleness_tail,
     check_linear_delay_bound,
     read_trace,
+    realized_staleness,
     write_trace,
 )
+from fedsim.rng import PARTICIPATION, substream
 
 
 def collect_trace(model, seed, horizon):
-    sampler = model.sampler(seed)
-    return [sampler.active_set(t).members for t in range(1, horizon + 1)]
+    sampler = ParticipationSampler(model, seed, horizon)
+    return [frozenset(np.flatnonzero(sampler.row(t)).tolist()) for t in range(1, horizon + 1)]
+
+
+def mask_row(n_devices, members):
+    row = np.zeros(n_devices, dtype=bool)
+    row[list(members)] = True
+    return row
 
 
 def staleness_from_scratch(rounds, n_devices):
@@ -58,8 +70,7 @@ def test_full_participation_every_round():
     ids=["full", "bernoulli", "periodic", "adversarial", "replay"],
 )
 def test_first_round_is_total(model):
-    sampler = model.sampler(123)
-    assert sampler.active_set(1).members == frozenset(range(model.n_devices))
+    assert model.mask(123, 1, 2).tolist() == [[True] * model.n_devices]
 
 
 def test_bernoulli_probability_one_devices_always_active():
@@ -69,10 +80,8 @@ def test_bernoulli_probability_one_devices_always_active():
 
 def test_bernoulli_marginal_frequency():
     model = BernoulliParticipation([0.35])
-    sampler = model.sampler(7)
-    sampler.active_set(1)
     draws = 100_000
-    hits = sum(0 in sampler.active_set(t).members for t in range(2, draws + 2))
+    hits = int(model.mask(7, 2, draws + 2)[:, 0].sum())
     freq = hits / draws
     assert abs(freq - 0.35) <= 4 * math.sqrt(0.35 * 0.65 / draws)
 
@@ -106,18 +115,102 @@ def test_adversarial_trace_respects_and_touches_its_envelope():
 
 def test_trace_replay_exhaustion_is_signalled():
     model = TraceReplay(2, [{0, 1}, {0}])
-    sampler = model.sampler(0)
-    sampler.active_set(1)
-    sampler.active_set(2)
+    sampler = ParticipationSampler(model, 0, horizon=3)
+    sampler.row(1)
+    sampler.row(2)
     with pytest.raises(TraceExhaustedError):
-        sampler.active_set(3)
+        sampler.row(3)
 
 
 def test_samplers_reject_out_of_order_rounds():
-    sampler = FullParticipation(2).sampler(0)
-    sampler.active_set(1)
+    sampler = ParticipationSampler(FullParticipation(2), 0, horizon=3)
+    sampler.row(1)
     with pytest.raises(ValueError):
-        sampler.active_set(3)
+        sampler.row(3)
+
+
+def reference_rows(model, seed, horizon, trace=None):
+    """Rounds 1..horizon of ``model``'s mask for ``seed``, one round at a
+    time, as the per-round samplers drew them: a Bernoulli device makes one
+    ``random()`` call per round t >= 2, an adversarial device keeps its own
+    last-active round, a replay reads the active sets ``trace``."""
+    n = model.n_devices
+    rows = [np.ones(n, dtype=bool)]
+    gens = [substream(seed, PARTICIPATION, i) for i in range(n)]
+    last_active = np.ones(n, dtype=np.int64)
+    for t in range(2, horizon + 1):
+        if isinstance(model, BernoulliParticipation):
+            row = np.array([gens[i].random() < model.probs[i] for i in range(n)])
+        elif isinstance(model, PeriodicParticipation):
+            row = (t - model.phases) % model.periods == 0
+        elif isinstance(model, AdversarialLinearParticipation):
+            row = t - last_active > model.offset + t / model.slope_divisor
+            last_active[row] = t
+        elif isinstance(model, TraceReplay):
+            if t > len(trace):
+                raise TraceExhaustedError(f"trace ends at round {len(trace)}")
+            row = np.isin(np.arange(n), list(trace[t - 1]))
+        else:
+            row = np.ones(n, dtype=bool)
+        rows.append(np.asarray(row, dtype=bool))
+    return np.array(rows)
+
+
+@st.composite
+def participation_models(draw):
+    """(model, the active sets of a replayed trace, or None)."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["full", "bernoulli", "periodic", "adversarial", "replay"]))
+    if kind == "full":
+        return FullParticipation(n), None
+    if kind == "bernoulli":
+        return BernoulliParticipation(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n))), None
+    if kind == "periodic":
+        periods = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+        return PeriodicParticipation(periods, draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n))), None
+    if kind == "adversarial":
+        return AdversarialLinearParticipation(n, draw(st.floats(0.0, 5.0)), draw(st.floats(1.01, 10.0))), None
+    rounds = [set(range(n))] + draw(st.lists(st.sets(st.integers(0, n - 1)), min_size=0, max_size=60))
+    return TraceReplay(n, rounds), rounds
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 7])
+@settings(max_examples=60, deadline=None)
+@given(case=participation_models(), seed=st.integers(0, 2**32), horizon=st.integers(2, 60), data=st.data())
+def test_mask_blocks_equal_the_per_round_reference(block_rows, case, seed, horizon, data):
+    model, trace = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(availability, "MASK_BLOCK_CELLS", block_rows * model.n_devices)
+        last = horizon if trace is None else min(horizon, len(trace))
+        expected = reference_rows(model, seed, last, trace)
+        sampler = ParticipationSampler(model, seed, horizon)
+        assert np.array_equal(np.array([sampler.row(t) for t in range(1, last + 1)]), expected)
+        start = data.draw(st.integers(1, last))
+        stop = data.draw(st.integers(start, last + 1))
+        assert np.array_equal(model.mask(seed, start, stop), expected[start - 1 : stop - 1])
+        resumed = ParticipationSampler(model, seed, horizon, start=start)
+        assert np.array_equal(np.array([resumed.row(t) for t in range(start, last + 1)]), expected[start - 1 :])
+        if last < horizon:
+            with pytest.raises(TraceExhaustedError):
+                sampler.row(last + 1)
+        if last >= 2:
+            stale = staleness_from_scratch([np.flatnonzero(r) for r in expected], model.n_devices)[:-1]
+            stats = realized_staleness(model, seed, last)
+            assert stats.peak == stale.max() and stats.avg == stale.sum() / stale.size
+            assert stats.device_peak_mean == stale.max(axis=0).mean()
+
+
+@pytest.mark.parametrize("block_rows", [1, 4, 1000])
+def test_short_trace_stops_a_run_at_the_round_after_its_end(block_rows, monkeypatch):
+    monkeypatch.setattr(availability, "MASK_BLOCK_CELLS", 2 * block_rows)
+    model = TraceReplay(2, [{0, 1}, {0}, set(), {1}, {0, 1}, {1}])
+    inst = fedsim.make_quadratic_instance(2, 1, mu=1.0, smoothness=2.0, sigma=0.1, heterogeneity=1.0, seed=1)
+    runner = fedsim.Runner(fedsim.MifaSpec(), inst, model, fedsim.InverseDecay(eta0=0.1), horizon=10, n_steps=1, seed=0)
+    with pytest.raises(TraceExhaustedError):
+        runner.run_rounds(10)
+    assert runner.rounds_done == 6 and [row.t for row in runner.rows] == list(range(1, 7))
+    with pytest.raises(TraceExhaustedError):
+        realized_staleness(model, 0, 7)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +224,7 @@ def test_staleness_recursion_hand_trace():
     rounds = [{0, 1}, {0}, {1}, {0, 1}]
     seen = []
     for t, members in enumerate(rounds, start=1):
-        tracker.update(ActiveSet(t, frozenset(members)))
+        tracker.update(t, mask_row(2, members))
         seen.append(tracker.staleness.copy())
     assert np.array_equal(np.array(seen), np.array([[0, 0], [0, 1], [1, 0], [0, 0]]))
     total = sum(int(s.sum()) for s in seen)
@@ -150,7 +243,7 @@ def test_tracker_matches_from_scratch_recomputation():
     expected = staleness_from_scratch(rounds, 4)
     tracker = StalenessTracker(4)
     for t, members in enumerate(rounds, start=1):
-        tracker.update(ActiveSet(t, frozenset(members)))
+        tracker.update(t, mask_row(4, members))
         assert np.array_equal(tracker.staleness, expected[t - 1])
 
 
@@ -162,7 +255,7 @@ def test_stats_order_relations_on_random_traces():
         rounds = collect_trace(model, 1000 + trial, 30)
         tracker = StalenessTracker(3)
         for t, members in enumerate(rounds, start=1):
-            tracker.update(ActiveSet(t, frozenset(members)))
+            tracker.update(t, mask_row(3, members))
         stats = tracker.stats()
         assert stats.avg <= stats.peak
         assert stats.device_peak_sq_mean <= stats.peak**2 + 1e-12
@@ -171,7 +264,7 @@ def test_stats_order_relations_on_random_traces():
 def test_full_participation_stats_are_zero():
     tracker = StalenessTracker(3)
     for t in range(1, 101):
-        tracker.update(ActiveSet(t, frozenset({0, 1, 2})))
+        tracker.update(t, mask_row(3, {0, 1, 2}))
     stats = tracker.stats()
     assert stats.avg == 0.0 and stats.peak == 0
 
@@ -179,10 +272,10 @@ def test_full_participation_stats_are_zero():
 def test_tracker_rejects_out_of_order_and_partial_first_round():
     tracker = StalenessTracker(2)
     with pytest.raises(ValueError):
-        tracker.update(ActiveSet(2, frozenset({0, 1})))
+        tracker.update(2, mask_row(2, {0, 1}))
     with pytest.raises(ValueError):
-        tracker.update(ActiveSet(1, frozenset({0})))
-    tracker.update(ActiveSet(1, frozenset({0, 1})))
+        tracker.update(1, mask_row(2, {0}))
+    tracker.update(1, mask_row(2, {0, 1}))
     with pytest.raises(ValueError):
         tracker.stats()
 
@@ -236,10 +329,10 @@ def test_staleness_tail_matches_monte_carlo():
     counts = {k: 0 for k in (1, 2, 3, 5)}
     model = BernoulliParticipation([p])
     for trial in range(traces):
-        sampler = model.sampler(trial)
+        sampler = ParticipationSampler(model, trial, horizon)
         tracker = StalenessTracker(1)
         for t in range(1, horizon + 1):
-            tracker.update(sampler.active_set(t))
+            tracker.update(t, sampler.row(t))
         tau = int(tracker.staleness[0])
         for k in counts:
             counts[k] += tau >= k

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from fedsim import exact as exact_module
 from fedsim.algorithms import MifaDeltaServer, MifaServer
-from fedsim.availability import ActiveSet
 from fedsim.exact import ExactVectorSum, exact_mean, two_diff
 
 MAX = sys.float_info.max
@@ -251,7 +250,9 @@ def test_memory_server_sum_is_the_exact_sum_of_its_table(server_class, case):
     n, dim, rounds, roundtrip_at = case
     server = server_class(server_class.spec_class(), n, np.zeros(dim), None)
     for t, (ids, values) in enumerate(rounds, start=1):
-        assert server.needs(ActiveSet(t, frozenset(ids))) == ids
+        row = np.zeros(n, dtype=bool)
+        row[ids] = True
+        assert server.needs(t, row).tolist() == ids
         server.aggregate(ids, values, UnitStep())
         if t == roundtrip_at:
             state = json.loads(json.dumps(server.state_dict()))

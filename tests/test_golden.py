@@ -1,0 +1,74 @@
+"""Byte-for-byte pins on the outputs of small ``compare`` runs.
+
+``tests/data/golden_digests.json`` holds the sha256 digest of every CSV and
+``_meta.json`` file that ``compare_experiment`` writes for all five
+algorithms under each participation model. A seed fixes every output byte,
+so a change that moves any digest changes a result. To record the digests of
+the current code, run ``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import fedsim
+from fedsim.availability import write_trace
+
+DIGESTS = Path(__file__).parent / "data" / "golden_digests.json"
+ALGORITHMS = ["mifa", "mifa_delta", "biased_fedavg", "is_fedavg", "sampling_fedavg"]
+N, HORIZON = 5, 40
+
+QUADRATIC = {"family": "quadratic", "n_devices": N, "dim": 3, "mu": 1.0, "smoothness": 4.0,
+             "sigma": 0.5, "heterogeneity": 1.0, "seed": 11}
+TRIG = {"family": "trig", "n_devices": N, "dim": 3, "curvature": 1.0, "amplitude": 0.5,
+        "sigma": 0.3, "heterogeneity": 1.0, "seed": 12}
+MEASURED = {"variant": "nonconvex_constant", "staleness_cap_mean": "measure"}
+
+CASES = {
+    "full": (QUADRATIC, {"variant": "full"}, {"variant": "strongly_convex", "delay_offset": 1.0}),
+    "bernoulli": (QUADRATIC, {"variant": "bernoulli", "probs": [0.9, 0.6, 0.4, 0.25, 0.15]},
+                  {"variant": "strongly_convex"}),
+    "periodic": (TRIG, {"variant": "periodic", "periods": [1, 2, 3, 5, 7], "phases": [0, 1, 2, 0, 4]}, MEASURED),
+    "adversarial": (TRIG, {"variant": "adversarial_linear", "offset": 1.5, "slope_divisor": 4.0}, MEASURED),
+    "trace_replay": (QUADRATIC, {"variant": "trace_replay", "path": "trace.txt"},
+                     {"variant": "inverse_decay", "eta0": 0.05}),
+}
+
+
+def golden_digests(directory: Path) -> dict:
+    """Run every case under ``directory``; returns {file name: sha256}."""
+    # the trace ends exactly at the horizon, with one empty round
+    rounds = [range(N)] + [[i for i in range(N) if (t + i) % (i + 2) == 0] for t in range(2, HORIZON + 1)]
+    rounds[9] = []
+    write_trace(directory / "trace.txt", N, rounds)
+    digests = {}
+    for case, (problem, availability, schedule) in CASES.items():
+        cfg = {
+            "problem": problem,
+            "availability": availability,
+            "algorithm": {"name": "mifa", "subset_size": 2, "probs": [0.8, 0.6, 0.5, 0.4, 0.3]},
+            "schedule": schedule,
+            "run": {"horizon": HORIZON, "local_steps": 2, "seeds": [1, 2]},
+        }
+        fedsim.compare_experiment(cfg, ALGORITHMS, out=str(directory / case), base_dir=str(directory))
+        for algo in ALGORITHMS:
+            for suffix in (".csv", "_aggregate.csv", "_meta.json"):
+                name = f"{case}_{algo}{suffix}"
+                digests[name] = hashlib.sha256((directory / name).read_bytes()).hexdigest()
+    return digests
+
+
+def test_compare_outputs_match_golden_digests(tmp_path):
+    expected = json.loads(DIGESTS.read_text())
+    got = golden_digests(tmp_path)
+    assert sorted(got) == sorted(expected)
+    changed = [name for name in expected if got[name] != expected[name]]
+    assert not changed, f"output bytes changed: {changed}"
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        DIGESTS.write_text(json.dumps(golden_digests(Path(tmp)), indent=1, sort_keys=True) + "\n")
+    print(f"wrote {DIGESTS}", file=sys.stderr)

@@ -94,6 +94,53 @@ def test_label_correlated_rejects_degenerate_probability():
 # ---------------------------------------------------------------------------
 
 
+def aggregate_per_cell(per_seed):
+    """The aggregate CSV with one 1-D mean and std call per (round, column) cell."""
+    from fedsim.experiment import _METRIC_COLUMNS, _fmt
+
+    header = ["t"] + [f"{col}_{stat}" for col in _METRIC_COLUMNS for stat in ("mean", "stderr")] + ["partial"]
+    lines = [",".join(header)]
+    results = [per_seed[seed] for seed in sorted(per_seed)]
+    partial = any(res.diverged for res in results)
+    for idx in range(min(len(res.rounds) for res in results)):
+        cells = [str(results[0].rounds[idx].t)]
+        for col in _METRIC_COLUMNS:
+            values = [getattr(res.rounds[idx], col) for res in results]
+            if any(v is None for v in values):
+                cells += ["", ""]
+                continue
+            values = np.asarray(values, dtype=np.float64)
+            stderr = 0.0 if len(values) < 2 else float(values.std(ddof=1) / math.sqrt(len(values)))
+            cells += [_fmt(float(values.mean())), _fmt(stderr)]
+        cells.append("1" if partial else "0")
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n_seeds", [1, 2, 9, 17])
+def test_aggregate_csv_equals_the_per_cell_reduction(n_seeds):
+    from fedsim.experiment import aggregate_to_csv
+    from fedsim.records import RoundMetrics, RunResult
+
+    rng = np.random.default_rng(n_seeds)
+    per_seed = {}
+    for seed in range(n_seeds):
+        n_rounds = 30 - seed % 3  # the shortest run sets the row count
+        scale = 10.0 ** rng.integers(-150, 150, size=(n_rounds, 5))
+        floats = rng.standard_normal((n_rounds, 5)) * scale
+        rounds = [
+            RoundMetrics(t=t + 1, t_prime=int(rng.integers(0, 2**60)), f_gap=float(f[0]),
+                         avg_gap=None if seed == 3 or t == 7 else float(f[1]), grad_norm_sq=float(f[2]),
+                         min_grad_norm_sq=float(f[3]), tau_bar=float(f[4]), tau_max=int(rng.integers(0, 50)),
+                         oracle_calls=int(rng.integers(0, 10**6)))
+            for t, f in enumerate(floats)
+        ]
+        per_seed[seed] = RunResult(rounds, seed == 5, None, None, None)
+    text = aggregate_to_csv(per_seed)
+    assert text == aggregate_per_cell(per_seed)
+    assert text.count(",,") > 0
+
+
 def test_single_seed_aggregate_has_zero_stderr(tmp_path):
     cfg = base_config()
     cfg["run"]["seeds"] = [5]

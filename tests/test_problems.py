@@ -247,29 +247,38 @@ def test_dissimilarity_bound_holds_on_fresh_samples(inst):
             assert float(g @ g) <= bound + beta[i] + 1e-9
 
 
-@pytest.mark.parametrize("samples", [problems.DISSIMILARITY_SAMPLES, 11])
-def test_blocked_certificates_match_one_shot_reference(monkeypatch, samples):
-    # 3 devices x 2 dims = 6 floats per sample row, so blocks of 3 rows leave
-    # a ragged last block (10_000 % 3 == 1, 11 % 3 == 2)
-    monkeypatch.setattr(problems, "CERTIFICATE_BLOCK_FLOATS", 6 * 3)
-    monkeypatch.setattr(problems, "DISSIMILARITY_SAMPLES", samples)
-    seed, alpha, radius = 9, 3.0, 4.0
+@pytest.mark.parametrize("seed", [9, 10, 11])
+def test_closed_form_quadratic_certificate_bounds_the_sampled_sup(seed):
+    # beta_i is the exact sup of g_i(w) = ||grad_i(w)||^2 - alpha ||grad(w)||^2,
+    # so it bounds the sup over the 0xBE7A sample ball earlier builds took
     quad = make_quadratic_instance(3, 2, mu=1.0, smoothness=3.0, sigma=0.1, heterogeneity=1.0, seed=seed)
     hessians, centers = quad.stacked["hessians"], quad.stacked["centers"]
-
+    alpha, beta_i = quad.constants.alpha, quad.constants.beta_i
+    radius = max(1.0, 10.0 * float(np.linalg.norm(centers, axis=1).max()))
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xBE7A]))
-    points = problems._ball_points(rng, samples, 2, radius)
+    points = problems._ball_points(rng, problems.DISSIMILARITY_SAMPLES, 2, radius)
     grads = np.einsum("nij,snj->sni", hessians, points[:, None, :] - centers[None, :, :])
     per_dev_sq = np.sum(grads**2, axis=2)
     global_sq = np.sum(grads.mean(axis=1) ** 2, axis=1)
-    slack = per_dev_sq - alpha * global_sq[:, None]
-    expected = problems.DISSIMILARITY_MARGIN * np.maximum(0.0, slack.max(axis=0))
-    if samples == 11:
-        # the last sample row sets device 2's sup, so a dropped ragged
-        # block would change beta_i
-        assert slack[:, 2].argmax() == 10 and slack[10, 2] > 0.0
-    got = problems._sampled_beta_quadratic(hessians, centers, alpha, radius, seed)
-    assert got.tobytes() == expected.tobytes()
+    sampled = problems.DISSIMILARITY_MARGIN * np.maximum(0.0, (per_dev_sq - alpha * global_sq[:, None]).max(axis=0))
+    assert np.all(beta_i >= sampled) and np.all(beta_i > 0.0)
+
+    # the gradient of g_i vanishes at the maximiser, and g_i there is beta_i / margin
+    h_bar, b_bar = quad.aggregates["h_bar"], quad.aggregates["b_bar"]
+    for i in range(quad.n_devices):
+        m = hessians[i] @ hessians[i] - alpha * h_bar @ h_bar
+        w = np.linalg.solve(m, hessians[i] @ hessians[i] @ centers[i] - alpha * h_bar @ b_bar)
+        g_i, g = quad.grad(i, w), quad.global_grad(w)
+        gradient = 2.0 * hessians[i] @ g_i - 2.0 * alpha * h_bar @ g
+        assert np.linalg.norm(gradient) <= 1e-10 * max(1.0, np.linalg.norm(hessians[i] @ g_i))
+        assert float(g_i @ g_i) - alpha * float(g @ g) == pytest.approx(beta_i[i] / problems.DISSIMILARITY_MARGIN)
+
+
+def test_quadratic_certificate_rejects_a_non_concave_gap():
+    quad = make_quadratic_instance(3, 2, mu=1.0, smoothness=3.0, sigma=0.1, heterogeneity=1.0, seed=9)
+    args = (quad.stacked["hessians"], quad.stacked["centers"], quad.aggregates["h_bar"], quad.aggregates["b_bar"])
+    with pytest.raises(ArithmeticError):
+        problems._beta_quadratic(*args, 0.5)
 
 
 def test_blocked_trig_verifier_accepts_certificate_and_rejects_zero(monkeypatch):
