@@ -23,12 +23,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-DISSIMILARITY_SAMPLES = 10_000
 DISSIMILARITY_MARGIN = 1.1
-# Certificate checks walk their sample points in row blocks of about this
-# many float64 values per (rows, N, d) temporary, so building an instance
-# needs O(samples * d) memory rather than O(samples * N * d).
-CERTIFICATE_BLOCK_FLOATS = 1 << 18
 
 
 class MissingOptimumError(RuntimeError):
@@ -48,10 +43,11 @@ class SpecError(ValueError):
 
 
 def _check_scale(smoothness_key, smoothness, log_alpha, heterogeneity, dim):
-    """Name the argument that would overflow the dissimilarity certificate:
-    it squares gradients of norm below 2 * smoothness * radius * sqrt(dim),
-    on the ball of radius max(1, 10 * heterogeneity), and scales them by
-    alpha, so that product must stay below the largest double."""
+    """Name the argument that would put the dissimilarity certificate past
+    double precision: on the ball of radius max(1, 10 * heterogeneity), which
+    holds every center, gradients have norm below 2 * smoothness * radius *
+    sqrt(dim), and alpha times their square stays below the largest double,
+    so beta_i and alpha ||grad(w)||^2 are finite there."""
     for key, radius in ((smoothness_key, 1.0), ("heterogeneity", max(1.0, 10.0 * heterogeneity))):
         if log_alpha + math.log(dim) + 2.0 * math.log(2.0 * smoothness * radius) > math.log(sys.float_info.max):
             raise SpecError(key, f"{key} is too large: the dissimilarity certificate overflows double precision")
@@ -274,15 +270,6 @@ def _ball_points(rng, count, dim, radius):
     return directions / norms * radii
 
 
-def _row_blocks(points, floats_per_row):
-    """Consecutive row slices of ``points``, each expanding to at most
-    CERTIFICATE_BLOCK_FLOATS values at ``floats_per_row`` per row (at least
-    one row per slice)."""
-    rows = max(1, CERTIFICATE_BLOCK_FLOATS // floats_per_row)
-    for start in range(0, len(points), rows):
-        yield points[start : start + rows]
-
-
 def _beta_quadratic(hessians, centers, h_bar, b_bar, alpha):
     """Per-device sup over all w of g_i(w) = ||grad_i(w)||^2 - alpha ||grad(w)||^2,
     times DISSIMILARITY_MARGIN and floored at 0.
@@ -361,7 +348,7 @@ def quadratic_instance_from_arrays(
     _validate_family_args(n_devices, dim, sigma)
 
     stacked = {"hessians": hessians, "centers": centers}
-    eigs = np.concatenate([np.linalg.eigvalsh(h) for h in hessians])
+    eigs = np.linalg.eigvalsh(hessians)
     mu_eff = float(eigs.min())
     l_eff = float(eigs.max())
     if mu_eff <= 0:
@@ -511,8 +498,8 @@ def make_nonconvex_instance(
 
     f_i(w) = (curvature/2) ||w - c_i||^2 + amplitude * sum_j cos(w_j), so
     smoothness = curvature + amplitude and the Hessian-Lipschitz constant is
-    exactly ``amplitude``. Requires amplitude <= curvature to keep the
-    landscape usable for slope checks.
+    exactly ``amplitude``. Requires amplitude <= curvature, which makes every
+    coordinate of f convex; the optimum w* relies on that.
     """
     _validate_family_args(n_devices, dim, sigma)
     if not np.isfinite(curvature) or curvature <= 0:
@@ -521,8 +508,8 @@ def make_nonconvex_instance(
         raise ValueError("amplitude must be >= 0")
     if amplitude > curvature:
         raise ValueError("amplitude must not exceed curvature")
-    if heterogeneity < 0:
-        raise ValueError("heterogeneity must be >= 0")
+    if not np.isfinite(heterogeneity) or heterogeneity < 0:
+        raise ValueError("heterogeneity must be finite and >= 0")
     _check_scale("curvature", curvature + amplitude, math.log(2.0), heterogeneity, dim)
 
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x7819]))
@@ -533,11 +520,11 @@ def make_nonconvex_instance(
     w_star = _trig_optimum(mean_center, curvature, amplitude)
     f_star = _mean_value("trig", stacked, w_star)
 
-    # grad_i - grad = curvature * (mean_center - c_i) exactly, so alpha = 2
-    # with the algebraic beta_i below is a global certificate; the sampled
-    # check below re-verifies it.
+    # grad_i(w) - grad(w) = curvature * (mean_center - c_i) exactly, and
+    # ||x + y||^2 <= 2 ||x||^2 + 2 ||y||^2, so alpha = 2 with the beta_i below
+    # bounds ||grad_i(w)||^2 - alpha ||grad(w)||^2 at every w. Equality holds
+    # where grad(w) = curvature * (mean_center - c_i), so beta_i is the sup.
     beta_i = 2.0 * curvature**2 * np.sum((centers - mean_center) ** 2, axis=1)
-    _verify_dissimilarity_trig(centers, curvature, amplitude, 2.0, beta_i, heterogeneity, seed)
 
     constants = ProblemConstants(
         smoothness=float(curvature + amplitude),
@@ -563,54 +550,19 @@ def make_nonconvex_instance(
 
 
 def _trig_optimum(mean_center, curvature, amplitude):
-    """Per-coordinate global minimizer of (c/2)(x-m)^2 + a*cos(x).
+    """Global minimizer of f, by one bisection on all coordinates at once.
 
-    The objective separates across coordinates; every stationary point has
-    |x - m| <= amplitude/curvature, so a dense grid plus bisection on the
-    derivative finds the global coordinate minimum.
+    Coordinate j minimises phi(x) = (c/2)(x - m_j)^2 + a cos(x). As
+    phi'' = c - a cos(x) >= c - a >= 0, phi' is increasing, and its one root
+    lies in [m_j - a/c, m_j + a/c]; with a = 0 that bracket is just m_j.
     """
-    if amplitude == 0.0:
-        return mean_center.copy()
-    out = np.empty_like(mean_center)
-    for j, m in enumerate(mean_center):
-        r = amplitude / curvature + np.pi
-        xs = np.linspace(m - r, m + r, 4001)
-        vals = 0.5 * curvature * (xs - m) ** 2 + amplitude * np.cos(xs)
-        k = int(np.argmin(vals))
-        lo = xs[max(k - 1, 0)]
-        hi = xs[min(k + 1, len(xs) - 1)]
-
-        def dphi(x, m=m):
-            return curvature * (x - m) - amplitude * np.sin(x)
-
-        if dphi(lo) <= 0.0 <= dphi(hi):
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if dphi(mid) <= 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            out[j] = 0.5 * (lo + hi)
-        else:
-            out[j] = xs[k]
-    return out
-
-
-def _verify_dissimilarity_trig(centers, curvature, amplitude, alpha, beta_i, heterogeneity, seed):
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xD155]))
-    n_devices, dim = centers.shape
-    radius = max(1.0, 10.0 * heterogeneity)
-    points = _ball_points(rng, DISSIMILARITY_SAMPLES, dim, radius)
-    mean_center = centers.mean(axis=0)
-    for block in _row_blocks(points, n_devices * dim):
-        trig = -amplitude * np.sin(block)                                # (rows, d)
-        grads = curvature * (block[:, None, :] - centers[None, :, :]) + trig[:, None, :]
-        per_dev_sq = np.sum(grads**2, axis=2)
-        global_grads = curvature * (block - mean_center) + trig
-        global_sq = np.sum(global_grads**2, axis=1)
-        slack = per_dev_sq - alpha * global_sq[:, None] - beta_i[None, :]
-        if float(slack.max()) > 1e-9:
-            raise ArithmeticError("gradient-dissimilarity certificate failed")
+    half_width = amplitude / curvature
+    lo, hi = mean_center - half_width, mean_center + half_width
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        below = curvature * (mid - mean_center) - amplitude * np.sin(mid) <= 0.0
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 def _validate_family_args(n_devices, dim, sigma):

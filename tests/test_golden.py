@@ -2,7 +2,8 @@
 
 ``tests/data/golden_digests.json`` holds the sha256 digest of every CSV and
 ``_meta.json`` file that ``compare_experiment`` writes for all five
-algorithms under each participation model. A seed fixes every output byte,
+algorithms under each participation model and on each problem family
+(quadratic, trig and logistic). A seed fixes every output byte,
 so a change that moves any digest changes a result. To record the digests of
 the current code, run ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -24,6 +25,8 @@ QUADRATIC = {"family": "quadratic", "n_devices": N, "dim": 3, "mu": 1.0, "smooth
              "sigma": 0.5, "heterogeneity": 1.0, "seed": 11}
 TRIG = {"family": "trig", "n_devices": N, "dim": 3, "curvature": 1.0, "amplitude": 0.5,
         "sigma": 0.3, "heterogeneity": 1.0, "seed": 12}
+LOGISTIC = {"family": "logistic", "n_devices": N, "dim": 3, "samples_per_device": 8, "l2": 1.0,
+            "label_skew": 0.6, "seed": 13}
 MEASURED = {"variant": "nonconvex_constant", "staleness_cap_mean": "measure"}
 
 CASES = {
@@ -32,6 +35,8 @@ CASES = {
                   {"variant": "strongly_convex"}),
     "periodic": (TRIG, {"variant": "periodic", "periods": [1, 2, 3, 5, 7], "phases": [0, 1, 2, 0, 4]}, MEASURED),
     "adversarial": (TRIG, {"variant": "adversarial_linear", "offset": 1.5, "slope_divisor": 4.0}, MEASURED),
+    "logistic": (LOGISTIC, {"variant": "bernoulli", "probs": [0.9, 0.7, 0.5, 0.3, 0.2]},
+                 {"variant": "strongly_convex"}),
     "trace_replay": (QUADRATIC, {"variant": "trace_replay", "path": "trace.txt"},
                      {"variant": "inverse_decay", "eta0": 0.05}),
 }

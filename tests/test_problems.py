@@ -256,7 +256,7 @@ def test_closed_form_quadratic_certificate_bounds_the_sampled_sup(seed):
     alpha, beta_i = quad.constants.alpha, quad.constants.beta_i
     radius = max(1.0, 10.0 * float(np.linalg.norm(centers, axis=1).max()))
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xBE7A]))
-    points = problems._ball_points(rng, problems.DISSIMILARITY_SAMPLES, 2, radius)
+    points = problems._ball_points(rng, 10_000, 2, radius)
     grads = np.einsum("nij,snj->sni", hessians, points[:, None, :] - centers[None, :, :])
     per_dev_sq = np.sum(grads**2, axis=2)
     global_sq = np.sum(grads.mean(axis=1) ** 2, axis=1)
@@ -281,14 +281,57 @@ def test_quadratic_certificate_rejects_a_non_concave_gap():
         problems._beta_quadratic(*args, 0.5)
 
 
-def test_blocked_trig_verifier_accepts_certificate_and_rejects_zero(monkeypatch):
-    monkeypatch.setattr(problems, "CERTIFICATE_BLOCK_FLOATS", 6 * 3)
-    seed = 9
-    trig = make_nonconvex_instance(3, 2, curvature=1.0, amplitude=0.5, sigma=0.1, heterogeneity=1.0, seed=seed)
-    args = (trig.stacked["centers"], 1.0, 0.5, 2.0)
-    problems._verify_dissimilarity_trig(*args, trig.constants.beta_i, 1.0, seed)
-    with pytest.raises(ArithmeticError):
-        problems._verify_dissimilarity_trig(*args, np.zeros(3), 1.0, seed)
+@pytest.mark.parametrize("seed", [9, 10, 11])
+def test_trig_certificate_is_the_exact_sup(seed):
+    heterogeneity, c, a = 1.0, 1.0, 0.5
+    trig = make_nonconvex_instance(3, 2, curvature=c, amplitude=a, sigma=0.1, heterogeneity=heterogeneity, seed=seed)
+    centers, mean_center = trig.stacked["centers"], trig.aggregates["mean_center"]
+    alpha, beta_i = trig.constants.alpha, trig.constants.beta_i
+    assert alpha == 2.0 and np.all(beta_i > 0.0)
+
+    # the bound holds on 10,000 points of the ball ten times wider than the centers
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD155]))
+    points = problems._ball_points(rng, 10_000, 2, max(1.0, 10.0 * heterogeneity))
+    grads = c * (points[:, None, :] - centers[None, :, :]) - a * np.sin(points)[:, None, :]
+    per_dev_sq = np.sum(grads**2, axis=2)
+    global_sq = np.sum(grads.mean(axis=1) ** 2, axis=1)
+    assert np.all(per_dev_sq - alpha * global_sq[:, None] <= beta_i + 1e-9)
+
+    # grad(w) = c (mean_center - c_i) is the trig optimum of the shifted mean
+    # 2 mean_center - c_i, and there the gap attains beta_i
+    for i in range(trig.n_devices):
+        w = problems._trig_optimum(2.0 * mean_center - centers[i], c, a)
+        g_i, g = trig.grad(i, w), trig.global_grad(w)
+        assert np.linalg.norm(g - c * (mean_center - centers[i])) <= 1e-12
+        assert float(g_i @ g_i) - alpha * float(g @ g) == pytest.approx(beta_i[i], rel=1e-9)
+
+
+@pytest.mark.parametrize("ratio", [0.0, 0.5, 1.0])
+def test_trig_optimum_beats_the_grid_and_zeroes_the_gradient(ratio):
+    c = 1.0
+    a = ratio * c
+    m = np.random.default_rng(200).standard_normal(200) * 2.0
+    w = problems._trig_optimum(m, c, a)
+
+    def phi(x, m):
+        return 0.5 * c * (x - m) ** 2 + a * np.cos(x)
+
+    r = a / c + np.pi
+    for j in range(len(m)):
+        grid = np.linspace(m[j] - r, m[j] + r, 4001)
+        assert phi(w[j], m[j]) <= phi(grid, m[j]).min()
+    grad, grad_at_zero = c * (w - m) - a * np.sin(w), -c * m
+    assert np.linalg.norm(grad) <= 1e-8 * max(1.0, np.linalg.norm(grad_at_zero))
+    if a == 0.0:
+        assert w.tobytes() == m.tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_builders_reject_non_finite_heterogeneity(bad):
+    with pytest.raises(ValueError, match="heterogeneity must be finite"):
+        make_quadratic_instance(3, 2, mu=1.0, smoothness=2.0, sigma=0.1, heterogeneity=bad, seed=1)
+    with pytest.raises(ValueError, match="heterogeneity must be finite"):
+        make_nonconvex_instance(3, 2, curvature=1.0, amplitude=0.5, sigma=0.1, heterogeneity=bad, seed=1)
 
 
 def _traced_peak_bytes(build):
@@ -301,8 +344,8 @@ def _traced_peak_bytes(build):
 
 
 def test_instance_build_memory_is_bounded():
-    # the certificate samples are O(samples * d); only fixed-size blocks of
-    # the (samples, N, d) gradients exist at any time
+    # no build samples points: the quadratic certificate's batched solve
+    # holds O(N * d^2) floats and the trig build O(N * d)
     mb = 2**20
     quad_peak = _traced_peak_bytes(
         lambda: make_quadratic_instance(100, 20, mu=1.0, smoothness=4.0, sigma=0.5, heterogeneity=1.0, seed=3)
