@@ -74,29 +74,37 @@ def sphere_noise(raw: np.ndarray, sigma: float) -> np.ndarray:
     return raw * (sigma / norms)
 
 
-# Each family's per-device formulas, written once on the instance's stacked
-# parameters ``s``: device i is row i of every array in ``s``.
+# Each family's formulas, written once on the instance's stacked parameters
+# ``s``, whose row i of every array is device i. value and grad take a block
+# of device ids (an index array or a slice of rows) and one w, and return one
+# row per device: a stacked matmul computes each row as the one-device call
+# does, so a device's row is the same whichever devices share its block.
 
 
-def _quadratic_value(s, i, w):
-    diff = w - s["centers"][i]
-    return 0.5 * float(diff @ s["hessians"][i] @ diff)
+def _row_dots(a, b):
+    """Row r: a[r] @ b[r], one dot per row."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def _quadratic_grad(s, i, w):
-    return s["hessians"][i] @ (w - s["centers"][i])
+def _quadratic_value(s, ids, w):
+    diff = w - s["centers"][ids]
+    return 0.5 * _row_dots(np.matmul(diff[:, None, :], s["hessians"][ids])[:, 0], diff)
 
 
-def _logistic_value(s, i, w):
-    margins = s["labels"][i] * (s["features"][i] @ w)
-    loss = float(np.mean(np.logaddexp(0.0, -margins)))
+def _quadratic_grad(s, ids, w):
+    return np.matmul(s["hessians"][ids], (w - s["centers"][ids])[:, :, None])[:, :, 0]
+
+
+def _logistic_value(s, ids, w):
+    margins = s["labels"][ids] * (s["features"][ids] @ w)
+    loss = np.mean(np.logaddexp(0.0, -margins), axis=1)
     return loss + 0.5 * s["l2"] * float(w @ w)
 
 
-def _logistic_grad(s, i, w):
-    features, labels = s["features"][i], s["labels"][i]
+def _logistic_grad(s, ids, w):
+    features, labels = s["features"][ids], s["labels"][ids]
     margins = labels * (features @ w)
-    g = -(features * (labels * _sigmoid(-margins))[:, None]).mean(axis=0)
+    g = -(features * (labels * _sigmoid(-margins))[:, :, None]).mean(axis=1)
     return g + s["l2"] * w
 
 
@@ -105,22 +113,22 @@ def logistic_sample_grads(s, ids, w, picks):
     alone, at w[r], plus the l2 term. The margins are one matmul per row,
     which computes each as the one-device ``x @ w`` does."""
     x, y = s["features"][ids, picks], s["labels"][ids, picks]
-    sig = _sigmoid(-y * np.matmul(x[:, None, :], w[:, :, None])[:, 0, 0])
+    sig = _sigmoid(-y * _row_dots(x, w))
     return (-y * sig)[:, None] * x + s["l2"] * w
 
 
-def _trig_value(s, i, w):
-    diff = w - s["centers"][i]
-    return 0.5 * s["curvature"] * float(diff @ diff) + s["amplitude"] * float(np.sum(np.cos(w)))
+def _trig_value(s, ids, w):
+    diff = w - s["centers"][ids]
+    return 0.5 * s["curvature"] * _row_dots(diff, diff) + s["amplitude"] * float(np.sum(np.cos(w)))
 
 
-def _trig_grad(s, i, w):
-    return s["curvature"] * (w - s["centers"][i]) - s["amplitude"] * np.sin(w)
+def _trig_grad(s, ids, w):
+    return s["curvature"] * (w - s["centers"][ids]) - s["amplitude"] * np.sin(w)
 
 
 class _Rows(NamedTuple):
-    value: Callable   # (s, i, w) -> f_i(w)
-    grad: Callable    # (s, i, w) -> grad f_i(w)
+    value: Callable   # (s, ids, w) -> f_i(w) for i in ids, shape (len(ids),)
+    grad: Callable    # (s, ids, w) -> grad f_i(w) for i in ids, shape (len(ids), d)
     per_device: str   # a key of ``s`` with one row per device
 
 
@@ -129,20 +137,19 @@ FAMILIES = {
     "logistic": _Rows(_logistic_value, _logistic_grad, "labels"),
     "trig": _Rows(_trig_value, _trig_grad, "centers"),
 }
+_ALL = slice(None)
 
 
 def _mean_value(kind, s, w):
     """f(w) = mean_i f_i(w), the per-device values summed exactly."""
-    rows = FAMILIES[kind]
-    n = len(s[rows.per_device])
-    return math.fsum(rows.value(s, i, w) for i in range(n)) / n
+    values = FAMILIES[kind].value(s, _ALL, w)
+    return math.fsum(values) / len(values)
 
 
 def _dissimilarity_of(kind, s, w_star):
     """mean_i ||grad_i(w*)||^2, summed exactly."""
-    rows = FAMILIES[kind]
-    n = len(s[rows.per_device])
-    return math.fsum(float(np.dot(g, g)) for g in (rows.grad(s, i, w_star) for i in range(n))) / n
+    g = FAMILIES[kind].grad(s, _ALL, w_star)
+    return math.fsum(_row_dots(g, g)) / len(g)
 
 
 def _sigmoid(z):
@@ -159,7 +166,7 @@ class ProblemConstants:
     alpha: float               # gradient-dissimilarity slope
     beta_i: np.ndarray         # per-device gradient-dissimilarity offsets
     beta: float                # mean of beta_i
-    dissimilarity: float       # mean_i ||grad_i(w*)||^2
+    dissimilarity: float | None  # mean_i ||grad_i(w*)||^2; None without a certified w*
 
 
 @dataclass(frozen=True)
@@ -207,21 +214,26 @@ class ProblemInstance:
         if not 0 <= i < self.n_devices:
             raise IndexError(f"device id {i} out of range [0, {self.n_devices})")
 
+    def _check_w(self, w):
+        w = _check_finite("w", w)
+        if w.shape != (self.dim,):
+            raise ValueError(f"w must have shape ({self.dim},), got {w.shape}")
+        return w
+
     def value(self, i: int, w: np.ndarray) -> float:
         self._check_device(i)
-        return FAMILIES[self.kind].value(self.stacked, i, w)
+        return float(FAMILIES[self.kind].value(self.stacked, [i], self._check_w(w))[0])
 
     def grad(self, i: int, w: np.ndarray) -> np.ndarray:
         self._check_device(i)
-        w = _check_finite("w", w)
-        return FAMILIES[self.kind].grad(self.stacked, i, w)
+        return FAMILIES[self.kind].grad(self.stacked, [i], self._check_w(w))[0]
 
     def global_value(self, w: np.ndarray) -> float:
         """f(w) = mean_i f_i(w), the per-device values summed exactly."""
-        return _mean_value(self.kind, self.stacked, _check_finite("w", w))
+        return _mean_value(self.kind, self.stacked, self._check_w(w))
 
     def global_grad(self, w: np.ndarray) -> np.ndarray:
-        w = _check_finite("w", w)
+        w = self._check_w(w)
         s, agg = self.stacked, self.aggregates
         if self.kind == "quadratic":
             return agg["h_bar"] @ w - agg["b_bar"]
@@ -240,7 +252,7 @@ class ProblemInstance:
         """
         if self.f_star is None:
             raise MissingOptimumError("instance has no certified optimum value")
-        w = _check_finite("w", w)
+        w = self._check_w(w)
         if self.kind == "trig":
             return self.global_value(w) - self.f_star
         agg = self.aggregates
@@ -317,20 +329,19 @@ def make_quadratic_instance(
     _check_scale("smoothness", smoothness, math.log(2.0) + 2.0 * math.log(smoothness / mu), heterogeneity, dim)
 
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5EED]))
-    hessians = np.empty((n_devices, dim, dim))
     centers = _ball_points(rng, n_devices, dim, heterogeneity)
-    for i in range(n_devices):
-        if dim == 1:
-            eigs = np.array([mu if i % 2 == 0 else smoothness])
-        else:
-            eigs = np.linspace(mu, smoothness, dim)
-        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-        hessians[i] = (q * eigs) @ q.T
-        hessians[i] = 0.5 * (hessians[i] + hessians[i].T)
-    if np.linalg.eigvalsh(hessians).min() <= 0.0:
+    if dim == 1:
+        spectrum = np.where(np.arange(n_devices) % 2 == 0, mu, smoothness)[:, None, None]
+    else:
+        spectrum = np.linspace(mu, smoothness, dim)
+    q, _ = np.linalg.qr(rng.standard_normal((n_devices, dim, dim)))
+    hessians = np.matmul(q * spectrum, q.transpose(0, 2, 1))
+    hessians = 0.5 * (hessians + hessians.transpose(0, 2, 1))
+    eigs = np.linalg.eigvalsh(hessians)
+    if eigs.min() <= 0.0:
         raise SpecError("smoothness", f"smoothness / mu = {smoothness / mu:.3g} is too large for double "
                         "precision to keep the Hessians positive definite")
-    return quadratic_instance_from_arrays(hessians, centers, sigma)
+    return _quadratic_instance(hessians, centers, sigma, eigs)
 
 
 def quadratic_instance_from_arrays(
@@ -344,15 +355,19 @@ def quadratic_instance_from_arrays(
     centers = np.array(_check_finite("centers", centers))
     if hessians.ndim != 3 or centers.ndim != 2 or hessians.shape[0] != centers.shape[0]:
         raise ValueError("expected hessians (N, d, d) and centers (N, d)")
-    n_devices, dim = centers.shape
-    _validate_family_args(n_devices, dim, sigma)
-
-    stacked = {"hessians": hessians, "centers": centers}
+    _validate_family_args(*centers.shape, sigma)
     eigs = np.linalg.eigvalsh(hessians)
+    if eigs.min() <= 0:
+        raise ValueError("all Hessians must be positive definite")
+    return _quadratic_instance(hessians, centers, sigma, eigs)
+
+
+def _quadratic_instance(hessians, centers, sigma, eigs):
+    """The instance of positive definite ``hessians`` with eigenvalues ``eigs``."""
+    n_devices, dim = centers.shape
+    stacked = {"hessians": hessians, "centers": centers}
     mu_eff = float(eigs.min())
     l_eff = float(eigs.max())
-    if mu_eff <= 0:
-        raise ValueError("all Hessians must be positive definite")
 
     h_sum = hessians.sum(axis=0)
     rhs = np.einsum("nij,nj->i", hessians, centers)
@@ -424,11 +439,11 @@ def make_logistic_instance(
         features[i] = rng.standard_normal((samples_per_device, dim)) + labels[i][:, None] * class_shift
     stacked = {"features": features, "labels": labels, "l2": float(l2)}
 
-    max_curv = max(float(np.linalg.eigvalsh(x.T @ x).max()) for x in features)
+    max_curv = float(np.linalg.eigvalsh(np.matmul(features.transpose(0, 2, 1), features)).max())
     smooth = l2 + max_curv / (4.0 * samples_per_device)
     w_star, f_star = _logistic_optimum(stacked, dim, smooth)
 
-    max_x = max(float(np.linalg.norm(x, axis=1).max()) for x in features)
+    max_x = float(np.linalg.norm(features, axis=2).max())
     beta_i = np.full(n_devices, 8.0 * max_x**2)
     constants = ProblemConstants(
         smoothness=smooth,
@@ -439,7 +454,7 @@ def make_logistic_instance(
         alpha=2.0,
         beta_i=beta_i,
         beta=float(beta_i.mean()),
-        dissimilarity=_dissimilarity_of("logistic", stacked, w_star),
+        dissimilarity=None if w_star is None else _dissimilarity_of("logistic", stacked, w_star),
     )
     aggregates = {}
     if w_star is not None:
@@ -461,23 +476,24 @@ def make_logistic_instance(
     )
 
 
+def _logistic_mean_grad(s, w):
+    """mean_i grad_i(w), the device rows summed in device order from +0.0.
+    A running sum differs from that only in the sign of an all-zero total."""
+    return (np.cumsum(_logistic_grad(s, _ALL, w), axis=0)[-1] + 0.0) / len(s["labels"])
+
+
 def _logistic_optimum(s, dim, smooth, tol_scale=1e-10, max_iters=1_000_000):
     # Deterministic full-batch gradient descent with step 1/L. Independent
     # of every simulated optimizer path, so suboptimality curves stay honest.
-    n = len(s["labels"])
-
-    def full_grad(w):
-        return sum((_logistic_grad(s, i, w) for i in range(n)), np.zeros(dim)) / n
-
     w = np.zeros(dim)
-    g = full_grad(w)
+    g = _logistic_mean_grad(s, w)
     target = tol_scale * max(1.0, float(np.linalg.norm(g)))
     step = 1.0 / smooth
     for _ in range(max_iters):
         if np.linalg.norm(g) <= target:
             break
         w = w - step * g
-        g = full_grad(w)
+        g = _logistic_mean_grad(s, w)
     else:
         return None, None
     if np.linalg.norm(g) > target:

@@ -4,8 +4,12 @@
 ``_meta.json`` file that ``compare_experiment`` writes for all five
 algorithms under each participation model and on each problem family
 (quadratic, trig and logistic). A seed fixes every output byte,
-so a change that moves any digest changes a result. To record the digests of
-the current code, run ``PYTHONPATH=src python tests/test_golden.py``.
+so a change that moves any digest changes a result.
+
+``tests/data/golden_instances.json`` pins the instance builds the same way:
+one digest per instance over the bytes of its optimum, every constant, its
+stacked arrays and its aggregates. To record the digests of the current code,
+run ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import hashlib
@@ -14,10 +18,13 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 import fedsim
 from fedsim.availability import write_trace
 
 DIGESTS = Path(__file__).parent / "data" / "golden_digests.json"
+INSTANCE_DIGESTS = Path(__file__).parent / "data" / "golden_instances.json"
 ALGORITHMS = ["mifa", "mifa_delta", "biased_fedavg", "is_fedavg", "sampling_fedavg"]
 N, HORIZON = 5, 40
 
@@ -40,6 +47,38 @@ CASES = {
     "trace_replay": (QUADRATIC, {"variant": "trace_replay", "path": "trace.txt"},
                      {"variant": "inverse_decay", "eta0": 0.05}),
 }
+
+# the two benchmark shapes, the dim-1 quadratic's endpoint alternation and
+# the logistic problem of the compare cases above
+INSTANCES = {
+    "quadratic_200x10": {"family": "quadratic", "n_devices": 200, "dim": 10, "mu": 1.0, "smoothness": 10.0,
+                         "sigma": 1.0, "heterogeneity": 2.0, "seed": 21},
+    "trig_20x200": {"family": "trig", "n_devices": 20, "dim": 200, "curvature": 1.0, "amplitude": 0.5,
+                    "sigma": 0.5, "heterogeneity": 2.0, "seed": 22},
+    "quadratic_7x1": {"family": "quadratic", "n_devices": 7, "dim": 1, "mu": 0.5, "smoothness": 3.0,
+                      "sigma": 0.0, "heterogeneity": 1.5, "seed": 23},
+    "logistic": LOGISTIC,
+}
+
+
+def instance_digest(inst) -> str:
+    """sha256 over the bytes of every field that a build computes, by name."""
+    c = inst.constants
+    fields = {"w_star": inst.w_star, "f_star": inst.f_star,
+              **{f"constants.{k}": v for k, v in vars(c).items()},
+              **{f"stacked.{k}": v for k, v in inst.stacked.items()},
+              **{f"aggregates.{k}": v for k, v in inst.aggregates.items()}}
+    h = hashlib.sha256()
+    for name in sorted(fields):
+        value = fields[name]
+        h.update(name.encode())
+        h.update(b"None" if value is None else np.ascontiguousarray(value, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+def instance_digests() -> dict:
+    return {name: instance_digest(fedsim.build_instance({"problem": problem}))
+            for name, problem in INSTANCES.items()}
 
 
 def golden_digests(directory: Path) -> dict:
@@ -73,7 +112,16 @@ def test_compare_outputs_match_golden_digests(tmp_path):
     assert not changed, f"output bytes changed: {changed}"
 
 
+def test_instance_builds_match_golden_digests():
+    expected = json.loads(INSTANCE_DIGESTS.read_text())
+    got = instance_digests()
+    assert sorted(got) == sorted(expected)
+    changed = [name for name in expected if got[name] != expected[name]]
+    assert not changed, f"instance bytes changed: {changed}"
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         DIGESTS.write_text(json.dumps(golden_digests(Path(tmp)), indent=1, sort_keys=True) + "\n")
-    print(f"wrote {DIGESTS}", file=sys.stderr)
+    INSTANCE_DIGESTS.write_text(json.dumps(instance_digests(), indent=1, sort_keys=True) + "\n")
+    print(f"wrote {DIGESTS} and {INSTANCE_DIGESTS}", file=sys.stderr)

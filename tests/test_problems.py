@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import tracemalloc
 from decimal import Decimal, localcontext
@@ -12,6 +13,7 @@ from fedsim.algorithms import local_updates
 from fedsim.experiment import fit_rate_slope
 from fedsim.problems import (
     MissingOptimumError,
+    SpecError,
     logistic_sample_grads,
     make_logistic_instance,
     make_nonconvex_instance,
@@ -542,3 +544,193 @@ def test_grad_rejects_bad_device_and_nonfinite_w():
         inst.grad(5, np.zeros(2))
     with pytest.raises(ValueError):
         inst.grad(0, np.array([np.nan, 0.0]))
+
+
+@pytest.mark.parametrize("call", [
+    lambda inst, w: inst.value(0, w),
+    lambda inst, w: inst.grad(0, w),
+    lambda inst, w: inst.global_value(w),
+    lambda inst, w: inst.global_grad(w),
+    lambda inst, w: inst.suboptimality(w),
+])
+@pytest.mark.parametrize("w", [np.array([np.nan, 0.0]), np.array([0.0, np.inf]), np.zeros(3), np.zeros((1, 2))])
+def test_every_method_rejects_a_bad_w_by_name(call, w):
+    for inst in (make_quadratic_instance(2, 2, mu=1.0, smoothness=2.0, sigma=0.0, heterogeneity=1.0, seed=6),
+                 make_logistic_instance(2, 2, samples_per_device=3, l2=1.0, label_skew=0.5, seed=6),
+                 make_nonconvex_instance(2, 2, curvature=1.0, amplitude=0.5, sigma=0.0, heterogeneity=1.0, seed=6)):
+        with pytest.raises(ValueError, match="^w must"):
+            call(inst, w)
+
+
+# ---------------------------------------------------------------------------
+# stacked family formulas against the one-device formulas
+# ---------------------------------------------------------------------------
+
+
+def _quadratic_value_one(s, i, w):
+    diff = w - s["centers"][i]
+    return 0.5 * float(diff @ s["hessians"][i] @ diff)
+
+
+def _quadratic_grad_one(s, i, w):
+    return s["hessians"][i] @ (w - s["centers"][i])
+
+
+def _logistic_value_one(s, i, w):
+    margins = s["labels"][i] * (s["features"][i] @ w)
+    loss = float(np.mean(np.logaddexp(0.0, -margins)))
+    return loss + 0.5 * s["l2"] * float(w @ w)
+
+
+def _logistic_grad_one(s, i, w):
+    features, labels = s["features"][i], s["labels"][i]
+    margins = labels * (features @ w)
+    g = -(features * (labels * problems._sigmoid(-margins))[:, None]).mean(axis=0)
+    return g + s["l2"] * w
+
+
+def _trig_value_one(s, i, w):
+    diff = w - s["centers"][i]
+    return 0.5 * s["curvature"] * float(diff @ diff) + s["amplitude"] * float(np.sum(np.cos(w)))
+
+
+def _trig_grad_one(s, i, w):
+    return s["curvature"] * (w - s["centers"][i]) - s["amplitude"] * np.sin(w)
+
+
+ONE_DEVICE = {
+    "quadratic": (_quadratic_value_one, _quadratic_grad_one),
+    "logistic": (_logistic_value_one, _logistic_grad_one),
+    "trig": (_trig_value_one, _trig_grad_one),
+}
+
+
+def _shaped_instances(n, d):
+    return [
+        make_quadratic_instance(n, d, mu=0.5, smoothness=7.0, sigma=0.0, heterogeneity=2.0, seed=n + d),
+        make_logistic_instance(n, d, samples_per_device=1 + (n + d) % 9, l2=0.3, label_skew=0.7, seed=n * d),
+        make_nonconvex_instance(n, d, curvature=1.5, amplitude=1.0, sigma=0.0, heterogeneity=2.0, seed=n + 3 * d),
+    ]
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n,d", [(1, 1), (1, 5), (2, 1), (4, 3), (5, 3), (9, 1), (12, 17), (40, 2)])
+def test_stacked_rows_equal_the_one_device_formulas(n, d):
+    rng = np.random.default_rng(100 * n + d)
+    for inst in _shaped_instances(n, d):
+        s, rows = inst.stacked, problems.FAMILIES[inst.kind]
+        value_one, grad_one = ONE_DEVICE[inst.kind]
+        for scale in (0.0, 1.0, 30.0):
+            w = scale * rng.standard_normal(d)
+            values = [value_one(s, i, w) for i in range(n)]
+            grads = [grad_one(s, i, w) for i in range(n)]
+            if n <= 4:  # every ordered subset
+                blocks = [np.array(p) for k in range(1, n + 1) for p in itertools.permutations(range(n), k)]
+            else:
+                blocks = [np.arange(n), np.arange(n)[::-1], rng.permutation(n)]
+                blocks += [rng.choice(n, size=k, replace=False) for k in range(1, n + 1)]
+            blocks.append(rng.choice(n, size=3 * n))  # repeated ids
+            for ids in blocks:
+                got_values, got_grads = rows.value(s, ids, w), rows.grad(s, ids, w)
+                assert got_values.shape == (len(ids),) and got_grads.shape == (len(ids), d)
+                for r, i in enumerate(ids):
+                    assert _same_bits(got_values[r], values[i]), (inst.kind, i)
+                    assert _same_bits(got_grads[r], grads[i]), (inst.kind, i)
+            assert _same_bits(rows.value(s, slice(None), w), values)
+            assert _same_bits(rows.grad(s, slice(None), w), grads)
+            assert _same_bits([inst.value(i, w) for i in range(n)], values)
+            assert _same_bits([inst.grad(i, w) for i in range(n)], grads)
+            assert _same_bits(inst.global_value(w), math.fsum(values) / n)
+
+
+def _hessians_one_device_loop(n_devices, dim, mu, smoothness, heterogeneity, seed):
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5EED]))
+    hessians = np.empty((n_devices, dim, dim))
+    centers = problems._ball_points(rng, n_devices, dim, heterogeneity)
+    for i in range(n_devices):
+        if dim == 1:
+            eigs = np.array([mu if i % 2 == 0 else smoothness])
+        else:
+            eigs = np.linspace(mu, smoothness, dim)
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        hessians[i] = (q * eigs) @ q.T
+        hessians[i] = 0.5 * (hessians[i] + hessians[i].T)
+    return hessians, centers
+
+
+@pytest.mark.parametrize("n", [1, 7, 200])
+@pytest.mark.parametrize("d", [1, 2, 10])
+def test_batched_quadratic_build_equals_the_one_device_qr_loop(n, d):
+    inst = make_quadratic_instance(n, d, mu=0.7, smoothness=6.0, sigma=0.0, heterogeneity=1.5, seed=n * d)
+    hessians, centers = _hessians_one_device_loop(n, d, 0.7, 6.0, 1.5, n * d)
+    assert _same_bits(inst.stacked["hessians"], hessians)
+    assert _same_bits(inst.stacked["centers"], centers)
+    w_star = inst.w_star
+    grads = [_quadratic_grad_one(inst.stacked, i, w_star) for i in range(n)]
+    assert _same_bits(inst.f_star, math.fsum(_quadratic_value_one(inst.stacked, i, w_star) for i in range(n)) / n)
+    assert _same_bits(inst.constants.dissimilarity, math.fsum(float(np.dot(g, g)) for g in grads) / n)
+
+
+def _logistic_mean_grad_one_device_loop(s, w):
+    n = len(s["labels"])
+    return sum((_logistic_grad_one(s, i, w) for i in range(n)), np.zeros(len(w))) / n
+
+
+@pytest.mark.parametrize("n,d,samples", [(1, 1, 1), (4, 1, 6), (7, 3, 5), (6, 5, 1), (19, 1, 3)])
+def test_logistic_build_equals_the_one_device_loops(n, d, samples):
+    inst = make_logistic_instance(n, d, samples_per_device=samples, l2=0.4, label_skew=0.5, seed=n + d)
+    s, features = inst.stacked, inst.stacked["features"]
+    max_curv = max(float(np.linalg.eigvalsh(x.T @ x).max()) for x in features)
+    assert _same_bits(inst.constants.smoothness, 0.4 + max_curv / (4.0 * samples))
+    max_x = max(float(np.linalg.norm(x, axis=1).max()) for x in features)
+    assert _same_bits(inst.constants.noise_std, max_x)
+    rng = np.random.default_rng(n * d)
+    for w in (inst.w_star, np.zeros(d), *rng.standard_normal((5, d))):
+        assert _same_bits(problems._logistic_mean_grad(s, w), _logistic_mean_grad_one_device_loop(s, w))
+    grads = [_logistic_grad_one(s, i, inst.w_star) for i in range(n)]
+    assert _same_bits(inst.constants.dissimilarity, math.fsum(float(np.dot(g, g)) for g in grads) / n)
+
+
+def test_logistic_mean_grad_of_negative_zeros_is_positive_zero():
+    inst = make_logistic_instance(5, 1, samples_per_device=2, l2=1.0, label_skew=0.0, seed=1)
+    s = {**inst.stacked, "features": np.zeros_like(inst.stacked["features"])}
+    w = np.array([-0.0])
+    assert _same_bits(_logistic_grad_one(s, 0, w), w)  # every device row is -0.0
+    assert _same_bits(problems._logistic_mean_grad(s, w), _logistic_mean_grad_one_device_loop(s, w))
+    assert _same_bits(problems._logistic_mean_grad(s, w), [0.0])
+
+
+def test_quadratic_build_decomposes_the_hessian_stack_once(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(np.array(a)) or eigvalsh(a))
+    inst = make_quadratic_instance(6, 3, mu=1.0, smoothness=5.0, sigma=0.0, heterogeneity=1.0, seed=8)
+    on_stack = [a for a in calls if a.shape == inst.stacked["hessians"].shape
+                and np.array_equal(a, inst.stacked["hessians"])]
+    assert len(on_stack) == 1 and len(calls) == 2  # the other call is the certificate's, on M_i
+
+
+def test_positive_definiteness_errors():
+    with pytest.raises(SpecError) as err:
+        make_quadratic_instance(4, 6, mu=1.0, smoothness=1e17, sigma=0.0, heterogeneity=1.0, seed=3)
+    assert err.value.key == "smoothness"
+    indefinite = np.stack([np.eye(2), np.diag([1.0, -1.0])])
+    with pytest.raises(ValueError, match="positive definite"):
+        quadratic_instance_from_arrays(indefinite, np.zeros((2, 2)), sigma=0.0)
+    with pytest.raises(ValueError, match="positive definite"):
+        quadratic_instance_from_arrays(np.zeros((1, 1, 1)), np.zeros((1, 1)), sigma=0.0)
+
+
+def test_logistic_build_without_an_optimum(monkeypatch):
+    monkeypatch.setattr(problems, "_logistic_optimum", lambda s, dim, smooth: (None, None))
+    inst = make_logistic_instance(3, 2, samples_per_device=4, l2=1.0, label_skew=0.5, seed=4)
+    assert inst.w_star is None and inst.f_star is None
+    assert inst.constants.dissimilarity is None and inst.aggregates == {}
+    with pytest.raises(MissingOptimumError):
+        inst.suboptimality(np.zeros(2))
+    with pytest.raises(MissingOptimumError):
+        inst.recompute_dissimilarity()
