@@ -572,6 +572,11 @@ class Runner:
             raise ValueError(f"unsupported checkpoint version {state['version']}")
         if state["algorithm"] != self.algo_spec.name:
             raise ValueError("checkpoint belongs to a different algorithm")
+        shape = (state["tracker"]["n_devices"], len(state["server"]["w"]))
+        expected = (self.instance.n_devices, self.instance.dim)
+        if shape != expected:
+            raise ValueError(f"checkpoint holds {shape[0]} devices in dimension {shape[1]}, "
+                             f"this run has {expected[0]} devices in dimension {expected[1]}")
         self.rounds_done = int(state["rounds_done"])
         self.oracle_calls = int(state["oracle_calls"])
         self.min_grad_sq = float(state["min_grad_sq"])

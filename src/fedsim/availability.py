@@ -268,8 +268,8 @@ class StalenessTracker:
         """Observe round ``t``, whose (N,) mask row is ``row``."""
         self.extend(t, row[None])
 
-    def extend(self, start: int, block: np.ndarray) -> None:
-        """Observe the rounds start, start + 1, ... of the (rounds, N) mask ``block``."""
+    def extend(self, start: int, block: np.ndarray) -> np.ndarray:
+        """Observe rounds start, start + 1, ... of the (rounds, N) mask ``block``; returns their staleness."""
         if start != self.round + 1:
             raise ValueError(f"expected round {self.round + 1}, got {start}")
         if start == 1 and not block[0].all():
@@ -287,6 +287,7 @@ class StalenessTracker:
             np.maximum(self._folded_dev_peak, folded.max(axis=0), out=self._folded_dev_peak)
         self.staleness = staleness[-1].copy()
         self.round = start + len(block) - 1
+        return staleness
 
     def stats(self) -> StalenessStats:
         if self.round < 2:
@@ -344,27 +345,16 @@ def check_linear_delay_bound(rounds, offset: float, smoothness: float, mu: float
     b = 40 (smoothness/mu)^1.5.
 
     ``rounds`` is a sequence of member sets starting at round 1 with all
-    devices. Returns (holds, first_violation) where first_violation is a
-    (round, device) pair or None.
+    devices, checked as ``TraceReplay`` checks it. Returns (holds,
+    first_violation) where first_violation is the (round, device) pair of
+    the earliest round, lowest device, or None.
     """
-    sets = [frozenset(int(i) for i in s) for s in rounds]
-    if not sets:
-        raise ValueError("empty trace")
-    n_devices = max((max(s) for s in sets if s), default=-1) + 1
-    if sets[0] != frozenset(range(n_devices)) or n_devices < 1:
-        raise ValueError("trace round 1 must list all devices")
+    rounds = list(rounds)
+    model = TraceReplay(len(set(rounds[0])) if rounds else 0, rounds)
+    staleness = StalenessTracker(model.n_devices).extend(1, model.table)
     b = 40.0 * (smoothness / mu) ** 1.5
-    staleness = np.zeros(n_devices, dtype=np.int64)
-    for t, members in enumerate(sets, start=1):
-        if t > 1:
-            mask = np.zeros(n_devices, dtype=bool)
-            mask[list(members)] = True
-            staleness = np.where(mask, 0, staleness + 1)
-        limit = offset + t / b
-        bad = np.nonzero(staleness > limit)[0]
-        if len(bad):
-            return False, (t, int(bad[0]))
-    return True, None
+    bad = np.argwhere(staleness > offset + np.arange(1, model.last_round + 1)[:, None] / b)
+    return (False, (int(bad[0, 0]) + 1, int(bad[0, 1]))) if len(bad) else (True, None)
 
 
 def bernoulli_staleness_tail(p: float, k: int, t: int) -> float:
@@ -444,7 +434,10 @@ def read_trace(path):
         line = _TRACE_ROUND.fullmatch(lines[t].strip()) if t < len(lines) else None
         if line is None or int(line[1]) != t:
             raise malformed(t + 1, f"'t:{t} active:<comma-separated device ids>'")
-        members = frozenset(int(i) for i in line[2].split(",")) if line[2] else frozenset()
+        ids = [int(i) for i in line[2].split(",")] if line[2] else []
+        members = frozenset(ids)
+        if len(members) < len(ids):
+            raise ValueError(f"trace {path} line {t + 1}: a device id is repeated")
         if any(i >= n_devices for i in members):
             raise ValueError(f"trace {path} line {t + 1}: device id out of range for N={n_devices}")
         rounds.append(members)

@@ -32,9 +32,8 @@ from .experiment import (
     compare_experiment,
     run_experiment,
     staleness_study,
-    staleness_study_csv,
     waiting_time_study,
-    write_text,
+    write_csv,
 )
 
 
@@ -100,10 +99,7 @@ def cmd_tau_study(args) -> int:
         f"coverage={study['peak_bound_coverage']:.3f} "
         f"avg_to_shape_ratio={study['avg_to_shape_ratio']:.3f}"
     )
-    if args.out:
-        write_text(f"{args.out}.csv", staleness_study_csv(study))
-        print(f"wrote {args.out}.csv")
-    return 0
+    return _write_study(args.out, study["rows"])
 
 
 def cmd_wait_study(args) -> int:
@@ -116,13 +112,13 @@ def cmd_wait_study(args) -> int:
         f"mean_wait={study['mean_wait']:.6f} stderr={study['stderr']:.6f} "
         f"lower_bound={study['lower_bound']:.6f}"
     )
-    if args.out:
-        write_text(
-            f"{args.out}.csv",
-            "mean_wait,stderr,lower_bound\n"
-            f"{study['mean_wait']:.17g},{study['stderr']:.17g},{study['lower_bound']:.17g}\n",
-        )
-        print(f"wrote {args.out}.csv")
+    return _write_study(args.out, [study])
+
+
+def _write_study(out: str | None, records: list) -> int:
+    if out:
+        write_csv(f"{out}.csv", records)
+        print(f"wrote {out}.csv")
     return 0
 
 

@@ -1,11 +1,12 @@
 """Experiment orchestration: multi-seed runs, CSV emission, aggregation,
 rate-slope fitting, and the waiting-time / staleness Monte Carlo studies.
 
-CSV schema (per-seed file): seed,t,t_prime,f_gap,avg_gap,grad_norm_sq,
-min_grad_norm_sq,tau_bar,tau_max,oracle_calls. Floats are printed with 17
-significant digits; unavailable metrics are empty fields. The aggregate file
-keys rows by wall-round and adds _mean/_stderr suffixed columns plus a
-``partial`` flag set when any seed diverged.
+Every CSV is written by ``_csv``: a header row, then one line per record,
+with ints as digits, floats with 17 significant digits, an unavailable value
+as an empty field, and LF line ends. The per-seed file has a ``seed`` column
+followed by the fields of ``RoundMetrics``. The aggregate file keys rows by
+wall-round and adds _mean/_stderr suffixed columns for every later field
+plus a ``partial`` flag set when any seed diverged.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -27,31 +28,29 @@ from .config import (
     build_schedule,
     validate_config,
 )
-from .records import RunResult
+from .records import RoundMetrics, RunResult
 from .schedules import StronglyConvexDecay
 from ._kernels import BACKEND
 
-CSV_COLUMNS = (
-    "seed",
-    "t",
-    "t_prime",
-    "f_gap",
-    "avg_gap",
-    "grad_norm_sq",
-    "min_grad_norm_sq",
-    "tau_bar",
-    "tau_max",
-    "oracle_calls",
-)
-_METRIC_COLUMNS = CSV_COLUMNS[2:]
+_ROUND_COLUMNS = tuple(f.name for f in fields(RoundMetrics))
+_METRIC_COLUMNS = _ROUND_COLUMNS[1:]
 
 
 def _fmt(value) -> str:
     if value is None:
         return ""
+    if type(value) is float:  # most fields; checked first, as every CSV cell passes here
+        return format(value, ".17g")
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return format(float(value), ".17g")
+
+
+def _csv(header, rows) -> str:
+    """The CSV text of ``header`` (column names) and ``rows`` (value sequences)."""
+    lines = [",".join(header)]
+    lines += [",".join(map(_fmt, row)) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -69,38 +68,21 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+def write_csv(path: str, records: list) -> None:
+    """Write ``records``, dicts with the same keys, as a CSV under a header of those keys."""
+    _atomic_write(path, _csv(records[0], (record.values() for record in records)))
+
+
 def rows_to_csv(per_seed: dict) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for seed in sorted(per_seed):
-        for row in per_seed[seed].rounds:
-            lines.append(
-                ",".join(
-                    (
-                        str(seed),
-                        str(row.t),
-                        str(row.t_prime),
-                        _fmt(row.f_gap),
-                        _fmt(row.avg_gap),
-                        _fmt(row.grad_norm_sq),
-                        _fmt(row.min_grad_norm_sq),
-                        _fmt(row.tau_bar),
-                        str(row.tau_max),
-                        str(row.oracle_calls),
-                    )
-                )
-            )
-    return "\n".join(lines) + "\n"
+    # a frozen dataclass's __dict__ holds its fields in declaration order
+    rows = ((seed, *vars(row).values()) for seed in sorted(per_seed) for row in per_seed[seed].rounds)
+    return _csv(("seed", *_ROUND_COLUMNS), rows)
 
 
 def aggregate_to_csv(per_seed: dict) -> str:
-    header = ["t"]
-    for col in _METRIC_COLUMNS:
-        header += [f"{col}_mean", f"{col}_stderr"]
-    header.append("partial")
-    lines = [",".join(header)]
-
+    header = ["t", *(f"{col}_{stat}" for col in _METRIC_COLUMNS for stat in ("mean", "stderr")), "partial"]
     results = [per_seed[seed] for seed in sorted(per_seed)]
-    partial = "1" if any(res.diverged for res in results) else "0"
+    partial = int(any(res.diverged for res in results))
     n_rounds = min(len(res.rounds) for res in results)
     # one (round, column) cell per row of seeds, contiguous along the last
     # axis, so each cell reduces in the order of a 1-D call on its values
@@ -109,20 +91,18 @@ def aggregate_to_csv(per_seed: dict) -> str:
     for c, col in enumerate(_METRIC_COLUMNS):
         for s, res in enumerate(results):
             column = [getattr(row, col) for row in res.rounds[:n_rounds]]
-            missing[:, c] |= [v is None for v in column]
+            missing[:, c] |= np.array([v is None for v in column], dtype=bool)
             values[:, c, s] = np.array(column, dtype=np.float64)  # None reads as nan
     means = values.mean(axis=-1)
     if len(results) < 2:
         stderrs = np.zeros_like(means)
     else:
         stderrs = values.std(axis=-1, ddof=1) / math.sqrt(len(results))
-    for idx in range(n_rounds):
-        fields = [str(results[0].rounds[idx].t)]
-        for absent, mean, stderr in zip(missing[idx].tolist(), means[idx].tolist(), stderrs[idx].tolist()):
-            fields += ["", ""] if absent else [_fmt(mean), _fmt(stderr)]
-        fields.append(partial)
-        lines.append(",".join(fields))
-    return "\n".join(lines) + "\n"
+    # (mean, stderr) pairs as Python floats, both None where a seed lacks the value
+    cells = np.stack([means, stderrs], axis=-1).astype(object)
+    cells[missing] = None
+    rows = zip(results[0].rounds, cells.reshape(n_rounds, 2 * len(_METRIC_COLUMNS)).tolist())
+    return _csv(header, ((row.t, *pairs, partial) for row, pairs in rows))
 
 
 @dataclass
@@ -324,17 +304,3 @@ def staleness_study(probs, horizon: int, n_traces: int, delta: float, seed: int)
         "peak_bound": bounds.peak_bound,
         "avg_shape": bounds.avg_shape,
     }
-
-
-def staleness_study_csv(study: dict) -> str:
-    lines = ["trace,tau_max,tau_bar,tau_max_bound,tau_bar_shape"]
-    for r in study["rows"]:
-        lines.append(
-            f"{r['trace']},{r['tau_max']},{_fmt(r['tau_bar'])},"
-            f"{_fmt(r['tau_max_bound'])},{_fmt(r['tau_bar_shape'])}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def write_text(path: str, text: str) -> None:
-    _atomic_write(path, text)

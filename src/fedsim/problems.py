@@ -347,15 +347,18 @@ def make_quadratic_instance(
 def quadratic_instance_from_arrays(
     hessians: np.ndarray, centers: np.ndarray, sigma: float
 ) -> ProblemInstance:
-    """Quadratic instance from explicit per-device (H_i, c_i) arrays.
+    """Quadratic instance from explicit per-device (H_i, c_i) arrays; each
+    H_i must be exactly symmetric and positive definite.
 
     The instance keeps its own read-only copy of the arrays.
     """
     hessians = np.array(_check_finite("hessians", hessians))
     centers = np.array(_check_finite("centers", centers))
-    if hessians.ndim != 3 or centers.ndim != 2 or hessians.shape[0] != centers.shape[0]:
+    if centers.ndim != 2 or hessians.shape != (*centers.shape, centers.shape[1]):
         raise ValueError("expected hessians (N, d, d) and centers (N, d)")
     _validate_family_args(*centers.shape, sigma)
+    if not np.array_equal(hessians, hessians.transpose(0, 2, 1)):
+        raise ValueError("hessians must be exactly symmetric")
     eigs = np.linalg.eigvalsh(hessians)
     if eigs.min() <= 0:
         raise ValueError("all Hessians must be positive definite")

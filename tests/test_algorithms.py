@@ -584,6 +584,22 @@ def test_checkpoint_resume_reproduces_trajectory(name):
     assert np.array_equal(second.state.w, full.state.w)
 
 
+@pytest.mark.parametrize("name", list(SERVERS))
+@pytest.mark.parametrize("n_devices, dim, message", [(4, 2, "holds 3 devices in dimension 2, this run has 4 devices"),
+                                                      (3, 5, "in dimension 2, this run has 3 devices in dimension 5")])
+def test_restore_names_a_checkpoint_of_another_size(name, n_devices, dim, message):
+    first = checkpoint_runner(name)
+    first.run_rounds(5)
+    snapshot = json.loads(json.dumps(first.checkpoint()))
+    inst = make_quadratic_instance(n_devices, dim, mu=1.0, smoothness=3.0, sigma=0.5, heterogeneity=1.0, seed=16)
+    model = BernoulliParticipation([0.5] * n_devices)
+    spec = SERVERS[name].from_config({"subset_size": 2}, model)
+    other = fedsim.Runner(spec, inst, model, StronglyConvexDecay(mu=1.0, smoothness=3.0, local_steps=2),
+                          horizon=40, n_steps=2, seed=8)
+    with pytest.raises(ValueError, match=message):
+        other.restore(snapshot)
+
+
 DATA = Path(__file__).parent / "data"
 
 

@@ -3,7 +3,8 @@
 ``tests/data/golden_digests.json`` holds the sha256 digest of every CSV and
 ``_meta.json`` file that ``compare_experiment`` writes for all five
 algorithms under each participation model and on each problem family
-(quadratic, trig and logistic). A seed fixes every output byte,
+(quadratic, trig and logistic), and of the CSVs that the ``tau-study`` and
+``wait-study`` commands write. A seed fixes every output byte,
 so a change that moves any digest changes a result.
 
 ``tests/data/golden_instances.json`` pins the instance builds the same way:
@@ -21,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 import fedsim
+from fedsim import cli
 from fedsim.availability import write_trace
 
 DIGESTS = Path(__file__).parent / "data" / "golden_digests.json"
@@ -101,6 +103,20 @@ def golden_digests(directory: Path) -> dict:
             for suffix in (".csv", "_aggregate.csv", "_meta.json"):
                 name = f"{case}_{algo}{suffix}"
                 digests[name] = hashlib.sha256((directory / name).read_bytes()).hexdigest()
+    # the study commands, each keyed by its --out path base; tau-study runs on the bernoulli case
+    problem, availability, schedule = CASES["bernoulli"]
+    study_cfg = {"problem": problem, "availability": availability, "algorithm": {"name": "mifa"},
+                 "schedule": schedule, "run": {"horizon": HORIZON, "local_steps": 2, "seeds": [1]}}
+    (directory / "study.json").write_text(json.dumps(study_cfg))
+    studies = {
+        "tau_study": ["tau-study", str(directory / "study.json"), "--traces", "20", "--delta", "0.05", "--seed", "4"],
+        "wait_study": ["wait-study", "--devices", "5", "--subset-size", "3", "--p", "0.9,0.6,0.4,0.25,0.15",
+                       "--trials", "200", "--seed", "5"],
+    }
+    for study, argv in studies.items():
+        assert cli.main([*argv, "--out", str(directory / study)]) == 0
+        name = f"{study}.csv"
+        digests[name] = hashlib.sha256((directory / name).read_bytes()).hexdigest()
     return digests
 
 

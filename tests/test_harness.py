@@ -141,6 +141,16 @@ def test_aggregate_csv_equals_the_per_cell_reduction(n_seeds):
     assert text.count(",,") > 0
 
 
+def test_aggregate_of_runs_without_a_round_is_its_header():
+    # a run that diverges in round 1 records no round
+    from fedsim.experiment import aggregate_to_csv
+    from fedsim.records import RunResult
+
+    text = aggregate_to_csv({seed: RunResult([], True, None, None, None) for seed in (1, 2)})
+    assert text == aggregate_per_cell({1: RunResult([], True, None, None, None)})
+    assert text.startswith("t,t_prime_mean,t_prime_stderr,f_gap_mean,") and text.endswith(",partial\n")
+
+
 def test_single_seed_aggregate_has_zero_stderr(tmp_path):
     cfg = base_config()
     cfg["run"]["seeds"] = [5]
@@ -560,8 +570,9 @@ def test_cli_run_names_missing_schedule_key(tmp_path, schedule, key):
         ("N=4 T=2\nt:1 active:0,1,2,3\nt:3 active:1\n", 3),
         ("N=4 T=2\nt:1 active:0,1,2,3\nactive:1\n", 3),
         ("N=4 T=2\nt:1 active:0,1,2,3\nt:2 active:4\n", 3),  # device id out of range
+        ("N=4 T=2\nt:1 active:0,1,2,3\nt:2 active:0,0\n", 3),
     ],
-    ids=["no_T", "no_N", "empty", "missing_round", "bad_ids", "out_of_order", "no_t", "id_range"],
+    ids=["no_T", "no_N", "empty", "missing_round", "bad_ids", "out_of_order", "no_t", "id_range", "repeated_id"],
 )
 def test_cli_run_names_malformed_trace_line(tmp_path, text, line):
     (tmp_path / "trace.txt").write_text(text)
@@ -573,7 +584,7 @@ def test_cli_run_names_malformed_trace_line(tmp_path, text, line):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     out = run_cli("run", str(path), "--out", str(tmp_path / "r"))
-    assert out.returncode != 0
+    assert out.returncode == 2
     assert f"line {line}:" in out.stderr
     assert "Traceback" not in out.stderr
     assert not (tmp_path / "r.csv").exists()

@@ -725,6 +725,22 @@ def test_positive_definiteness_errors():
         quadratic_instance_from_arrays(np.zeros((1, 1, 1)), np.zeros((1, 1)), sigma=0.0)
 
 
+def test_from_arrays_rejects_an_asymmetric_hessian():
+    # eigvalsh reads one triangle and sees mu = L = 1; the objective's
+    # symmetric part has eigenvalues -1.5 and 3.5
+    hessians = np.array([[[1.0, 5.0], [0.0, 1.0]], np.eye(2)])
+    with pytest.raises(ValueError, match="hessians must be exactly symmetric"):
+        quadratic_instance_from_arrays(hessians, np.zeros((2, 2)), sigma=0.0)
+
+
+@pytest.mark.parametrize("hessians_shape, centers_shape", [((2, 3, 3), (2, 2)), ((2, 2, 3), (2, 2)),
+                                                            ((3, 2, 2), (2, 2)), ((2, 2), (2, 2)),
+                                                            ((2, 2, 2), (2,))])
+def test_from_arrays_names_mismatched_shapes(hessians_shape, centers_shape):
+    with pytest.raises(ValueError, match=r"expected hessians \(N, d, d\) and centers \(N, d\)"):
+        quadratic_instance_from_arrays(np.ones(hessians_shape), np.zeros(centers_shape), sigma=0.0)
+
+
 def test_logistic_build_without_an_optimum(monkeypatch):
     monkeypatch.setattr(problems, "_logistic_optimum", lambda s, dim, smooth: (None, None))
     inst = make_logistic_instance(3, 2, samples_per_device=4, l2=1.0, label_skew=0.5, seed=4)
