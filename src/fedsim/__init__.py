@@ -3,6 +3,7 @@ device unavailability."""
 
 from ._kernels import BACKEND
 from .algorithms import (
+    Batch,
     BiasedFedAvgSpec,
     DivergenceError,
     ImportanceFedAvgSpec,

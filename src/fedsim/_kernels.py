@@ -2,7 +2,7 @@
 
 ``local_sgd`` runs K steps W <- W - eta * G_k on an (A, d) block ``W`` whose
 row r is device r's local iterate, and returns (sum of the G_k, final
-block). The gradient sum is accumulated directly rather than recovered from
+block); ``eta`` is one step size or the (A, 1) column of each row's. The gradient sum is accumulated directly rather than recovered from
 the displacement, so small steps never suffer cancellation.
 
 The quadratic and trig kernels add the (A, K, d) block of pre-drawn noise

@@ -2,20 +2,24 @@
 
 Each algorithm is a server object that owns the model ``w``, the wall-round
 counter ``t``, the global-update counter ``t_prime`` and whatever memory the
-algorithm keeps. ``Runner`` plays every wall-round the same way:
+algorithm keeps. A ``Batch`` of runs on one instance and one participation
+model plays every wall-round the same way, for all its runs at once:
 
-1. ``server.needs(t, row)`` checks that ``t`` is the next round and returns
-   the sorted ids of the devices that compute in it, given the round's
-   participation mask ``row``;
-2. ``local_updates`` runs those devices' K local SGD steps from
-   ``server.w`` as one batch and returns the round's (A, d) block
-   ``values`` of their summed sampled gradients: each device draws its
-   randomness from its own noise stream into its row of a draw block
-   (``local_update``), then each step is one expression over the block.
-   A device's row does not depend on which devices share its batch;
-3. ``server.aggregate(ids, values, schedule)`` folds that block in and steps
-   the model.
+1. each seed's participation mask row is drawn once and handed to every run
+   of that seed; ``server.needs(t, row)`` checks that ``t`` is the next round
+   and returns the sorted ids of the devices that compute in it;
+2. one ``local_updates`` call runs every run's devices, from their runs'
+   models, as one (A, d) block of summed sampled gradients: each device draws
+   its randomness from its own noise stream into its row of a draw block
+   (``local_update``), then each step is one expression over the block. A
+   device's row does not depend on which devices share its batch, and a
+   run whose rows left the doubles stops alone, as diverged;
+3. ``server.fold(ids, values)`` folds each run's slice of that block in and
+   returns the rows it adds to its exact sum; every run's rows go into one
+   wide sum in one ``add``, one ``rounded()`` gives every run's window, and
+   ``server.step`` steps each model.
 
+A ``Runner`` is one run, and advancing it alone is the batch of one.
 ``state_dict``/``load_state_dict`` checkpoint a server. The five servers
 differ only in steps 1 and 3:
 
@@ -38,24 +42,27 @@ spec, the frozen parameter holder that ``Runner`` and ``run`` take.
 
 Every server sums through one exact accumulator, ``exact.ExactVectorSum``,
 and rounds the sum correctly, so algebraically equal updates are bitwise
-equal. The FedAvg servers sum each aggregated block afresh
-(``exact.exact_mean``). The two memory servers keep the exact sum of their
-(N, d) table and add each round's new rows and the negated rows they
-replace, in O(A d); the running average of ``mifa_delta`` thus equals the
-array average of ``mifa`` bit for bit. The sum is derived state: a
-checkpoint holds the table alone, and restoring rebuilds the sum from it.
+equal, whichever runs share the accumulator. The FedAvg servers sum each
+aggregated block afresh: their sum is zeroed before each round that adds to
+it. The two memory servers keep the exact sum of their (N, d) table and add
+each round's new rows and the negated rows they replace, in O(A d); the
+running average of ``mifa_delta`` thus equals the array average of ``mifa``
+bit for bit. The sum is derived state: a checkpoint holds the table alone,
+and restoring, or joining a batch, rebuilds the sum from it.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
 from .availability import BernoulliParticipation, ParticipationSampler, StalenessTracker
+# exact_mean is not called here; compare_bench/tracing.py patches it by this name
 from .exact import ExactVectorSum, exact_mean, two_diff
-from .problems import ProblemInstance, SpecError, logistic_sample_grads, sphere_noise
+from .problems import ProblemInstance, SpecError, _row_dots, logistic_sample_grads, sphere_noise
 from .records import RoundMetrics, RunResult
 from .rng import (
     SUBSET_SAMPLING,
@@ -83,54 +90,62 @@ def local_update(instance: ProblemInstance, rng: np.random.Generator, out: np.nd
         rng.standard_normal(out=out)
 
 
+def _draw_block(instance: ProblemInstance, rngs, shape: tuple, dtype=np.float64) -> np.ndarray:
+    """The round's draw block: row r drawn from ``rngs[r]`` by ``local_update``."""
+    block = np.zeros(shape, dtype)
+    for row, rng in zip(block, rngs, strict=True):
+        local_update(instance, rng, row)
+    return block
+
+
 def local_updates(
     instance: ProblemInstance,
     ids,
     w: np.ndarray,
-    eta: float,
+    eta,
     n_steps: int,
     rngs,
-) -> np.ndarray:
-    """Run K local SGD steps from ``w`` on each device of ``ids`` and return
-    the (A, d) block of their gradient sums, row r for device ``ids[r]``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run K local SGD steps on each device of ``ids``. Returns the (A, d)
+    block of their gradient sums, row r for device ``ids[r]``, and the (A,)
+    mask of the rows whose local iterates stayed finite.
 
-    Device ``ids[r]`` draws from its own stream ``rngs[r]``; then the noise
+    Row r starts from ``w``, one model (d,) or row r of an (A, d) block, and
+    steps by ``eta``, one step size or row r's of an (A,) array. Device
+    ``ids[r]`` draws from its own stream ``rngs[r]``; then the noise
     (quadratic, trig) is normalised, and each of the K steps runs, once over
     the whole block. A row is bitwise what the one-device call ``[ids[r]]``
-    returns, whatever the other ids and their order. A row times eta equals
+    returns, whatever the other rows and their order. A row times eta equals
     the local displacement w - w_K exactly in real arithmetic; it is
     accumulated as a running sum of the sampled gradients so small steps
     lose no precision to cancellation.
     """
-    if eta <= 0:
+    eta = np.asarray(eta, dtype=np.float64)
+    if (eta <= 0).any():
         raise ValueError("eta must be > 0")
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     ids = np.asarray(ids, dtype=np.intp)
     if not len(ids):
-        return np.empty((0, instance.dim))
+        return np.empty((0, instance.dim)), np.ones(0, dtype=bool)
     s = instance.stacked
-    logistic = instance.kind == "logistic"
-    draws = np.empty((len(ids), n_steps), np.int64) if logistic else np.zeros((len(ids), n_steps, instance.dim))
-    for row, rng in zip(draws, rngs, strict=True):
-        local_update(instance, rng, row)
     w0 = np.broadcast_to(w, (len(ids), instance.dim))
-    if logistic:
+    step = eta[..., None]  # one step per row, or one for all
+    if instance.kind == "logistic":
+        picks = _draw_block(instance, rngs, (len(ids), n_steps), np.int64)
         total, w_final = _kernels.local_sgd(
-            lambda v, k: logistic_sample_grads(s, ids, v, draws[:, k]), w0, eta, n_steps
+            lambda v, k: logistic_sample_grads(s, ids, v, picks[:, k]), w0, step, n_steps
         )
     else:
-        noise = sphere_noise(draws, instance.constants.noise_std)
+        # the draws are freed once normalised: a batch's blocks are large
+        noise = sphere_noise(_draw_block(instance, rngs, (len(ids), n_steps, instance.dim)), instance.constants.noise_std)
         if instance.kind == "quadratic":
-            total, w_final = _kernels.quad_local_sgd(s["hessians"][ids], s["centers"][ids], w0, eta, n_steps, noise)
+            total, w_final = _kernels.quad_local_sgd(s["hessians"][ids], s["centers"][ids], w0, step, n_steps, noise)
         else:
             total, w_final = _kernels.trig_local_sgd(
-                s["centers"][ids], s["curvature"], s["amplitude"], w0, eta, n_steps, noise
+                s["centers"][ids], s["curvature"], s["amplitude"], w0, step, n_steps, noise
             )
-    finite = np.isfinite(total).all(axis=1) & np.isfinite(w_final).all(axis=1)
-    if not finite.all():
-        raise DivergenceError(f"device {ids[~finite].min()} produced a non-finite local iterate")
-    return total
+    return total, np.isfinite(total).all(axis=1) & np.isfinite(w_final).all(axis=1)
 
 
 # --------------------------------------------------------------------------
@@ -181,10 +196,14 @@ class Server:
     """One algorithm's server for one run; see the module docstring.
 
     ``subset_rng`` is the run's subset-sampling stream; only the servers
-    that draw device subsets use it.
+    that draw device subsets use it. The server sums into columns
+    ``column`` .. ``column`` + d - 1 of ``exact_sum``, an accumulator it may
+    share with the other runs of a batch. ``fresh`` says whether the sum
+    restarts every round the server steps (FedAvg) or runs on (memory).
     """
 
     spec_class: type  # the spec this server runs; its default name keys SERVERS
+    fresh = True
 
     def __init__(self, spec, n_devices: int, w0: np.ndarray, subset_rng: np.random.Generator):
         self.spec = spec
@@ -192,6 +211,8 @@ class Server:
         self.w = w0.copy()
         self.t = 0
         self.t_prime = 0
+        self.exact_sum = ExactVectorSum(len(w0))
+        self.column = 0
 
     @classmethod
     def from_config(cls, section: dict, model):
@@ -211,11 +232,23 @@ class Server:
         self.t = t
         return np.flatnonzero(row)
 
-    def aggregate(self, ids: np.ndarray, values: np.ndarray, schedule: LrSchedule) -> None:
+    def fold(self, ids: np.ndarray, values: np.ndarray):
         """Fold in the (A, d) block ``values`` of the local updates (gradient
-        sums) of the devices ``ids`` that ``needs`` returned, row by row, and
-        step the model."""
+        sums) of the devices ``ids`` that ``needs`` returned, row by row.
+        Returns None when the model does not step this round, else (rows,
+        count): the rows this round adds to the exact sum, and the count
+        that divides the rounded sum into the step's direction."""
         raise NotImplementedError
+
+    def step(self, direction: np.ndarray, schedule: LrSchedule) -> None:
+        self._step(schedule.eta(self.t), direction)
+
+    def aggregate(self, ids: np.ndarray, values: np.ndarray, schedule: LrSchedule) -> None:
+        """Fold in the block ``values`` of the devices ``ids`` and step the
+        model: this server's part of a batch round, played alone."""
+        folded = self.fold(ids, values)
+        if folded is not None:
+            _sum_and_step([(self, *folded, schedule)])
 
     def _step(self, eta: float, direction: np.ndarray) -> None:
         # single shared expression so equal (eta, direction) pairs give equal models
@@ -232,18 +265,62 @@ class Server:
         self.t_prime = int(state.get("t_prime", self.t))
 
 
+def _sum_and_step(steps: list) -> None:
+    """Step each server of ``steps``, a list of (server, rows, count,
+    schedule), by its window of the correctly rounded sum of its rows over
+    its count. Servers that share an accumulator share one ``add`` and one
+    ``rounded()``; a fresh accumulator is zeroed first."""
+    shared: dict = {}
+    for entry in steps:
+        shared.setdefault(id(entry[0].exact_sum), []).append(entry)
+    totals = {}
+    for key, group in shared.items():
+        total = group[0][0].exact_sum
+        if group[0][0].fresh:
+            total.clear()
+        total.add(
+            np.concatenate([rows for _, rows, _, _ in group]),
+            np.repeat([server.column for server, _, _, _ in group], [len(rows) for _, rows, _, _ in group]),
+        )
+        totals[key] = total.rounded()
+    for server, _, count, schedule in steps:
+        window = totals[id(server.exact_sum)][server.column : server.column + len(server.w)]
+        server.step(window / count, schedule)
+
+
+def _pool(servers: list) -> None:
+    """Put the exact sums of ``servers``, which are all fresh or all memory
+    servers, on one accumulator, server k on the k-th window of d columns.
+    A memory server's sum is rebuilt there from its table."""
+    if not servers:
+        return
+    dim = len(servers[0].w)
+    pooled = servers[0].exact_sum
+    if pooled.dim == len(servers) * dim and all(
+        s.exact_sum is pooled and s.column == k * dim for k, s in enumerate(servers)
+    ):
+        return  # laid out so already: a run advanced alone keeps its own sum
+    pooled = ExactVectorSum(len(servers) * dim)
+    for k, server in enumerate(servers):
+        server.exact_sum, server.column = pooled, k * dim
+    if not servers[0].fresh:
+        tables = [server.memory for server in servers]
+        pooled.add(np.concatenate(tables), np.repeat([s.column for s in servers], [len(t) for t in tables]))
+
+
 class MemoryServer(Server):
     """A server that remembers every device's latest update in the (N, d)
-    table ``memory`` and keeps ``exact_sum``, the exact sum of the table's
-    rows. The sum is derived state: a checkpoint holds the table alone, under
-    the key ``table_key``, and restoring rebuilds the sum from it, exactly."""
+    table ``memory`` and keeps its window of ``exact_sum`` equal to the exact
+    sum of the table's rows. The sum is derived state: a checkpoint holds the
+    table alone, under the key ``table_key``, and restoring rebuilds the sum
+    from it, exactly. The model steps every round, by the table's average."""
 
     table_key: str
+    fresh = False
 
     def __init__(self, spec, n_devices, w0, subset_rng):
         super().__init__(spec, n_devices, w0, subset_rng)
         self.memory = np.zeros((n_devices, len(w0)))
-        self.exact_sum = ExactVectorSum(len(w0))
 
     def state_dict(self):
         return {"w": self.w.tolist(), self.table_key: self.memory.tolist(), "t": self.t}
@@ -252,7 +329,7 @@ class MemoryServer(Server):
         # checkpoint versions 1 and 2 also held mifa_delta's exact sum, which is not read
         super().load_state_dict(state)
         self.memory = np.asarray(state[self.table_key], dtype=np.float64)
-        self.exact_sum = ExactVectorSum(self.memory.shape[1])
+        self.exact_sum, self.column = ExactVectorSum(self.memory.shape[1]), 0
         self.exact_sum.add(self.memory)
 
 
@@ -269,10 +346,10 @@ class MifaServer(MemoryServer):
     def update_array(self) -> np.ndarray:
         return self.memory
 
-    def aggregate(self, ids, values, schedule):
-        self.exact_sum.add(np.concatenate((values, -self.memory[ids])))
+    def fold(self, ids, values):
+        rows = np.concatenate((values, -self.memory[ids]))
         self.memory[ids] = values
-        self._step(schedule.eta(self.t), self.exact_sum.rounded() / self.n_devices)
+        return rows, self.n_devices
 
 
 class MifaDeltaServer(MemoryServer):
@@ -292,19 +369,17 @@ class MifaDeltaServer(MemoryServer):
 
     @property
     def running_average(self) -> np.ndarray:
-        return self.exact_sum.rounded() / self.n_devices
+        return self.exact_sum.rounded()[self.column : self.column + len(self.w)] / self.n_devices
 
-    def aggregate(self, ids, values, schedule):
-        if len(ids):
-            old = self.memory[ids]
-            with np.errstate(over="ignore", invalid="ignore"):
-                hi, lo = two_diff(values, old)
-            spilled = np.isinf(hi)
-            if spilled.any():
-                hi, lo = np.where(spilled, values, hi), np.where(spilled, -old, lo)
-            self.exact_sum.add(np.concatenate((hi, lo)))
-            self.memory[ids] = values
-        self._step(schedule.eta(self.t), self.running_average)
+    def fold(self, ids, values):
+        old = self.memory[ids]
+        with np.errstate(over="ignore", invalid="ignore"):
+            hi, lo = two_diff(values, old)
+        spilled = np.isinf(hi)
+        if spilled.any():
+            hi, lo = np.where(spilled, values, hi), np.where(spilled, -old, lo)
+        self.memory[ids] = values
+        return np.concatenate((hi, lo)), self.n_devices
 
 
 class BiasedFedAvgServer(Server):
@@ -313,9 +388,8 @@ class BiasedFedAvgServer(Server):
 
     spec_class = BiasedFedAvgSpec
 
-    def aggregate(self, ids, values, schedule):
-        if len(ids):
-            self._step(schedule.eta(self.t), exact_mean(values, len(ids)))
+    def fold(self, ids, values):
+        return (values, len(ids)) if len(ids) else None
 
 
 class ImportanceFedAvgServer(Server):
@@ -344,13 +418,13 @@ class ImportanceFedAvgServer(Server):
             raise SpecError("probs", f"{len(probs)} probabilities for {model.n_devices} devices")
         return cls.spec_class(probs=probs, normalization=section.get("normalization", "active_count"))
 
-    def aggregate(self, ids, values, schedule):
-        if len(ids):
-            weighted = values / self.probs[ids, None]
-            if not np.all(np.isfinite(weighted)):
-                raise DivergenceError(f"an importance-weighted update passed the largest double in round {self.t}")
-            denom = len(ids) if self.spec.normalization == "active_count" else self.n_devices
-            self._step(schedule.eta(self.t), exact_mean(weighted, denom))
+    def fold(self, ids, values):
+        if not len(ids):
+            return None
+        weighted = values / self.probs[ids, None]
+        if not np.all(np.isfinite(weighted)):
+            raise DivergenceError(f"an importance-weighted update passed the largest double in round {self.t}")
+        return weighted, len(ids) if self.spec.normalization == "active_count" else self.n_devices
 
 
 class SamplingFedAvgServer(Server):
@@ -389,14 +463,19 @@ class SamplingFedAvgServer(Server):
             self.window_start = self.t
         return np.flatnonzero(self.pending & row)
 
-    def aggregate(self, ids, values, schedule):
-        self.collected.update(zip(map(int, ids), values))
+    def fold(self, ids, values):
+        # copied, so that the round's whole block is not kept alive
+        self.collected.update(zip(map(int, ids), values.copy()))
         self.pending[ids] = False
-        if not self.pending.any():
-            collected = np.array(list(self.collected.values()))
-            self._step(schedule.eta(self.t_prime + 1), exact_mean(collected, self.spec.subset_size))
-            self.waits.append(self.t - self.window_start + 1)
-            self.collected = {}
+        if self.pending.any():
+            return None
+        collected = np.array(list(self.collected.values()))
+        self.waits.append(self.t - self.window_start + 1)
+        self.collected = {}
+        return collected, self.spec.subset_size
+
+    def step(self, direction, schedule):
+        self._step(schedule.eta(self.t_prime + 1), direction)
 
     def state_dict(self):
         return {
@@ -427,16 +506,26 @@ SERVERS = {
 
 
 # --------------------------------------------------------------------------
-# The round-loop runner
+# Runs and the lockstep round engine
 # --------------------------------------------------------------------------
 
 
+def _run_fields(state: dict) -> dict:
+    """A version-5 checkpoint's fields that identify its run, keyed by name."""
+    return {"seed": state["seed"], "horizon": state["horizon"], "n_steps": state["n_steps"],
+            **{f"spec.{key}": value for key, value in state["spec"].items()}}
+
+
 class Runner:
-    """Deterministic wall-round loop for one (algorithm, seed) pair.
+    """One (algorithm, seed) run: its server, noise and subset streams,
+    staleness, counters and metric rows.
 
     Participation, gradient noise, and subset sampling each draw from
     dedicated substreams of the seed, so every algorithm sees the identical
-    active-set sequence and per-device noise for a fixed seed.
+    active-set sequence and per-device noise for a fixed seed. A ``Batch``
+    advances runs; advancing one runner alone is the batch of that one.
+    The participation sampler is positioned when the run next advances.
+    ``divergence`` holds the ``DivergenceError`` that stopped the run.
     """
 
     def __init__(
@@ -464,7 +553,7 @@ class Runner:
 
         dim = instance.dim
         self.w0 = np.zeros(dim) if w0 is None else np.asarray(w0, dtype=np.float64).copy()
-        self.sampler = ParticipationSampler(model, seed, horizon)
+        self.sampler = None
         self.noise_rngs = device_noise_streams(seed, instance.n_devices)
         self.subset_rng = substream(seed, SUBSET_SAMPLING, 0)
         self.tracker = StalenessTracker(instance.n_devices)
@@ -472,6 +561,7 @@ class Runner:
         self.min_grad_sq = np.inf
         self.rounds_done = 0
         self.rows: list = []
+        self.divergence = None
 
         self.averaged = None
         if isinstance(schedule, StronglyConvexDecay):
@@ -479,83 +569,47 @@ class Runner:
 
         self.state = SERVERS[algo_spec.name](algo_spec, instance.n_devices, self.w0, self.subset_rng)
 
-    def _round_once(self, t: int) -> None:
-        row = self.sampler.row(t)
-        self.tracker.update(t, row)
-        if self.averaged is not None:
-            self.averaged.observe(t, self.state.w)
-        w_before = self.state.w
-
-        f_gap = None
-        if self.instance.strongly_convex and self.instance.f_star is not None:
-            f_gap = self.instance.suboptimality(w_before)
-        g = self.instance.global_grad(w_before)
-        grad_sq = float(g @ g)
-        if not self.instance.strongly_convex:
-            f_gap = grad_sq
-        self.min_grad_sq = min(self.min_grad_sq, grad_sq)
-        avg_gap = None
-        if self.averaged is not None and self.instance.f_star is not None:
-            avg_gap = self.instance.suboptimality(self.averaged.current())
-
-        computing = self.state.needs(t, row)
-        rngs = [self.noise_rngs[i] for i in computing]
-        values = local_updates(self.instance, computing, self.state.w, self.schedule.eta(t), self.n_steps, rngs)
-        self.state.aggregate(computing, values, self.schedule)
-        self.oracle_calls += self.n_steps * len(computing)
-        if not np.all(np.isfinite(self.state.w)):
-            raise DivergenceError(f"server model non-finite after round {t}")
-
-        self.rows.append(
-            RoundMetrics(
-                t=t,
-                t_prime=self.state.t_prime,
-                f_gap=f_gap,
-                avg_gap=avg_gap,
-                grad_norm_sq=grad_sq,
-                min_grad_norm_sq=self.min_grad_sq,
-                tau_bar=self.tracker.running_avg,
-                tau_max=self.tracker.running_peak,
-                oracle_calls=self.oracle_calls,
-            )
-        )
-        self.rounds_done = t
-
     def run(self) -> RunResult:
-        diverged = False
-        try:
-            self.run_rounds(self.horizon)
-        except DivergenceError:
-            diverged = True
-        final_avg = self.rows[-1].avg_gap if self.rows else None
-        stats = self.tracker.stats() if self.tracker.round >= 2 else None
+        return Batch([self]).run()[0]
+
+    def run_rounds(self, upto: int) -> list:
+        """Advance to round ``upto`` (inclusive); returns the new rows. A
+        diverging run raises its ``DivergenceError``."""
+        Batch([self]).run_rounds(upto)
+        if self.divergence is not None:
+            raise self.divergence
+        return self.rows
+
+    def result(self) -> RunResult:
+        """The run's result: the rows of its last advance, and its staleness
+        over the rounds it played."""
         return RunResult(
             rounds=self.rows,
-            diverged=diverged,
-            final_avg_gap=final_avg,
-            staleness=stats,
+            diverged=self.divergence is not None,
+            final_avg_gap=self.rows[-1].avg_gap if self.rows else None,
+            staleness=self.tracker.stats() if self.tracker.round >= 2 else None,
             final_w=self.state.w.copy(),
         )
 
-    def run_rounds(self, upto: int) -> list:
-        """Advance to round ``upto`` (inclusive); returns the new rows."""
-        self.rows = []
-        for t in range(self.rounds_done + 1, upto + 1):
-            self._round_once(t)
-        return self.rows
-
     # ---- lossless mid-run checkpointing -----------------------------------
-    # Version 4 stores no derived state. The memory servers rebuild their
-    # exact sum from their table (versions 1 and 2 also stored mifa_delta's,
-    # as Shewchuk partials, then as limbs). The participation sampler is a
-    # function of (seed, round), so restoring positions a fresh one at the
-    # next round (versions 1 to 3 also stored its generators or last-active
-    # rounds, which equal the positioned ones and are not read).
+    # Version 5 stores no derived state, and the seed, horizon, local steps
+    # and spec of the run, which restoring checks. The memory servers rebuild
+    # their exact sum from their table (versions 1 and 2 also stored
+    # mifa_delta's, as Shewchuk partials, then as limbs). The participation
+    # sampler is a function of (seed, round), so restoring positions a fresh
+    # one at the next round (versions 1 to 3 also stored its generators or
+    # last-active rounds, which equal the positioned ones and are not read).
+
+    def _identity(self) -> dict:
+        """What a checkpoint stores of the run's settings; the spec's tuples as lists."""
+        spec = {key: list(value) if isinstance(value, tuple) else value for key, value in vars(self.algo_spec).items()}
+        return {"spec": spec, "seed": self.seed, "horizon": self.horizon, "n_steps": self.n_steps}
 
     def checkpoint(self) -> dict:
-        state = {
-            "version": 4,
+        return {
+            "version": 5,
             "algorithm": self.algo_spec.name,
+            **self._identity(),
             "rounds_done": self.rounds_done,
             "oracle_calls": self.oracle_calls,
             "min_grad_sq": self.min_grad_sq,
@@ -565,10 +619,11 @@ class Runner:
             "subset_rng": generator_state(self.subset_rng),
             "averaged": self.averaged.state_dict() if self.averaged is not None else None,
         }
-        return state
 
     def restore(self, state: dict) -> None:
-        if state["version"] not in (1, 2, 3, 4):
+        """Resume from ``checkpoint()``'s state, of any version 1 to 5. A
+        checkpoint of another run raises ``ValueError`` naming the field."""
+        if state["version"] not in (1, 2, 3, 4, 5):
             raise ValueError(f"unsupported checkpoint version {state['version']}")
         if state["algorithm"] != self.algo_spec.name:
             raise ValueError("checkpoint belongs to a different algorithm")
@@ -577,17 +632,166 @@ class Runner:
         if shape != expected:
             raise ValueError(f"checkpoint holds {shape[0]} devices in dimension {shape[1]}, "
                              f"this run has {expected[0]} devices in dimension {expected[1]}")
+        if state["version"] >= 5:
+            stored = _run_fields(state)
+            for key, value in _run_fields(self._identity()).items():
+                if stored.get(key) != value:
+                    raise ValueError(f"checkpoint {key} is {stored.get(key)!r}, this run's is {value!r}")
+        if (state["averaged"] is None) != (self.averaged is None):
+            held, kept = ("absent", "one") if state["averaged"] is None else ("present", "none")
+            raise ValueError(f"checkpoint averaged is {held}, this run's schedule keeps {kept}")
         self.rounds_done = int(state["rounds_done"])
         self.oracle_calls = int(state["oracle_calls"])
         self.min_grad_sq = float(state["min_grad_sq"])
         self.state.load_state_dict(state["server"])
-        self.sampler = ParticipationSampler(self.model, self.seed, self.horizon, start=self.rounds_done + 1)
+        self.sampler = None
+        self.tracker = StalenessTracker(self.instance.n_devices)
         self.tracker.load_state_dict(state["tracker"])
         self.noise_rngs = [restore_generator(s) for s in state["noise_rngs"]]
         # restored in place: the server draws its subsets from this generator
         self.subset_rng.bit_generator.state = state["subset_rng"]
         if state["averaged"] is not None:
             self.averaged.load_state_dict(state["averaged"])
+        self.divergence = None
+
+
+class Batch:
+    """Runs that share an instance, a participation model, a horizon and a
+    local step count, advanced round by round in lockstep.
+
+    The runs of one seed share one participation sampler and one staleness
+    tracker, since their masks are equal. The memory servers share one exact
+    sum, each on its own column window, and the FedAvg servers another, so a
+    round makes one ``local_updates`` call, one metric pass over the (R, d)
+    block of models, and one ``add`` and one ``rounded()`` per sum. A run
+    that diverges stops alone; a run's rows, checkpoint and result equal
+    those of the same run advanced alone.
+    """
+
+    def __init__(self, runners: list):
+        first = runners[0]
+        for runner in runners:
+            if (runner.instance is not first.instance or runner.model is not first.model
+                    or (runner.horizon, runner.n_steps) != (first.horizon, first.n_steps)):
+                raise ValueError("the runs of a batch share their instance, participation model, horizon and local steps")
+        live = [runner for runner in runners if runner.divergence is None]
+        if len({runner.rounds_done for runner in live}) > 1:
+            raise ValueError("the runs of a batch must have played the same rounds")
+        self.runners = runners
+        self.instance, self.n_steps = first.instance, first.n_steps
+        # seed -> the runs of that seed, which share the first one's sampler and tracker
+        self._seeds: dict = {}
+        for runner in live:
+            group = self._seeds.setdefault(runner.seed, [])
+            if group:
+                runner.tracker, runner.sampler = group[0].tracker, group[0].sampler
+            group.append(runner)
+        _pool([runner.state for runner in live if not runner.state.fresh])
+        _pool([runner.state for runner in live if runner.state.fresh])
+
+    def run(self) -> list:
+        """Run every run to the horizon; returns their ``RunResult``s, in order."""
+        self.run_rounds(self.runners[0].horizon)
+        return [runner.result() for runner in self.runners]
+
+    def run_rounds(self, upto: int) -> None:
+        """Advance every run still going to round ``upto`` (inclusive). Each
+        runner's ``rows`` holds the rows of this call. A run that diverges
+        keeps its ``DivergenceError`` in ``divergence`` and stops."""
+        for runner in self.runners:
+            runner.rows = []
+        live = [runner for runner in self.runners if runner.divergence is None]
+        for seed, group in self._seeds.items():
+            if group[0].sampler is None:
+                sampler = ParticipationSampler(group[0].model, seed, group[0].horizon, start=group[0].rounds_done + 1)
+                for runner in group:
+                    runner.sampler = sampler
+        for t in range(live[0].rounds_done + 1 if live else upto + 1, upto + 1):
+            live = self._round(t, live)
+            if not live:
+                break
+
+    def _round(self, t: int, live: list) -> list:
+        """Play round ``t`` for the runs ``live``; returns those still going."""
+        inst = self.instance
+        # seed -> (mask row, running mean and peak staleness)
+        seeds = {}
+        models, ids, etas, rngs, averaged = [], [], [], [], []
+        for k, runner in enumerate(live):
+            if runner.seed not in seeds:
+                row = runner.sampler.row(t)
+                runner.tracker.update(t, row)
+                seeds[runner.seed] = (row, runner.tracker.running_avg, runner.tracker.running_peak)
+            if runner.averaged is not None:
+                runner.averaged.observe(t, runner.state.w)
+                if inst.f_star is not None:
+                    averaged.append(k)
+            models.append(runner.state.w)
+            run_ids = runner.state.needs(t, seeds[runner.seed][0])
+            ids.append(run_ids)
+            etas.append(runner.schedule.eta(t))
+            rngs += map(runner.noise_rngs.__getitem__, run_ids)
+
+        # the metrics of the models broadcast at the start of the round, and
+        # of the averaged iterates, in one pass over their rows
+        models = np.array(models)
+        grads = inst.global_grad_rows(models)
+        grad_sq = _row_dots(grads, grads).tolist()
+        gapped = models if inst.strongly_convex and inst.f_star is not None else models[:0]
+        gaps = []
+        if len(gapped) or averaged:
+            current = [live[k].averaged.current() for k in averaged]
+            gaps = inst.suboptimality_rows(np.concatenate((gapped, current)) if current else gapped).tolist()
+        f_gap = grad_sq if not inst.strongly_convex else gaps[: len(gapped)] or [None] * len(live)
+        avg_gap = [None] * len(live)
+        for k, gap in zip(averaged, gaps[len(gapped) :]):
+            avg_gap[k] = gap
+
+        counts = list(map(len, ids))
+        values, finite = local_updates(
+            inst, np.concatenate(ids), models.repeat(counts, axis=0), np.array(etas).repeat(counts), self.n_steps, rngs
+        )
+
+        going, steps = [], []
+        hi = 0
+        for k, (runner, run_ids, count) in enumerate(zip(live, ids, counts)):
+            runner.min_grad_sq = min(runner.min_grad_sq, grad_sq[k])
+            lo, hi = hi, hi + count
+            if not finite[lo:hi].all():
+                lowest = run_ids[~finite[lo:hi]].min()
+                self._stop(runner, DivergenceError(f"device {lowest} produced a non-finite local iterate"))
+                continue
+            try:
+                folded = runner.state.fold(run_ids, values[lo:hi])
+            except DivergenceError as err:
+                self._stop(runner, err)
+                continue
+            runner.oracle_calls += self.n_steps * count
+            if folded is not None:
+                steps.append((runner.state, *folded, runner.schedule))
+            going.append(k)
+        _sum_and_step(steps)
+
+        still = []
+        for k in going:
+            runner = live[k]
+            if not np.isfinite(runner.state.w).all():
+                self._stop(runner, DivergenceError(f"server model non-finite after round {t}"))
+                continue
+            _, tau_bar, tau_max = seeds[runner.seed]
+            runner.rows.append(RoundMetrics(
+                t=t, t_prime=runner.state.t_prime, f_gap=f_gap[k], avg_gap=avg_gap[k], grad_norm_sq=grad_sq[k],
+                min_grad_norm_sq=runner.min_grad_sq, tau_bar=tau_bar, tau_max=tau_max, oracle_calls=runner.oracle_calls,
+            ))
+            runner.rounds_done = t
+            still.append(runner)
+        return still
+
+    @staticmethod
+    def _stop(runner: Runner, error: DivergenceError) -> None:
+        # the run keeps its staleness as of the round it stopped in
+        runner.divergence = error
+        runner.tracker = copy.deepcopy(runner.tracker)
 
 
 def run(

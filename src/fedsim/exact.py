@@ -13,10 +13,12 @@ stack of int64 limbs, limb k weighing 2**(32k - 1074), holds any sum of
 doubles exactly, also one that outgrows the largest double. Adding is
 integer arithmetic on whole blocks of vectors, and ``rounded()`` reads the
 correctly rounded doubles off in one pass (+-inf for a sum past the largest
-double). ``exact_mean`` sums one block afresh. The memory servers keep a
-running sum and add each round's new rows and the negated rows they replace;
-where devices send only the difference, it arrives as a two-term error-free
-expansion (``two_diff``).
+double). A sum may be wider than one vector: ``add`` takes a column offset
+per row, so runs that each own a column window share one sum, one ``add`` and
+one ``rounded()`` per round. ``exact_mean`` sums one block afresh. The memory
+servers keep a running sum and add each round's new rows and the negated rows
+they replace; where devices send only the difference, it arrives as a
+two-term error-free expansion (``two_diff``).
 """
 
 from __future__ import annotations
@@ -80,22 +82,35 @@ class ExactVectorSum:
         self._three = -dim * np.arange(3)[:, None]
         self._columns = np.arange(dim)
 
-    def add(self, values: np.ndarray) -> None:
-        """Add one vector (dim,) or every row of a block (rows, dim)."""
+    def add(self, values: np.ndarray, offsets=None) -> None:
+        """Add one vector (dim,) or every row of a block (rows, dim). With
+        ``offsets``, the (rows,) column offsets of a block (rows, width), row
+        r adds into columns offsets[r] .. offsets[r] + width - 1, so that
+        several runs each own a column window of one sum."""
         values = np.asarray(values, dtype=np.float64)
-        if values.ndim not in (1, 2) or values.shape[-1] != self.dim:
-            raise ValueError(f"expected shape ({self.dim},) or (rows, {self.dim}), got {values.shape}")
+        if offsets is None:
+            if values.ndim not in (1, 2) or values.shape[-1] != self.dim:
+                raise ValueError(f"expected shape ({self.dim},) or (rows, {self.dim}), got {values.shape}")
+            values = values.reshape(-1, self.dim)
+            offsets = np.zeros(len(values), dtype=np.intp)
+        else:
+            offsets = np.asarray(offsets, dtype=np.intp)
+            if values.ndim != 2 or offsets.shape != values.shape[:1]:
+                raise ValueError(f"expected a block (rows, width) and (rows,) offsets, got {values.shape} and {offsets.shape}")
+            if len(offsets) and (offsets.min() < 0 or offsets.max() + values.shape[1] > self.dim):
+                raise ValueError(f"a column window passes the sum's {self.dim} columns")
         if not np.all(np.isfinite(values)):
             raise ValueError("an exact sum takes finite values only")
-        rows = values.reshape(-1, self.dim)
-        for start in range(0, len(rows), _SCATTER_ROWS):
-            block = rows[start : start + _SCATTER_ROWS]
+        # row r's entries land in columns offsets[r] + 0 .. width - 1
+        columns = offsets[:, None] + self._columns[: values.shape[1]]
+        for start in range(0, len(values), _SCATTER_ROWS):
+            block = values[start : start + _SCATTER_ROWS]
             if self._rows + len(block) > _ROWS_BEFORE_CARRY:
                 self._normalise()
-            self._scatter(block)
+            self._scatter(block, columns[start : start + _SCATTER_ROWS])
             self._rows += len(block)
 
-    def _scatter(self, block: np.ndarray) -> None:
+    def _scatter(self, block: np.ndarray, columns: np.ndarray) -> None:
         entries = np.flatnonzero(block)
         if not len(entries):
             return
@@ -104,18 +119,30 @@ class ExactVectorSum:
         # above 2**-1074, so x's (at most 53) bits lie in limbs base..base+2
         base = np.maximum((np.frexp(x)[1] + 1073 - 2 * LIMB_BITS) // LIMB_BITS, 0)
         lo, top = int(base.min()), int(base.max())
-        # base's unit scales x to an integer below 2**96; split it exactly
-        # into three signed 32-bit chunks, the top one first
-        chunks = np.empty((3, len(x)))
-        np.modf(np.ldexp(x, 1074 - 2 * LIMB_BITS - LIMB_BITS * base), out=(chunks[1], chunks[0]))
-        np.modf(chunks[1] * 2.0**32, out=(chunks[2], chunks[1]))
-        chunks[2] *= 2.0**32
         width = top - lo + 3
-        index = (base - lo + 2) * self.dim + entries % self.dim
-        sums = np.bincount((index + self._three).ravel(), weights=chunks.ravel(), minlength=width * self.dim)
+        index = (base - lo + 2) * self.dim + columns.ravel()[entries]
+        # each array here is as long as the block's nonzero entries, every
+        # run's rows of a batch together, so each is dropped once used
+        del entries
+        # base's unit scales x to an integer below 2**96; split it exactly
+        # into three signed 32-bit chunks, the top one first, and sum each
+        # into its limb. A limb's chunks sum to an exact integer in any
+        # order, so three bincounts, one per chunk, equal one over all three.
+        frac, chunk = np.modf(np.ldexp(x, 1074 - 2 * LIMB_BITS - LIMB_BITS * base))
+        del x, base
+        size = width * self.dim
+        sums = np.bincount(index, weights=chunk, minlength=size)
+        frac, chunk = np.modf(frac * 2.0**32)
+        sums += np.bincount(index - self.dim, weights=chunk, minlength=size)
+        sums += np.bincount(index - 2 * self.dim, weights=frac * 2.0**32, minlength=size)
         self._limbs[lo + 2 : lo + 2 + width] += sums.reshape(width, self.dim).astype(np.int64)
         self._lo = min(self._lo, lo)
         self._hi = max(self._hi, min(top + 4, N_LIMBS - 1))
+
+    def clear(self) -> None:
+        """Reset the sum to zero, zeroing the used window of limbs alone."""
+        self._limbs[self._lo + 2 : self._hi + 3] = 0
+        self._lo, self._hi, self._rows = N_LIMBS, -1, 0
 
     def _normalise(self) -> np.ndarray:
         """Propagate carries over the used window; returns the window with

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import availability as av
-from .algorithms import Runner
+from .algorithms import Batch, Runner
 from .config import (
     build_algo_spec,
     build_instance,
@@ -139,7 +139,8 @@ def _run_algorithms(cfg: dict, instance, model, runs: list, seeds) -> dict:
     aggregate and meta files under its path base (none when it is empty).
 
     Each seed's schedule and the horizon conditions are computed once and
-    shared by every spec. Returns {algorithm: ExperimentResult}.
+    shared by every spec, and every (spec, seed) run advances in one
+    ``Batch``. Returns {algorithm: ExperimentResult}.
     """
     run_cfg = cfg["run"]
     horizon = run_cfg["horizon"]
@@ -151,12 +152,15 @@ def _run_algorithms(cfg: dict, instance, model, runs: list, seeds) -> dict:
     if any(out for _, out in runs):
         conditions = _horizon_conditions(cfg, instance, model, horizon, n_steps, seeds[0])
 
+    # the runners, and the streams they hold, are freed before any file is written
+    run_results = iter(Batch([
+        Runner(algo_spec, instance, model, schedules[seed], horizon, n_steps, seed)
+        for algo_spec, _ in runs
+        for seed in seeds
+    ]).run())
     results = {}
     for algo_spec, out in runs:
-        per_seed: dict[int, RunResult] = {
-            seed: Runner(algo_spec, instance, model, schedules[seed], horizon, n_steps, seed).run()
-            for seed in seeds
-        }
+        per_seed: dict[int, RunResult] = {seed: next(run_results) for seed in seeds}
         csv_path = aggregate_path = meta_path = None
         if out:
             csv_path = f"{out}.csv"

@@ -220,6 +220,14 @@ class ProblemInstance:
             raise ValueError(f"w must have shape ({self.dim},), got {w.shape}")
         return w
 
+    def _check_models(self, models):
+        models = np.asarray(models, dtype=np.float64)
+        if models.ndim != 2 or models.shape[1] != self.dim:
+            raise ValueError(f"models must have shape (R, {self.dim}), got {models.shape}")
+        if not np.isfinite(models).all():
+            raise ValueError("models must be finite")
+        return models
+
     def value(self, i: int, w: np.ndarray) -> float:
         self._check_device(i)
         return float(FAMILIES[self.kind].value(self.stacked, [i], self._check_w(w))[0])
@@ -233,39 +241,54 @@ class ProblemInstance:
         return _mean_value(self.kind, self.stacked, self._check_w(w))
 
     def global_grad(self, w: np.ndarray) -> np.ndarray:
-        w = self._check_w(w)
+        return self.global_grad_rows(self._check_w(w)[None])[0]
+
+    def global_grad_rows(self, models: np.ndarray) -> np.ndarray:
+        """The global gradient at each row of the (R, d) block ``models``.
+        Every product is one matmul per row, so a row is the same whichever
+        rows share its block, and ``global_grad`` is the block of one row."""
+        models = self._check_models(models)
         s, agg = self.stacked, self.aggregates
         if self.kind == "quadratic":
-            return agg["h_bar"] @ w - agg["b_bar"]
+            return np.matmul(agg["h_bar"], models[:, :, None])[:, :, 0] - agg["b_bar"]
         if self.kind == "trig":
-            return s["curvature"] * (w - agg["mean_center"]) - s["amplitude"] * np.sin(w)
+            return s["curvature"] * (models - agg["mean_center"]) - s["amplitude"] * np.sin(models)
         features, labels = s["features"], s["labels"]
-        weights = labels * _sigmoid(-labels * (features @ w))  # (N, S)
-        return -np.einsum("ns,nsd->d", weights, features) / weights.size + s["l2"] * w
+        margins = np.matmul(features, models[:, None, :, None])[..., 0]  # (R, N, S)
+        weights = labels * _sigmoid(-labels * margins)
+        return -np.einsum("rns,nsd->rd", weights, features) / labels.size + s["l2"] * models
 
     def suboptimality(self, w: np.ndarray) -> float:
-        """f(w) - f(w*), measured against the stored optimum w*.
+        """f(w) - f(w*), measured against the stored optimum w*."""
+        if self.f_star is None:
+            raise MissingOptimumError("instance has no certified optimum value")
+        return float(self.suboptimality_rows(self._check_w(w)[None])[0])
+
+    def suboptimality_rows(self, models: np.ndarray) -> np.ndarray:
+        """f(w) - f(w*) at each row w of the (R, d) block ``models``, each
+        row computed alone, as ``global_grad_rows`` computes its rows.
 
         The quadratic and logistic gaps are closed forms in e = w - w*, so
         they keep their relative accuracy as w approaches w* instead of
-        cancelling to zero; the trig gap is f(w) - f_star.
+        cancelling to zero; the trig gap is f(w) - f_star, its device values
+        summed exactly.
         """
         if self.f_star is None:
             raise MissingOptimumError("instance has no certified optimum value")
-        w = self._check_w(w)
+        models = self._check_models(models)
         if self.kind == "trig":
-            return self.global_value(w) - self.f_star
+            return np.array([_mean_value("trig", self.stacked, w) for w in models]) - self.f_star
         agg = self.aggregates
-        e = w - self.w_star
+        e = models - self.w_star
         if self.kind == "quadratic":
-            return 0.5 * float(e @ (agg["h_bar"] @ e))
+            return 0.5 * _row_dots(e, np.matmul(agg["h_bar"], e[:, :, None])[:, :, 0])
         # per sample, softplus(b + d) - softplus(b) = log(q + p e^d) with the
         # negated margin b at w*, d its change and p = sigmoid(b) = 1 - q
-        d = -self.stacked["labels"] * (self.stacked["features"] @ e)
+        d = -self.stacked["labels"] * np.matmul(self.stacked["features"], e[:, None, :, None])[..., 0]
         near = np.log1p(agg["p_star"] * np.expm1(np.clip(d, -1.0, 1.0)))
         far = np.logaddexp(agg["log_q_star"], agg["log_p_star"] + d)
-        loss_gap = float(np.where(np.abs(d) <= 1.0, near, far).mean())
-        return loss_gap + 0.5 * self.stacked["l2"] * float(e @ (w + self.w_star))
+        loss_gap = np.where(np.abs(d) <= 1.0, near, far).mean(axis=(1, 2))
+        return loss_gap + 0.5 * self.stacked["l2"] * _row_dots(e, models + self.w_star)
 
     def recompute_dissimilarity(self) -> float:
         """mean_i ||grad_i(w*)||^2 recomputed from the stored optimum."""

@@ -139,9 +139,13 @@ def test_criterion_04_bias_demonstration():
     predicted_bias_gap = 0.5 * (fixed_point_x - separation / 2.0) ** 2
 
     ratios, biased_x = [], []
-    for seed in range(1, 6):
-        rb = fedsim.run(fedsim.BiasedFedAvgSpec(), inst, model, sched, horizon=10_000, n_steps=5, seed=seed)
-        rm = fedsim.run(fedsim.MifaSpec(), inst, model, sched, horizon=10_000, n_steps=5, seed=seed)
+    # every (seed, algorithm) run in one lockstep batch
+    results = fedsim.Batch([
+        fedsim.Runner(spec, inst, model, sched, horizon=10_000, n_steps=5, seed=seed)
+        for seed in range(1, 6)
+        for spec in (fedsim.BiasedFedAvgSpec(), fedsim.MifaSpec())
+    ]).run()
+    for rb, rm in zip(results[::2], results[1::2]):
         ratios.append(rb.rounds[-1].f_gap / rm.rounds[-1].f_gap)
         biased_x.append(rb.final_w[0])
     median_ratio = float(np.median(ratios))
@@ -268,8 +272,12 @@ def test_criterion_08_nonconvex_rate_shape():
         staleness_cap_mean=0.0,
     )
     slopes = []
-    for seed in range(1, 6):
-        res = fedsim.run(fedsim.MifaSpec(), inst, model, sched, horizon=horizon, n_steps=1, seed=seed)
+    # every seed's run in one lockstep batch
+    results = fedsim.Batch([
+        fedsim.Runner(fedsim.MifaSpec(), inst, model, sched, horizon=horizon, n_steps=1, seed=seed)
+        for seed in range(1, 6)
+    ]).run()
+    for res in results:
         slopes.append(
             fit_rate_slope([(r.t, r.min_grad_norm_sq) for r in res.rounds], (100, 10_000))
         )

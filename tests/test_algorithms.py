@@ -68,12 +68,13 @@ def play_round(server, t, members, eta, inst, n_steps, rngs):
     row = np.zeros(server.n_devices, dtype=bool)
     row[list(members)] = True
     ids = server.needs(t, row)
-    server.aggregate(ids, local_updates(inst, ids, server.w, eta, n_steps, [rngs[i] for i in ids]), ConstantStep(eta))
+    values, _ = local_updates(inst, ids, server.w, eta, n_steps, [rngs[i] for i in ids])
+    server.aggregate(ids, values, ConstantStep(eta))
 
 
 def device_update(inst, i, w, eta, n_steps, rng):
     """Device i's gradient sum alone: its one-device batch."""
-    return local_updates(inst, [i], w, eta, n_steps, [rng])[0]
+    return local_updates(inst, [i], w, eta, n_steps, [rng])[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +158,8 @@ def test_logistic_local_update_consumes_sample_indices():
 @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
 def test_local_update_signals_divergence():
     inst = make_quadratic_instance(1, 2, mu=1.0, smoothness=10.0, sigma=0.0, heterogeneity=1.0, seed=4)
-    with pytest.raises(DivergenceError):
-        device_update(inst, 0, np.array([1e200, 1e200]), eta=1e200, n_steps=3, rng=np.random.default_rng(0))
+    _, finite = local_updates(inst, [0], np.array([1e200, 1e200]), 1e200, 3, [np.random.default_rng(0)])
+    assert finite.tolist() == [False]
 
 
 @functools.lru_cache(maxsize=None)
@@ -183,7 +184,8 @@ def test_a_devices_row_does_not_depend_on_its_batch(kind, dim, ids, n_steps, see
     # the device's one-device batch
     inst = batch_instance(kind, dim)
     w = np.random.default_rng(seed).standard_normal(dim)
-    block = local_updates(inst, ids, w, 0.05, n_steps, [substream(seed, GRADIENT_NOISE, i) for i in ids])
+    block, finite = local_updates(inst, ids, w, 0.05, n_steps, [substream(seed, GRADIENT_NOISE, i) for i in ids])
+    assert finite.all()
     for row, i in zip(block, ids):
         assert np.array_equal(row, device_update(inst, i, w, 0.05, n_steps, substream(seed, GRADIENT_NOISE, i)))
 
@@ -197,15 +199,22 @@ def test_a_diverging_batch_names_its_lowest_diverging_device():
     curvature = np.array([1.0, 1000.0, 1.0, 1000.0, 1.0])
     inst = quadratic_instance_from_arrays(curvature[:, None, None] * np.eye(2), np.zeros((5, 2)), sigma=0.0)
     w = np.full(2, 1e300)
-    for ids, lowest in (([4, 3, 0, 1, 2], 1), ([3, 4, 2], 3), ([1, 3], 1)):
-        with pytest.raises(DivergenceError, match=f"device {lowest} produced"):
-            local_updates(inst, ids, w, 1.0, 4, [None] * len(ids))
-    assert np.all(np.isfinite(local_updates(inst, [4, 0, 2], w, 1.0, 4, [None] * 3)))
+    for ids in ([4, 3, 0, 1, 2], [3, 4, 2], [1, 3], [4, 0, 2]):
+        values, finite = local_updates(inst, ids, w, 1.0, 4, [None] * len(ids))
+        assert finite.tolist() == [i not in (1, 3) for i in ids]
+        assert np.all(np.isfinite(values[finite]))
+    # a run on this instance stops in round 1, naming the lowest of the two
+    runner = fedsim.Runner(fedsim.BiasedFedAvgSpec(), inst, FullParticipation(5), InverseDecay(1.0), horizon=3,
+                           n_steps=4, seed=0, w0=w)
+    with pytest.raises(DivergenceError, match="device 1 produced"):
+        runner.run_rounds(3)
+    assert runner.rows == [] and runner.rounds_done == 0
 
 
 def test_an_empty_batch_is_an_empty_block():
     inst = two_center_instance(sigma=0.5)
-    assert local_updates(inst, [], np.zeros(1), 0.1, 3, []).shape == (0, 1)
+    values, finite = local_updates(inst, [], np.zeros(1), 0.1, 3, [])
+    assert values.shape == (0, 1) and finite.shape == (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -533,6 +542,83 @@ def test_sign_flipping_updates_whose_difference_overflows_keep_mifa_delta_equal_
     assert np.array_equal(mifa.final_w, delta.final_w)
 
 
+# ---------------------------------------------------------------------------
+# runs in a batch
+# ---------------------------------------------------------------------------
+
+
+BATCH_INSTANCES = {
+    "quadratic": make_quadratic_instance(4, 2, mu=1.0, smoothness=5.0, sigma=0.6, heterogeneity=2.0, seed=31),
+    "trig": make_nonconvex_instance(4, 3, curvature=1.0, amplitude=0.5, sigma=0.4, heterogeneity=2.0, seed=31),
+}
+BATCH_MODEL = BernoulliParticipation([0.9, 0.6, 0.4, 0.3])
+BATCH_HORIZON = 12
+# every server, plus two that diverge: a huge step overflows the local
+# iterates within a few rounds, and tiny weights overflow is_fedavg's update
+BATCH_RUNS = {
+    **{name: (SERVERS[name].from_config({"subset_size": 2}, BATCH_MODEL), None) for name in SERVERS},
+    "huge_step": (fedsim.BiasedFedAvgSpec(), InverseDecay(eta0=1e30)),
+    "tiny_weights": (fedsim.ImportanceFedAvgSpec(probs=(1e-300,) * 4), None),
+}
+
+
+def batch_runner(kind, run, seed, n_steps):
+    inst = BATCH_INSTANCES[kind]
+    spec, schedule = BATCH_RUNS[run]
+    if schedule is None:
+        schedule = (StronglyConvexDecay(mu=1.0, smoothness=5.0, local_steps=n_steps) if kind == "quadratic"
+                    else InverseDecay(eta0=0.05))
+    return fedsim.Runner(spec, inst, BATCH_MODEL, schedule, horizon=BATCH_HORIZON, n_steps=n_steps, seed=seed)
+
+
+# the diverging runs overflow their metrics and iterates on purpose
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(BATCH_INSTANCES)),
+    runs=st.lists(st.tuples(st.sampled_from(sorted(BATCH_RUNS)), st.integers(0, 2)), min_size=1, max_size=6),
+    n_steps=st.integers(1, 2),
+    at=st.integers(0, BATCH_HORIZON),
+)
+def test_a_run_does_not_depend_on_its_batch(kind, runs, n_steps, at):
+    # each run of a batch gives the result of the same run alone, whichever
+    # runs share the batch and whether they diverge
+    results = fedsim.Batch([batch_runner(kind, run, seed, n_steps) for run, seed in runs]).run()
+    for (run, seed), result in zip(runs, results):
+        alone = batch_runner(kind, run, seed, n_steps).run()
+        assert repr(result.rounds) == repr(alone.rounds)
+        assert np.array_equal(result.final_w, alone.final_w, equal_nan=True)
+        assert (result.diverged, result.staleness, result.final_avg_gap) == (
+            alone.diverged, alone.staleness, alone.final_avg_gap)
+    # and a batched run that reaches round ``at`` checkpoints as it would alone
+    runners = [batch_runner(kind, run, seed, n_steps) for run, seed in runs]
+    fedsim.Batch(runners).run_rounds(at)
+    for (run, seed), runner in zip(runs, runners):
+        alone = batch_runner(kind, run, seed, n_steps)
+        try:
+            alone.run_rounds(at)
+        except DivergenceError:
+            assert runner.divergence is not None and str(runner.divergence) == str(alone.divergence)
+            continue
+        assert runner.divergence is None
+        assert json.dumps(runner.checkpoint()) == json.dumps(alone.checkpoint())
+
+
+def test_a_batch_rejects_runs_it_cannot_play_in_lockstep():
+    inst = BATCH_INSTANCES["quadratic"]
+    first = batch_runner("quadratic", "mifa", 0, 1)
+    others = [batch_runner("trig", "mifa", 0, 1), batch_runner("quadratic", "mifa", 0, 2),
+              fedsim.Runner(fedsim.MifaSpec(), inst, FullParticipation(4), InverseDecay(0.1), BATCH_HORIZON, 1, 0)]
+    for other in others:
+        with pytest.raises(ValueError, match="share their instance"):
+            fedsim.Batch([first, other])
+    ahead = batch_runner("quadratic", "mifa", 1, 1)
+    ahead.run_rounds(2)
+    with pytest.raises(ValueError, match="same rounds"):
+        fedsim.Batch([first, ahead])
+
+
 def test_update_array_matches_checkpoint_replay():
     # every stored update replays from a checkpoint taken before the round
     # in which its device last computed: the checkpoint holds w and the
@@ -662,16 +748,75 @@ def test_version_3_checkpoint_resumes_identically(name):
 
 
 @pytest.mark.parametrize("name", list(SERVERS))
-def test_checkpoints_are_version_4_without_derived_state(name):
+def test_checkpoints_are_version_5_without_derived_state(name):
     runner = checkpoint_runner(name)
     runner.run_rounds(21)
     snapshot = json.loads(json.dumps(runner.checkpoint()))
-    assert snapshot["version"] == 4
+    assert snapshot["version"] == 5
+    assert (snapshot["seed"], snapshot["horizon"], snapshot["n_steps"]) == (8, 40, 2)
+    assert snapshot["spec"]["name"] == name
     assert "exact_sum" not in snapshot["server"]
     assert "sampler" not in snapshot
     if name == "sampling_fedavg":
+        assert snapshot["spec"]["subset_size"] == 2
         assert [set(entry) for entry in snapshot["server"]["collected"]] == [{"device", "value"}]
     assert_resumes_identically(name, snapshot, 21)
+
+
+@pytest.mark.parametrize("name", list(SERVERS))
+def test_version_4_checkpoint_resumes_identically(name):
+    # version 4 is version 5 without the run's seed, horizon, steps and spec
+    runner = checkpoint_runner(name)
+    runner.run_rounds(21)
+    snapshot = json.loads(json.dumps(runner.checkpoint()))
+    for key in ("spec", "seed", "horizon", "n_steps"):
+        del snapshot[key]
+    snapshot["version"] = 4
+    assert_resumes_identically(name, snapshot, 21)
+
+
+def mismatched_runner(name, **changes):
+    """``checkpoint_runner(name)`` with one of its settings changed."""
+    inst = make_quadratic_instance(3, 2, mu=1.0, smoothness=3.0, sigma=0.5, heterogeneity=1.0, seed=16)
+    model = BernoulliParticipation([0.5, 0.8, 1.0])
+    run = {"spec": SERVERS[name].from_config({"subset_size": 2}, model), "horizon": 40, "n_steps": 2, "seed": 8,
+           "schedule": StronglyConvexDecay(mu=1.0, smoothness=3.0, local_steps=2), **changes}
+    return fedsim.Runner(run["spec"], inst, model, run["schedule"], horizon=run["horizon"], n_steps=run["n_steps"],
+                         seed=run["seed"])
+
+
+@pytest.mark.parametrize("name, changes, field", [
+    ("mifa", {"seed": 9}, "seed"),
+    ("mifa_delta", {"horizon": 41}, "horizon"),
+    ("biased_fedavg", {"n_steps": 3}, "n_steps"),
+    ("sampling_fedavg", {"spec": fedsim.SamplingFedAvgSpec(subset_size=3)}, "spec.subset_size"),
+    ("is_fedavg", {"spec": fedsim.ImportanceFedAvgSpec(probs=(0.5, 0.8, 0.9))}, "spec.probs"),
+    ("is_fedavg", {"spec": fedsim.ImportanceFedAvgSpec(probs=(0.5, 0.8, 1.0), normalization="total_count")},
+     "spec.normalization"),
+    ("mifa", {"schedule": InverseDecay(eta0=0.05)}, "averaged"),
+])
+def test_restore_names_the_field_of_a_checkpoint_of_another_run(name, changes, field):
+    first = checkpoint_runner(name)
+    first.run_rounds(5)
+    snapshot = json.loads(json.dumps(first.checkpoint()))
+    with pytest.raises(ValueError, match=f"^checkpoint {field} "):
+        mismatched_runner(name, **changes).restore(snapshot)
+
+
+@pytest.mark.parametrize("version", [4, 5])
+def test_restore_rejects_an_averaged_iterate_the_run_does_not_keep_and_back(version):
+    # a strongly convex run keeps an averaged iterate, an inverse-decay run none
+    averaging = checkpoint_runner("mifa")
+    plain = mismatched_runner("mifa", schedule=InverseDecay(eta0=0.05))
+    for source, target in ((averaging, plain), (plain, averaging)):
+        source.run_rounds(3)
+        snapshot = json.loads(json.dumps(source.checkpoint()))
+        if version == 4:
+            for key in ("spec", "seed", "horizon", "n_steps"):
+                del snapshot[key]
+            snapshot["version"] = 4
+        with pytest.raises(ValueError, match="^checkpoint averaged is "):
+            target.restore(snapshot)
 
 
 def test_stored_participation_streams_equal_the_positioned_ones():

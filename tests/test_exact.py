@@ -214,6 +214,35 @@ def test_add_rejects_shapes_other_than_a_vector_or_block(shape):
         ExactVectorSum(2).add(np.zeros(shape))
 
 
+@settings(max_examples=200, deadline=None)
+@given(sums=st.lists(summations(), min_size=1, max_size=4), cleared=st.integers(0, 4), pad=st.integers(0, 2))
+def test_column_windows_of_one_sum_equal_separate_sums(sums, cleared, pad):
+    # several windows of one wide sum, each added in one call with a column
+    # offset per row, round as separate sums do; clear() zeroes them all
+    width = max(rows.shape[1] for rows, _ in sums)
+    wide = ExactVectorSum(len(sums) * width + pad)
+    for attempt in range(2):
+        blocks = [(rows, k * width) for k, (rows, _) in enumerate(sums) if attempt or k != cleared]
+        for rows, offset in blocks:  # windows narrower than the sum's width
+            wide.add(rows, np.full(len(rows), offset))
+        if not attempt:
+            wide.clear()
+    total = wide.rounded()
+    assert_bitwise_equal(total[len(sums) * width :], [0.0] * pad)
+    for k, (rows, _) in enumerate(sums):
+        window = total[k * width : (k + 1) * width]
+        expected = exact_column_sums(rows) + [0.0] * (width - rows.shape[1])
+        assert_bitwise_equal(window, expected)
+
+
+@pytest.mark.parametrize("values, offsets", [
+    (np.zeros((2, 2)), [0]), (np.zeros((2, 2)), [0, 3]), (np.zeros((2, 2)), [-1, 0]), (np.zeros(2), [0]),
+])
+def test_add_rejects_a_column_window_outside_the_sum(values, offsets):
+    with pytest.raises(ValueError):
+        ExactVectorSum(4).add(values, np.array(offsets))
+
+
 # ---------------------------------------------------------------------------
 # the memory servers' running sums against their tables
 # ---------------------------------------------------------------------------

@@ -11,8 +11,15 @@ so a change that moves any digest changes a result.
 one digest per instance over the bytes of its optimum, every constant, its
 stacked arrays and its aggregates. To record the digests of the current code,
 run ``PYTHONPATH=src python tests/test_golden.py``.
+
+The bytes depend on the host's numeric kernels as well: OpenBLAS picks a
+kernel for the CPU, and numpy its SIMD loops. ``tests/data/golden_fingerprint.json``
+records those of the host the digests were recorded on, and a test whose
+digests moved prints both fingerprints, so a moved digest says whether the
+kernels changed too. The test fails either way.
 """
 
+import ctypes
 import hashlib
 import json
 import sys
@@ -20,6 +27,12 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
+
+try:
+    from numpy._core import _multiarray_umath
+except ImportError:  # numpy 1.x
+    from numpy.core import _multiarray_umath
 
 import fedsim
 from fedsim import cli
@@ -27,6 +40,7 @@ from fedsim.availability import write_trace
 
 DIGESTS = Path(__file__).parent / "data" / "golden_digests.json"
 INSTANCE_DIGESTS = Path(__file__).parent / "data" / "golden_instances.json"
+FINGERPRINT = Path(__file__).parent / "data" / "golden_fingerprint.json"
 ALGORITHMS = ["mifa", "mifa_delta", "biased_fedavg", "is_fedavg", "sampling_fedavg"]
 N, HORIZON = 5, 40
 
@@ -120,24 +134,58 @@ def golden_digests(directory: Path) -> dict:
     return digests
 
 
-def test_compare_outputs_match_golden_digests(tmp_path):
-    expected = json.loads(DIGESTS.read_text())
-    got = golden_digests(tmp_path)
+def openblas_core() -> str | None:
+    """The kernel OpenBLAS picked for this CPU, from the library that numpy
+    ships in ``numpy.libs``; None for a numpy without it."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so*")):
+        corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        corename.restype, corename.argtypes = ctypes.c_char_p, []
+        return corename().decode()
+    return None
+
+
+def fingerprint() -> dict:
+    """What the bytes depend on besides the code: the numpy version, the SIMD
+    targets its loops were built for and those this process enables, and
+    the OpenBLAS kernel."""
+    dispatch = _multiarray_umath.__cpu_dispatch__
+    return {
+        "numpy": np.__version__,
+        "cpu_dispatch": list(dispatch),
+        "cpu_dispatch_enabled": [t for t in dispatch if _multiarray_umath.__cpu_features__.get(t)],
+        "openblas_core": openblas_core(),
+    }
+
+
+def assert_digests_match(kind, expected, got):
     assert sorted(got) == sorted(expected)
     changed = [name for name in expected if got[name] != expected[name]]
-    assert not changed, f"output bytes changed: {changed}"
+    if changed:
+        recorded, current = json.loads(FINGERPRINT.read_text()), fingerprint()
+        kernels = "the same" if recorded == current else "different"
+        raise AssertionError(f"{kind} bytes changed: {changed}\nkernels are {kernels}: recorded "
+                             f"{json.dumps(recorded, sort_keys=True)}, current {json.dumps(current, sort_keys=True)}")
+
+
+def test_compare_outputs_match_golden_digests(tmp_path):
+    assert_digests_match("output", json.loads(DIGESTS.read_text()), golden_digests(tmp_path))
 
 
 def test_instance_builds_match_golden_digests():
-    expected = json.loads(INSTANCE_DIGESTS.read_text())
-    got = instance_digests()
-    assert sorted(got) == sorted(expected)
-    changed = [name for name in expected if got[name] != expected[name]]
-    assert not changed, f"instance bytes changed: {changed}"
+    assert_digests_match("instance", json.loads(INSTANCE_DIGESTS.read_text()), instance_digests())
+
+
+def test_a_moved_digest_names_both_fingerprints():
+    recorded = json.loads(FINGERPRINT.read_text())
+    assert set(recorded) == set(fingerprint())
+    with pytest.raises(AssertionError, match=r"instance bytes changed: \['logistic'\]\nkernels are .*recorded .*current "):
+        assert_digests_match("instance", {"logistic": "0" * 64}, {"logistic": "1" * 64})
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         DIGESTS.write_text(json.dumps(golden_digests(Path(tmp)), indent=1, sort_keys=True) + "\n")
     INSTANCE_DIGESTS.write_text(json.dumps(instance_digests(), indent=1, sort_keys=True) + "\n")
-    print(f"wrote {DIGESTS} and {INSTANCE_DIGESTS}", file=sys.stderr)
+    FINGERPRINT.write_text(json.dumps(fingerprint(), indent=1, sort_keys=True) + "\n")
+    print(f"wrote {DIGESTS}, {INSTANCE_DIGESTS} and {FINGERPRINT}", file=sys.stderr)

@@ -367,6 +367,27 @@ def test_global_grad_is_mean_of_device_grads():
         assert np.allclose(inst.global_grad(w), mean, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("dim", [1, 3, 17])
+@pytest.mark.parametrize("family", ["quadratic", "trig", "logistic"])
+def test_metric_rows_do_not_depend_on_their_block(family, dim):
+    # each row of a block of models is bitwise the one-model call, and the
+    # block's other rows and its size change nothing
+    inst = {
+        "quadratic": lambda: make_quadratic_instance(6, dim, mu=1.0, smoothness=4.0, sigma=0.5, heterogeneity=2.0, seed=8),
+        "trig": lambda: make_nonconvex_instance(6, dim, curvature=1.0, amplitude=0.5, sigma=0.5, heterogeneity=2.0, seed=8),
+        "logistic": lambda: make_logistic_instance(6, dim, samples_per_device=5, l2=0.5, label_skew=0.5, seed=8),
+    }[family]()
+    models = np.random.default_rng(dim).standard_normal((7, dim)) * np.logspace(-9, 1, 7)[:, None] + inst.w_star
+    grads, gaps = inst.global_grad_rows(models), inst.suboptimality_rows(models)
+    for r, w in enumerate(models):
+        assert np.array_equal(grads[r], inst.global_grad(w))
+        assert gaps[r] == inst.suboptimality(w)
+        assert np.array_equal(inst.global_grad_rows(models[r:][::-1])[-1], grads[r])
+        assert inst.suboptimality_rows(models[r:][::-1])[-1] == gaps[r]
+    with pytest.raises(ValueError, match="^models must"):
+        inst.global_grad_rows(models[0])
+
+
 def test_suboptimality_at_optimum_and_signalling():
     inst = make_quadratic_instance(4, 3, mu=1.0, smoothness=4.0, sigma=0.0, heterogeneity=1.0, seed=2)
     assert -1e-9 <= inst.suboptimality(inst.w_star) <= 1e-9
@@ -509,7 +530,7 @@ def test_sphere_noise_normalises_every_vector_of_a_block_as_alone():
 def one_step_updates(inst, i, w, rng, count):
     """``count`` one-step local updates of device i at w, drawn in turn from
     ``rng`` as one batch: each row is one stochastic gradient."""
-    return local_updates(inst, [i] * count, w, 0.1, 1, [rng] * count)
+    return local_updates(inst, [i] * count, w, 0.1, 1, [rng] * count)[0]
 
 
 def test_one_step_update_with_zero_sigma_equals_grad_and_draws_nothing():
