@@ -15,9 +15,9 @@ model plays every wall-round the same way, for all its runs at once:
    device's row does not depend on which devices share its batch, and a
    run whose rows left the doubles stops alone, as diverged;
 3. ``server.fold(ids, values)`` folds each run's slice of that block in and
-   returns the rows it adds to its exact sum; every run's rows go into one
-   wide sum in one ``add``, one ``rounded()`` gives every run's window, and
-   ``server.step`` steps each model.
+   returns the rows it adds to its window of the batch's exact sum; every
+   run's rows go in with one ``add``, one ``rounded()`` gives every run's
+   window, and ``server.step`` steps each model by its window over its count.
 
 A ``Runner`` is one run, and advancing it alone is the batch of one.
 ``state_dict``/``load_state_dict`` checkpoint a server. The five servers
@@ -40,15 +40,16 @@ differ only in steps 1 and 3:
 ``from_config`` turns a config's ``algorithm`` section into the algorithm's
 spec, the frozen parameter holder that ``Runner`` and ``run`` take.
 
-Every server sums through one exact accumulator, ``exact.ExactVectorSum``,
-and rounds the sum correctly, so algebraically equal updates are bitwise
-equal, whichever runs share the accumulator. The FedAvg servers sum each
-aggregated block afresh: their sum is zeroed before each round that adds to
-it. The two memory servers keep the exact sum of their (N, d) table and add
-each round's new rows and the negated rows they replace, in O(A d); the
-running average of ``mifa_delta`` thus equals the array average of ``mifa``
-bit for bit. The sum is derived state: a checkpoint holds the table alone,
-and restoring, or joining a batch, rebuilds the sum from it.
+A server keeps no sum: the batch owns one exact accumulator,
+``exact.ExactVectorSum``, with a window of d columns per run, and rounds it
+correctly, so algebraically equal updates are bitwise equal, whichever runs
+share it. The FedAvg servers (``fresh``) sum each aggregated block afresh:
+the batch zeroes their windows every round. A memory server's window is the
+exact sum of its (N, d) table, rebuilt from the table each time the batch
+starts to advance, and each round adds the new rows and the negated rows
+they replace, in O(A d); the running average of ``mifa_delta`` thus equals
+the array average of ``mifa`` bit for bit. The sum is derived state: a
+checkpoint holds the table alone.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ import numpy as np
 
 from . import _kernels
 from .availability import BernoulliParticipation, ParticipationSampler, StalenessTracker
-# exact_mean is not called here; compare_bench/tracing.py patches it by this name
 from .exact import ExactVectorSum, exact_mean, two_diff
 from .problems import ProblemInstance, SpecError, _row_dots, logistic_sample_grads, sphere_noise
 from .records import RoundMetrics, RunResult
@@ -196,10 +196,9 @@ class Server:
     """One algorithm's server for one run; see the module docstring.
 
     ``subset_rng`` is the run's subset-sampling stream; only the servers
-    that draw device subsets use it. The server sums into columns
-    ``column`` .. ``column`` + d - 1 of ``exact_sum``, an accumulator it may
-    share with the other runs of a batch. ``fresh`` says whether the sum
-    restarts every round the server steps (FedAvg) or runs on (memory).
+    that draw device subsets use it. ``fresh`` says whether the server's
+    window of the batch's exact sum restarts every round (FedAvg) or runs on
+    (memory).
     """
 
     spec_class: type  # the spec this server runs; its default name keys SERVERS
@@ -211,8 +210,6 @@ class Server:
         self.w = w0.copy()
         self.t = 0
         self.t_prime = 0
-        self.exact_sum = ExactVectorSum(len(w0))
-        self.column = 0
 
     @classmethod
     def from_config(cls, section: dict, model):
@@ -236,19 +233,13 @@ class Server:
         """Fold in the (A, d) block ``values`` of the local updates (gradient
         sums) of the devices ``ids`` that ``needs`` returned, row by row.
         Returns None when the model does not step this round, else (rows,
-        count): the rows this round adds to the exact sum, and the count
-        that divides the rounded sum into the step's direction."""
+        count): the rows this round adds to the server's window of the exact
+        sum, and the count that divides the rounded window into the step's
+        direction."""
         raise NotImplementedError
 
     def step(self, direction: np.ndarray, schedule: LrSchedule) -> None:
         self._step(schedule.eta(self.t), direction)
-
-    def aggregate(self, ids: np.ndarray, values: np.ndarray, schedule: LrSchedule) -> None:
-        """Fold in the block ``values`` of the devices ``ids`` and step the
-        model: this server's part of a batch round, played alone."""
-        folded = self.fold(ids, values)
-        if folded is not None:
-            _sum_and_step([(self, *folded, schedule)])
 
     def _step(self, eta: float, direction: np.ndarray) -> None:
         # single shared expression so equal (eta, direction) pairs give equal models
@@ -265,55 +256,11 @@ class Server:
         self.t_prime = int(state.get("t_prime", self.t))
 
 
-def _sum_and_step(steps: list) -> None:
-    """Step each server of ``steps``, a list of (server, rows, count,
-    schedule), by its window of the correctly rounded sum of its rows over
-    its count. Servers that share an accumulator share one ``add`` and one
-    ``rounded()``; a fresh accumulator is zeroed first."""
-    shared: dict = {}
-    for entry in steps:
-        shared.setdefault(id(entry[0].exact_sum), []).append(entry)
-    totals = {}
-    for key, group in shared.items():
-        total = group[0][0].exact_sum
-        if group[0][0].fresh:
-            total.clear()
-        total.add(
-            np.concatenate([rows for _, rows, _, _ in group]),
-            np.repeat([server.column for server, _, _, _ in group], [len(rows) for _, rows, _, _ in group]),
-        )
-        totals[key] = total.rounded()
-    for server, _, count, schedule in steps:
-        window = totals[id(server.exact_sum)][server.column : server.column + len(server.w)]
-        server.step(window / count, schedule)
-
-
-def _pool(servers: list) -> None:
-    """Put the exact sums of ``servers``, which are all fresh or all memory
-    servers, on one accumulator, server k on the k-th window of d columns.
-    A memory server's sum is rebuilt there from its table."""
-    if not servers:
-        return
-    dim = len(servers[0].w)
-    pooled = servers[0].exact_sum
-    if pooled.dim == len(servers) * dim and all(
-        s.exact_sum is pooled and s.column == k * dim for k, s in enumerate(servers)
-    ):
-        return  # laid out so already: a run advanced alone keeps its own sum
-    pooled = ExactVectorSum(len(servers) * dim)
-    for k, server in enumerate(servers):
-        server.exact_sum, server.column = pooled, k * dim
-    if not servers[0].fresh:
-        tables = [server.memory for server in servers]
-        pooled.add(np.concatenate(tables), np.repeat([s.column for s in servers], [len(t) for t in tables]))
-
-
 class MemoryServer(Server):
     """A server that remembers every device's latest update in the (N, d)
-    table ``memory`` and keeps its window of ``exact_sum`` equal to the exact
-    sum of the table's rows. The sum is derived state: a checkpoint holds the
-    table alone, under the key ``table_key``, and restoring rebuilds the sum
-    from it, exactly. The model steps every round, by the table's average."""
+    table ``memory``, whose rows its window of the batch's exact sum adds up.
+    A checkpoint holds the table alone, under the key ``table_key``. The
+    model steps every round, by the table's average."""
 
     table_key: str
     fresh = False
@@ -329,8 +276,6 @@ class MemoryServer(Server):
         # checkpoint versions 1 and 2 also held mifa_delta's exact sum, which is not read
         super().load_state_dict(state)
         self.memory = np.asarray(state[self.table_key], dtype=np.float64)
-        self.exact_sum, self.column = ExactVectorSum(self.memory.shape[1]), 0
-        self.exact_sum.add(self.memory)
 
 
 class MifaServer(MemoryServer):
@@ -353,10 +298,12 @@ class MifaServer(MemoryServer):
 
 
 class MifaDeltaServer(MemoryServer):
-    """Server keeps one running-average vector; each device keeps its own
-    previous update (``device_memory``, the device-side storage). A round
-    adds every active device's (hi, lo) difference pair in one (2A, d)
-    block, so the running average never drifts from the array average.
+    """The server's state is its window of the batch's exact sum, one
+    vector; each device keeps its own previous update (``device_memory``,
+    the device-side storage), from which ``running_average`` recomputes the
+    window's average. A round adds every active device's (hi, lo)
+    difference pair in one (2A, d) block, so the running average never
+    drifts from the array average.
     Where a difference of two finite updates passes the largest double, the
     device sends the pair (new, -old) instead, which sums to the same value."""
 
@@ -369,7 +316,7 @@ class MifaDeltaServer(MemoryServer):
 
     @property
     def running_average(self) -> np.ndarray:
-        return self.exact_sum.rounded()[self.column : self.column + len(self.w)] / self.n_devices
+        return exact_mean(self.memory, self.n_devices)
 
     def fold(self, ids, values):
         old = self.memory[ids]
@@ -404,6 +351,8 @@ class ImportanceFedAvgServer(Server):
 
     def __init__(self, spec, n_devices, w0, subset_rng):
         super().__init__(spec, n_devices, w0, subset_rng)
+        if len(spec.probs) != n_devices:
+            raise ValueError(f"probs holds {len(spec.probs)} probabilities for {n_devices} devices")
         self.probs = np.asarray(spec.probs, dtype=np.float64)
 
     @classmethod
@@ -553,6 +502,10 @@ class Runner:
 
         dim = instance.dim
         self.w0 = np.zeros(dim) if w0 is None else np.asarray(w0, dtype=np.float64).copy()
+        if self.w0.shape != (dim,):
+            raise ValueError(f"w0 has shape {self.w0.shape}, the instance's models have shape {(dim,)}")
+        if not np.isfinite(self.w0).all():
+            raise ValueError("w0 must be finite")
         self.sampler = None
         self.noise_rngs = device_noise_streams(seed, instance.n_devices)
         self.subset_rng = substream(seed, SUBSET_SAMPLING, 0)
@@ -593,9 +546,10 @@ class Runner:
 
     # ---- lossless mid-run checkpointing -----------------------------------
     # Version 5 stores no derived state, and the seed, horizon, local steps
-    # and spec of the run, which restoring checks. The memory servers rebuild
-    # their exact sum from their table (versions 1 and 2 also stored
-    # mifa_delta's, as Shewchuk partials, then as limbs). The participation
+    # and spec of the run, which restoring checks. A memory server stores its
+    # table alone, from which the next batch rebuilds the run's exact sum
+    # (versions 1 and 2 also stored mifa_delta's sum, as Shewchuk partials,
+    # then as limbs, which is not read). The participation
     # sampler is a function of (seed, round), so restoring positions a fresh
     # one at the next round (versions 1 to 3 also stored its generators or
     # last-active rounds, which equal the positioned ones and are not read).
@@ -640,6 +594,20 @@ class Runner:
         if (state["averaged"] is None) != (self.averaged is None):
             held, kept = ("absent", "one") if state["averaged"] is None else ("present", "none")
             raise ValueError(f"checkpoint averaged is {held}, this run's schedule keeps {kept}")
+        # the per-device fields, which the device count above does not cover
+        n_devices, server = expected[0], state["server"]
+        collected = server.get("collected", [])
+        shapes = [("noise_rngs", (len(state["noise_rngs"]),), (n_devices,))]
+        if isinstance(self.state, MemoryServer):
+            shapes.append((f"server.{self.state.table_key}", np.shape(server[self.state.table_key]), expected))
+        shapes += [("server.collected", (len(entry["value"]),), expected[1:]) for entry in collected]
+        for key, held, wanted in shapes:
+            if held != wanted:
+                raise ValueError(f"checkpoint {key} has shape {held}, this run's has shape {wanted}")
+        for key, ids in (("pending", server.get("pending", [])), ("collected", [entry["device"] for entry in collected])):
+            outside = [int(i) for i in ids if not 0 <= int(i) < n_devices]
+            if outside:
+                raise ValueError(f"checkpoint server.{key} holds device {outside[0]}, this run has {n_devices} devices")
         self.rounds_done = int(state["rounds_done"])
         self.oracle_calls = int(state["oracle_calls"])
         self.min_grad_sq = float(state["min_grad_sq"])
@@ -660,15 +628,19 @@ class Batch:
     local step count, advanced round by round in lockstep.
 
     The runs of one seed share one participation sampler and one staleness
-    tracker, since their masks are equal. The memory servers share one exact
-    sum, each on its own column window, and the FedAvg servers another, so a
-    round makes one ``local_updates`` call, one metric pass over the (R, d)
-    block of models, and one ``add`` and one ``rounded()`` per sum. A run
+    tracker, since their masks are equal. The batch keeps the one exact sum
+    of its runs, R d columns wide: run k owns columns k d .. (k + 1) d - 1.
+    A memory run's window is rebuilt from its table each time the batch
+    starts to advance, and a FedAvg run's window is zeroed every round. A
+    round thus makes one ``local_updates`` call, one metric pass over the
+    (R, d) block of models, and one ``add`` and one ``rounded()``. A run
     that diverges stops alone; a run's rows, checkpoint and result equal
     those of the same run advanced alone.
     """
 
     def __init__(self, runners: list):
+        if not runners:
+            raise ValueError("a batch needs at least one run")
         first = runners[0]
         for runner in runners:
             if (runner.instance is not first.instance or runner.model is not first.model
@@ -686,8 +658,10 @@ class Batch:
             if group:
                 runner.tracker, runner.sampler = group[0].tracker, group[0].sampler
             group.append(runner)
-        _pool([runner.state for runner in live if not runner.state.fresh])
-        _pool([runner.state for runner in live if runner.state.fresh])
+        dim = self.instance.dim
+        self._sum = ExactVectorSum(len(runners) * dim)
+        self._column = {runner: k * dim for k, runner in enumerate(runners)}
+        self._fresh = np.repeat([runner.state.fresh for runner in runners], dim)
 
     def run(self) -> list:
         """Run every run to the horizon; returns their ``RunResult``s, in order."""
@@ -701,6 +675,14 @@ class Batch:
         for runner in self.runners:
             runner.rows = []
         live = [runner for runner in self.runners if runner.divergence is None]
+        # the memory windows, rebuilt from their tables, also after a restore
+        memory = [runner for runner in live if not runner.state.fresh]
+        if memory:
+            self._sum.clear(~self._fresh)
+            self._sum.add(
+                np.concatenate([runner.state.memory for runner in memory]),
+                np.repeat([self._column[runner] for runner in memory], self.instance.n_devices),
+            )
         for seed, group in self._seeds.items():
             if group[0].sampler is None:
                 sampler = ParticipationSampler(group[0].model, seed, group[0].horizon, start=group[0].rounds_done + 1)
@@ -768,9 +750,17 @@ class Batch:
                 continue
             runner.oracle_calls += self.n_steps * count
             if folded is not None:
-                steps.append((runner.state, *folded, runner.schedule))
+                steps.append((runner, *folded))
             going.append(k)
-        _sum_and_step(steps)
+        if steps:
+            # each stepping run's rows go into its window; a fresh window restarts
+            self._sum.clear(self._fresh)
+            blocks = [rows for _, rows, _ in steps]
+            columns = [self._column[runner] for runner, _, _ in steps]
+            self._sum.add(np.concatenate(blocks), np.repeat(columns, list(map(len, blocks))))
+            total = self._sum.rounded()
+            for (runner, _, count), column in zip(steps, columns):
+                runner.state.step(total[column : column + inst.dim] / count, runner.schedule)
 
         still = []
         for k in going:

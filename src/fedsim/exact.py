@@ -15,10 +15,11 @@ integer arithmetic on whole blocks of vectors, and ``rounded()`` reads the
 correctly rounded doubles off in one pass (+-inf for a sum past the largest
 double). A sum may be wider than one vector: ``add`` takes a column offset
 per row, so runs that each own a column window share one sum, one ``add`` and
-one ``rounded()`` per round. ``exact_mean`` sums one block afresh. The memory
-servers keep a running sum and add each round's new rows and the negated rows
-they replace; where devices send only the difference, it arrives as a
-two-term error-free expansion (``two_diff``).
+one ``rounded()`` per round, and ``clear`` zeroes chosen columns alone.
+``exact_mean`` sums one block afresh. A memory server's window runs on: each
+round adds the new rows and the negated rows they replace; where devices send
+only the difference, it arrives as a two-term error-free expansion
+(``two_diff``).
 """
 
 from __future__ import annotations
@@ -139,10 +140,10 @@ class ExactVectorSum:
         self._lo = min(self._lo, lo)
         self._hi = max(self._hi, min(top + 4, N_LIMBS - 1))
 
-    def clear(self) -> None:
-        """Reset the sum to zero, zeroing the used window of limbs alone."""
-        self._limbs[self._lo + 2 : self._hi + 3] = 0
-        self._lo, self._hi, self._rows = N_LIMBS, -1, 0
+    def clear(self, columns) -> None:
+        """Reset the sums of ``columns`` (an index of columns) to zero, in the
+        used window of limbs alone; the other columns keep theirs."""
+        self._limbs[self._lo + 2 : self._hi + 3, columns] = 0
 
     def _normalise(self) -> np.ndarray:
         """Propagate carries over the used window; returns the window with

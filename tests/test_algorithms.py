@@ -64,12 +64,17 @@ def server(cls, n, w0, spec=None):
 
 def play_round(server, t, members, eta, inst, n_steps, rngs):
     """Wall-round ``t`` with the devices ``members`` active, as Runner plays
-    it from the round's mask row, at a constant step ``eta``."""
+    it from the round's mask row, at a constant step ``eta``: the server
+    folds the updates in and steps by the exact mean of its table (memory)
+    or of the folded rows (FedAvg), which its window of a batch's sum holds."""
     row = np.zeros(server.n_devices, dtype=bool)
     row[list(members)] = True
     ids = server.needs(t, row)
     values, _ = local_updates(inst, ids, server.w, eta, n_steps, [rngs[i] for i in ids])
-    server.aggregate(ids, values, ConstantStep(eta))
+    folded = server.fold(ids, values)
+    if folded is not None:
+        rows, count = folded
+        server.step(exact_mean(rows if server.fresh else server.memory, count), ConstantStep(eta))
 
 
 def device_update(inst, i, w, eta, n_steps, rng):
@@ -316,10 +321,12 @@ def test_delta_running_average_equals_memory_mean_exactly():
 
 def test_delta_server_side_memory_is_one_vector():
     state = server(MifaDeltaServer, 5, np.zeros(3))
-    # the server-side aggregate is a single length-d accumulator; the (N, d)
-    # array models device-side storage
+    # the server-side aggregate is a single length-d vector, the server's
+    # window of the batch's sum; besides its model, the server holds only
+    # the (N, d) array, which models device-side storage
     assert state.running_average.shape == (3,)
-    assert state.exact_sum.dim == 3
+    arrays = {key: value.shape for key, value in vars(state).items() if isinstance(value, np.ndarray)}
+    assert arrays == {"w": (3,), "memory": (5, 3)}
 
 
 # ---------------------------------------------------------------------------
@@ -617,6 +624,25 @@ def test_a_batch_rejects_runs_it_cannot_play_in_lockstep():
     ahead.run_rounds(2)
     with pytest.raises(ValueError, match="same rounds"):
         fedsim.Batch([first, ahead])
+    with pytest.raises(ValueError, match="at least one run"):
+        fedsim.Batch([])
+
+
+@pytest.mark.parametrize("w0, message", [(np.zeros(3), r"w0 has shape \(3,\), the instance's models have shape \(2,\)"),
+                                         (np.zeros((1, 2)), r"w0 has shape \(1, 2\)"),
+                                         (np.array([0.0, np.nan]), "w0 must be finite"),
+                                         (np.array([np.inf, 0.0]), "w0 must be finite")])
+def test_run_names_a_w0_of_another_shape_or_not_finite(w0, message):
+    inst = make_quadratic_instance(3, 2, mu=1.0, smoothness=3.0, sigma=0.5, heterogeneity=1.0, seed=16)
+    with pytest.raises(ValueError, match=message):
+        fedsim.run(fedsim.MifaSpec(), inst, FullParticipation(3), InverseDecay(0.1), horizon=5, n_steps=1, seed=0, w0=w0)
+
+
+def test_a_direct_is_fedavg_spec_for_another_device_count_is_a_value_error():
+    inst = make_quadratic_instance(3, 2, mu=1.0, smoothness=3.0, sigma=0.5, heterogeneity=1.0, seed=16)
+    with pytest.raises(ValueError, match="probs holds 1 probabilities for 3 devices"):
+        fedsim.run(fedsim.ImportanceFedAvgSpec(probs=(1.0,)), inst, FullParticipation(3), InverseDecay(0.1),
+                   horizon=5, n_steps=1, seed=0)
 
 
 def test_update_array_matches_checkpoint_replay():
@@ -671,14 +697,74 @@ def test_checkpoint_resume_reproduces_trajectory(name):
 
 
 @pytest.mark.parametrize("name", list(SERVERS))
-@pytest.mark.parametrize("n_devices, dim, message", [(4, 2, "holds 3 devices in dimension 2, this run has 4 devices"),
-                                                      (3, 5, "in dimension 2, this run has 3 devices in dimension 5")])
-def test_restore_names_a_checkpoint_of_another_size(name, n_devices, dim, message):
+def test_a_held_batch_resumes_a_restored_run_from_its_checkpoint(name):
+    # the batch rebuilds a memory run's window from its table whenever it
+    # starts to advance, so a run restored between two advances of one batch
+    # plays on from the checkpoint's table, not from the batch's old window
+    first = checkpoint_runner(name)
+    first.run_rounds(3)
+    snapshot = json.loads(json.dumps(first.checkpoint()))
+    alone = checkpoint_runner(name)
+    alone.restore(snapshot)
+    rows = list(alone.run_rounds(12))
+    held = checkpoint_runner(name)
+    batch = fedsim.Batch([held])
+    batch.run_rounds(6)
+    held.restore(snapshot)
+    batch.run_rounds(12)
+    assert held.rows == rows
+    assert np.array_equal(held.state.w, alone.state.w)
+
+
+def resized(key, rows, cols=2):
+    """An edit of a checkpoint that makes its server's ``key`` table rows x cols."""
+    def edit(snapshot):
+        snapshot["server"][key] = np.ones((rows, cols)).tolist()
+    return edit
+
+
+def drop_noise_stream(snapshot):
+    snapshot["noise_rngs"].pop()
+
+
+def pend_device_3(snapshot):
+    snapshot["server"]["pending"] = [0, 3]
+
+
+def collect(device, value):
+    """An edit of a sampling_fedavg checkpoint that adds a collected update."""
+    def edit(snapshot):
+        snapshot["server"]["collected"].insert(0, {"device": device, "value": value})
+    return edit
+
+
+ANOTHER_SIZE = [
+    pytest.param(name, n_devices, dim, None, message, id=f"{n_devices}-{dim}-{message}-{name}")
+    for n_devices, dim, message in ((4, 2, "holds 3 devices in dimension 2, this run has 4 devices"),
+                                    (3, 5, "in dimension 2, this run has 3 devices in dimension 5"))
+    for name in SERVERS
+] + [
+    # checkpoints edited to hold a per-device field of another size, restored
+    # into the run of 3 devices in dimension 2 they were taken from
+    *[(name, 3, 2, resized(key, *shape), rf"server.{key} has shape \({shape[0]}, {shape[1]}\), this run's has shape \(3, 2\)")
+      for name, key in (("mifa", "update_array"), ("mifa_delta", "device_memory")) for shape in ((5, 2), (1, 2), (3, 3))],
+    *[(name, 3, 2, drop_noise_stream, r"noise_rngs has shape \(2,\), this run's has shape \(3,\)") for name in SERVERS],
+    ("sampling_fedavg", 3, 2, pend_device_3, "server.pending holds device 3, this run has 3 devices"),
+    ("sampling_fedavg", 3, 2, collect(7, [1.0, 2.0]), "server.collected holds device 7, this run has 3 devices"),
+    ("sampling_fedavg", 3, 2, collect(0, [1.0, 2.0, 3.0]), r"server.collected has shape \(3,\), this run's has shape \(2,\)"),
+]
+
+
+@pytest.mark.parametrize("name, n_devices, dim, edit, message", ANOTHER_SIZE)
+def test_restore_names_a_checkpoint_of_another_size(name, n_devices, dim, edit, message):
     first = checkpoint_runner(name)
     first.run_rounds(5)
     snapshot = json.loads(json.dumps(first.checkpoint()))
+    if edit is not None:
+        edit(snapshot)
     inst = make_quadratic_instance(n_devices, dim, mu=1.0, smoothness=3.0, sigma=0.5, heterogeneity=1.0, seed=16)
-    model = BernoulliParticipation([0.5] * n_devices)
+    # the checkpoint's own run when the sizes agree
+    model = BernoulliParticipation(([0.5, 0.8, 1.0] + [0.5] * n_devices)[:n_devices])
     spec = SERVERS[name].from_config({"subset_size": 2}, model)
     other = fedsim.Runner(spec, inst, model, StronglyConvexDecay(mu=1.0, smoothness=3.0, local_steps=2),
                           horizon=40, n_steps=2, seed=8)

@@ -215,24 +215,31 @@ def test_add_rejects_shapes_other_than_a_vector_or_block(shape):
 
 
 @settings(max_examples=200, deadline=None)
-@given(sums=st.lists(summations(), min_size=1, max_size=4), cleared=st.integers(0, 4), pad=st.integers(0, 2))
+@given(sums=st.lists(summations(), min_size=1, max_size=4), cleared=st.sets(st.integers(0, 3)), pad=st.integers(0, 2))
 def test_column_windows_of_one_sum_equal_separate_sums(sums, cleared, pad):
     # several windows of one wide sum, each added in one call with a column
-    # offset per row, round as separate sums do; clear() zeroes them all
+    # offset per row, round as separate sums do; clear(columns) zeroes the
+    # windows ``cleared`` alone, and they sum afresh after it
     width = max(rows.shape[1] for rows, _ in sums)
     wide = ExactVectorSum(len(sums) * width + pad)
-    for attempt in range(2):
-        blocks = [(rows, k * width) for k, (rows, _) in enumerate(sums) if attempt or k != cleared]
-        for rows, offset in blocks:  # windows narrower than the sum's width
-            wide.add(rows, np.full(len(rows), offset))
-        if not attempt:
-            wide.clear()
-    total = wide.rounded()
-    assert_bitwise_equal(total[len(sums) * width :], [0.0] * pad)
-    for k, (rows, _) in enumerate(sums):
-        window = total[k * width : (k + 1) * width]
-        expected = exact_column_sums(rows) + [0.0] * (width - rows.shape[1])
-        assert_bitwise_equal(window, expected)
+
+    def windows(total):
+        assert_bitwise_equal(total[len(sums) * width :], [0.0] * pad)
+        return [total[k * width : (k + 1) * width] for k in range(len(sums))]
+
+    def expected(rows):
+        return exact_column_sums(rows) + [0.0] * (width - rows.shape[1])
+
+    for k, (rows, _) in enumerate(sums):  # windows narrower than the sum's width
+        wide.add(rows, np.full(len(rows), k * width))
+    cleared = sorted(k for k in cleared if k < len(sums))
+    wide.clear([k * width + j for k in cleared for j in range(width)])
+    for k, window in enumerate(windows(wide.rounded())):
+        assert_bitwise_equal(window, [0.0] * width if k in cleared else expected(sums[k][0]))
+    for k in cleared:
+        wide.add(sums[k][0], np.full(len(sums[k][0]), k * width))
+    for k, window in enumerate(windows(wide.rounded())):
+        assert_bitwise_equal(window, expected(sums[k][0]))
 
 
 @pytest.mark.parametrize("values, offsets", [
@@ -274,18 +281,23 @@ class UnitStep:
 @given(case=memory_traces())
 def test_memory_server_sum_is_the_exact_sum_of_its_table(server_class, case):
     # mifa adds fresh rows and the negated rows they replace, mifa_delta the
-    # two_diff pairs of their differences; either way the running sum stays
-    # the table's exact column sums, also when rebuilt from a checkpoint
+    # two_diff pairs of their differences; either way a running sum of the
+    # rows that fold returns stays the table's exact column sums, also when
+    # rebuilt from the table after a checkpoint round-trip
     n, dim, rounds, roundtrip_at = case
     server = server_class(server_class.spec_class(), n, np.zeros(dim), None)
+    total = ExactVectorSum(dim)
     for t, (ids, values) in enumerate(rounds, start=1):
         row = np.zeros(n, dtype=bool)
         row[ids] = True
         assert server.needs(t, row).tolist() == ids
-        server.aggregate(ids, values, UnitStep())
+        rows, count = server.fold(ids, values)
+        total.add(rows)
+        server.step(total.rounded() / count, UnitStep())
         if t == roundtrip_at:
             state = json.loads(json.dumps(server.state_dict()))
             server = server_class(server_class.spec_class(), n, np.zeros(dim), None)
             server.load_state_dict(state)
-        table = server.memory
-        assert_bitwise_equal(server.exact_sum.rounded(), exact_column_sums(table))
+            total = ExactVectorSum(dim)
+            total.add(server.memory)
+        assert_bitwise_equal(total.rounded(), exact_column_sums(server.memory))

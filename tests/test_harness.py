@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import json
 import math
@@ -345,6 +346,21 @@ def test_meta_file_echoes_schedule_and_backend(tmp_path):
     assert meta["schedule"]["eta_1"] > meta["schedule"]["eta_T"] > 0
     assert meta["config"] == cfg
     assert meta["diverged_seeds"] == []
+
+
+def test_the_benchmark_tracer_finds_every_name_it_patches():
+    # compare_bench/tracing.py looks each name it patches up with
+    # vars(owner)[attr], and compare_bench/run.py reads fedsim.BACKEND, so a
+    # renamed or deleted name fails every traced benchmark pass
+    path = Path(__file__).resolve().parent.parent / "compare_bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("benchmark_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    original = vars(fedsim.algorithms.ExactVectorSum)["add"]
+    with tracing.install(tracing.Tracer(), fedsim):
+        assert vars(fedsim.algorithms.ExactVectorSum)["add"] is not original
+    assert vars(fedsim.algorithms.ExactVectorSum)["add"] is original
+    assert fedsim.BACKEND == "python"
 
 
 def test_meta_records_nonconvex_horizon_conditions(tmp_path):
