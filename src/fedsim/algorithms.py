@@ -599,7 +599,13 @@ class Runner:
         collected = server.get("collected", [])
         shapes = [("noise_rngs", (len(state["noise_rngs"]),), (n_devices,))]
         if isinstance(self.state, MemoryServer):
-            shapes.append((f"server.{self.state.table_key}", np.shape(server[self.state.table_key]), expected))
+            key, table = f"server.{self.state.table_key}", server[self.state.table_key]
+            # a table whose rows differ in length has no shape: name its first row of another length
+            lengths = [len(row) if isinstance(row, list) else None for row in table]
+            if len(set(lengths)) > 1:
+                k = next(k for k, length in enumerate(lengths) if length != expected[1])
+                raise ValueError(f"checkpoint {key} row {k} has length {lengths[k]}, this run's rows have length {expected[1]}")
+            shapes.append((key, np.shape(table), expected))
         shapes += [("server.collected", (len(entry["value"]),), expected[1:]) for entry in collected]
         for key, held, wanted in shapes:
             if held != wanted:
@@ -628,8 +634,10 @@ class Batch:
     local step count, advanced round by round in lockstep.
 
     The runs of one seed share one participation sampler and one staleness
-    tracker, since their masks are equal. The batch keeps the one exact sum
-    of its runs, R d columns wide: run k owns columns k d .. (k + 1) d - 1.
+    tracker, since their masks are equal; they are linked each time the
+    batch starts to advance, as a restored run holds its own. The batch
+    keeps the one exact sum of its runs, R d columns wide: run k owns
+    columns k d .. (k + 1) d - 1.
     A memory run's window is rebuilt from its table each time the batch
     starts to advance, and a FedAvg run's window is zeroed every round. A
     round thus makes one ``local_updates`` call, one metric pass over the
@@ -646,22 +654,29 @@ class Batch:
             if (runner.instance is not first.instance or runner.model is not first.model
                     or (runner.horizon, runner.n_steps) != (first.horizon, first.n_steps)):
                 raise ValueError("the runs of a batch share their instance, participation model, horizon and local steps")
-        live = [runner for runner in runners if runner.divergence is None]
-        if len({runner.rounds_done for runner in live}) > 1:
-            raise ValueError("the runs of a batch must have played the same rounds")
         self.runners = runners
+        self._live()
         self.instance, self.n_steps = first.instance, first.n_steps
-        # seed -> the runs of that seed, which share the first one's sampler and tracker
-        self._seeds: dict = {}
-        for runner in live:
-            group = self._seeds.setdefault(runner.seed, [])
-            if group:
-                runner.tracker, runner.sampler = group[0].tracker, group[0].sampler
-            group.append(runner)
         dim = self.instance.dim
         self._sum = ExactVectorSum(len(runners) * dim)
         self._column = {runner: k * dim for k, runner in enumerate(runners)}
         self._fresh = np.repeat([runner.state.fresh for runner in runners], dim)
+
+    def _live(self) -> list:
+        """The runs still going, checked to have played the same rounds. The
+        runs of one seed are linked to the first one's sampler and tracker
+        here, each time the batch starts to advance, so that a run restored
+        meanwhile, which holds a tracker of its own, is linked again."""
+        live = [runner for runner in self.runners if runner.divergence is None]
+        if len({runner.rounds_done for runner in live}) > 1:
+            raise ValueError("the runs of a batch must have played the same rounds")
+        leads = {}
+        for runner in live:
+            lead = leads.setdefault(runner.seed, runner)
+            if lead.sampler is None:
+                lead.sampler = ParticipationSampler(lead.model, lead.seed, lead.horizon, start=lead.rounds_done + 1)
+            runner.tracker, runner.sampler = lead.tracker, lead.sampler
+        return live
 
     def run(self) -> list:
         """Run every run to the horizon; returns their ``RunResult``s, in order."""
@@ -672,9 +687,9 @@ class Batch:
         """Advance every run still going to round ``upto`` (inclusive). Each
         runner's ``rows`` holds the rows of this call. A run that diverges
         keeps its ``DivergenceError`` in ``divergence`` and stops."""
+        live = self._live()
         for runner in self.runners:
             runner.rows = []
-        live = [runner for runner in self.runners if runner.divergence is None]
         # the memory windows, rebuilt from their tables, also after a restore
         memory = [runner for runner in live if not runner.state.fresh]
         if memory:
@@ -683,11 +698,6 @@ class Batch:
                 np.concatenate([runner.state.memory for runner in memory]),
                 np.repeat([self._column[runner] for runner in memory], self.instance.n_devices),
             )
-        for seed, group in self._seeds.items():
-            if group[0].sampler is None:
-                sampler = ParticipationSampler(group[0].model, seed, group[0].horizon, start=group[0].rounds_done + 1)
-                for runner in group:
-                    runner.sampler = sampler
         for t in range(live[0].rounds_done + 1 if live else upto + 1, upto + 1):
             live = self._round(t, live)
             if not live:

@@ -10,16 +10,20 @@ Every server sums through one accumulator, ``ExactVectorSum``, a fixed-point
 superaccumulator after Neal's "small superaccumulator" (arXiv:1505.05571).
 Every finite double is an integer multiple of 2**-1074 below 2**1024, so a
 stack of int64 limbs, limb k weighing 2**(32k - 1074), holds any sum of
-doubles exactly, also one that outgrows the largest double. Adding is
-integer arithmetic on whole blocks of vectors, and ``rounded()`` reads the
-correctly rounded doubles off in one pass (+-inf for a sum past the largest
-double). A sum may be wider than one vector: ``add`` takes a column offset
-per row, so runs that each own a column window share one sum, one ``add`` and
-one ``rounded()`` per round, and ``clear`` zeroes chosen columns alone.
-``exact_mean`` sums one block afresh. A memory server's window runs on: each
-round adds the new rows and the negated rows they replace; where devices send
-only the difference, it arrives as a two-term error-free expansion
-(``two_diff``).
+doubles exactly, also one that outgrows the largest double. Adding works on
+whole blocks of vectors: each nonzero entry, over the unit of the limb that
+holds its top bit, splits exactly into three 32-bit chunks by truncation,
+and one bincount per chunk sums them into their limbs. ``rounded()``
+propagates carries once and reads the correctly rounded doubles off in one
+pass (+-inf for a sum past the largest double); a negative sum's magnitude
+is read straight off its two's complement, with no negation and no second
+carry pass. A sum may be wider than one vector: ``add`` takes a column
+offset per row, so runs that each own a column window share one sum, one
+``add`` and one ``rounded()`` per round, and ``clear`` zeroes chosen columns
+alone. ``exact_mean`` sums one block afresh. A memory server's window runs
+on: each round adds the new rows and the negated rows they replace; where
+devices send only the difference, it arrives as a two-term error-free
+expansion (``two_diff``).
 """
 
 from __future__ import annotations
@@ -37,7 +41,9 @@ _SCATTER_ROWS = 1 << 20
 # than 2**32, so int64 limbs take 2**30 rows before carries must propagate
 _ROWS_BEFORE_CARRY = 1 << 30
 _LOW = np.int64((1 << LIMB_BITS) - 1)
-_U1, _U32, _U64 = np.uint64(1), np.uint64(32), np.uint64(64)
+_U32 = np.uint64(32)
+# the index of each row of a window of limbs, as a column of small integers
+_ROW_INDEX = np.arange(N_LIMBS + 2, dtype=np.int8)[:, None]
 
 
 def two_diff(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -55,7 +61,7 @@ def _carry(limbs: np.ndarray) -> None:
     row but the last ends in [0, 2**32), the last keeps the sign."""
     for row, above in zip(limbs[:-1], limbs[1:]):
         above += row >> LIMB_BITS
-        row &= _LOW
+    limbs[:-1] &= _LOW
 
 
 class ExactVectorSum:
@@ -67,8 +73,15 @@ class ExactVectorSum:
     have ever been touched (plus carry headroom), and carries are propagated
     over that window alone.
 
-    ``rounded()`` returns the correctly rounded double for each coordinate,
-    i.e. ``float(sum(map(Fraction, column)))`` over all added vectors.
+    ``add`` splits each nonzero entry, over the unit of the limb t that
+    holds its top bit, into three signed 32-bit chunks for limbs t, t - 1
+    and t - 2 with ``np.trunc`` and exact subtractions, and sums each chunk
+    into its limbs with one bincount. ``rounded()`` returns the correctly
+    rounded double for each coordinate, i.e.
+    ``float(sum(map(Fraction, column)))`` over all added vectors. After one
+    carry pass, a negative column's magnitude is its two's complement, read
+    in one pass (zero below its lowest nonzero limb j, 2**32 - limb at j,
+    the complement above), and its top limb is found in that magnitude.
     """
 
     def __init__(self, dim: int):
@@ -79,9 +92,9 @@ class ExactVectorSum:
         self._lo = N_LIMBS  # the used window is empty while lo > hi
         self._hi = -1
         self._rows = 0  # rows added since carries were last propagated
-        # the offsets of a column's limbs k, k - 1, k - 2 in a flattened window
-        self._three = -dim * np.arange(3)[:, None]
         self._columns = np.arange(dim)
+        # the offsets of each column's limbs k, k - 1, k - 2 in a flattened window, less k dim
+        self._below = self._columns - dim * np.arange(3)[:, None]
 
     def add(self, values: np.ndarray, offsets=None) -> None:
         """Add one vector (dim,) or every row of a block (rows, dim). With
@@ -112,33 +125,48 @@ class ExactVectorSum:
             self._rows += len(block)
 
     def _scatter(self, block: np.ndarray, columns: np.ndarray) -> None:
-        entries = np.flatnonzero(block)
-        if not len(entries):
+        nonzero = block != 0
+        x = block[nonzero]
+        if not len(x):
             return
-        x = block.ravel()[entries]
         # x = m * 2**e with 1/2 <= |m| < 1: the top bit of x is e + 1073 bits
-        # above 2**-1074, so x's (at most 53) bits lie in limbs base..base+2
-        base = np.maximum((np.frexp(x)[1] + 1073 - 2 * LIMB_BITS) // LIMB_BITS, 0)
-        lo, top = int(base.min()), int(base.max())
-        width = top - lo + 3
-        index = (base - lo + 2) * self.dim + columns.ravel()[entries]
+        # above 2**-1074, in limb t = (e + 1073) >> 5, and x's (at most 53)
+        # bits lie in limbs t - 2 .. t, of which limbs -2 and -1 (the zero
+        # rows below limb 0) take only zero chunks
+        mantissa, shift = np.frexp(x)
+        shift += 1073
+        limb = shift >> 5
+        lo, top = int(limb.min()), int(limb.max())
+        # over limb t's unit, x is y = m * 2**((e + 1073) % 32 + 1): below
+        # 2**32, and a multiple of 2**-64
+        shift &= LIMB_BITS - 1
+        shift += 1
+        y = np.ldexp(mantissa, shift)
+        del mantissa, shift
+        index = np.subtract(limb, lo, dtype=np.intp)
+        del limb
+        index *= self.dim
+        index += columns[nonzero]
         # each array here is as long as the block's nonzero entries, every
         # run's rows of a batch together, so each is dropped once used
-        del entries
-        # base's unit scales x to an integer below 2**96; split it exactly
-        # into three signed 32-bit chunks, the top one first, and sum each
-        # into its limb. A limb's chunks sum to an exact integer in any
-        # order, so three bincounts, one per chunk, equal one over all three.
-        frac, chunk = np.modf(np.ldexp(x, 1074 - 2 * LIMB_BITS - LIMB_BITS * base))
-        del x, base
-        size = width * self.dim
-        sums = np.bincount(index, weights=chunk, minlength=size)
-        frac, chunk = np.modf(frac * 2.0**32)
-        sums += np.bincount(index - self.dim, weights=chunk, minlength=size)
-        sums += np.bincount(index - 2 * self.dim, weights=frac * 2.0**32, minlength=size)
-        self._limbs[lo + 2 : lo + 2 + width] += sums.reshape(width, self.dim).astype(np.int64)
-        self._lo = min(self._lo, lo)
-        self._hi = max(self._hi, min(top + 4, N_LIMBS - 1))
+        del x, nonzero
+        # split y exactly into three signed 32-bit chunks, the top one
+        # first: a truncation and the subtraction of it are exact
+        top_chunk = np.trunc(y)
+        y -= top_chunk
+        y *= 2.0**32
+        mid_chunk = np.trunc(y)
+        y -= mid_chunk
+        y *= 2.0**32
+        # one bincount per chunk, each shifted onto its limbs; a limb takes
+        # at most one chunk of each row, so every sum is an exact integer
+        size = (top - lo + 1) * self.dim
+        sums = np.bincount(index, weights=y, minlength=size + 2 * self.dim)
+        sums[self.dim :] += np.bincount(index, weights=mid_chunk, minlength=size + self.dim)
+        sums[2 * self.dim :] += np.bincount(index, weights=top_chunk, minlength=size)
+        self._limbs[lo : top + 3] += sums.reshape(-1, self.dim).astype(np.int64)
+        self._lo = min(self._lo, max(lo - 2, 0))
+        self._hi = max(self._hi, min(top + 2, N_LIMBS - 1))
 
     def clear(self, columns) -> None:
         """Reset the sums of ``columns`` (an index of columns) to zero, in the
@@ -159,29 +187,36 @@ class ExactVectorSum:
         if self._lo > self._hi:
             return np.zeros(self.dim)
         window = self._normalise()
-        negative = window[-1] < 0
-        if negative.any():
-            window = np.negative(window, out=window.copy(), where=negative)
-            _carry(window[2:])
-        mag = window.view(np.uint64)
-        nonzero = mag != 0
-        # each column's top nonzero limb a and the two below it, b and c
-        top = len(mag) - 1 - np.argmax(nonzero[::-1], axis=0)
-        a, b, c = mag.ravel()[top * self.dim + self._columns + self._three]
+        rows = _ROW_INDEX[: len(window)]
+        # each column's lowest nonzero limb j, the same in its magnitude (the
+        # top row for a zero column)
+        low = (len(window) - 1) - ((window != 0) * rows[::-1]).max(axis=0)
+        # a negative column's magnitude, read off its two's complement in one
+        # pass: zero below j, 2**32 - limb at j, the complement above, and the
+        # top row's ~limb = -limb - 1 unmasked (flip is -1 in negative columns)
+        flip = window[-1] >> 63
+        mag = window ^ flip
+        mag += rows <= np.where(flip, low, -1)
+        mag[:-1] &= _LOW
+        # each column's top nonzero limb a, found after the flip (a zero
+        # column reads the zero rows 0 to 2), and the two below it, b and c
+        top = ((mag != 0) * rows).max(axis=0, initial=2).astype(np.intp)
+        a, b, c = mag.view(np.uint64).ravel()[top * self.dim + self._below]
         # w = a*2**64 + b*2**32 + c has a's bit length plus 64 bits; u is its
-        # top 64 bits and kept its top 63 bits, rounded to odd: the last bit
-        # is set when any dropped bit (of w, or of a lower limb) is set
+        # top 64 bits, rounded to odd: the last bit is set when any dropped
+        # bit (of w, or of a lower limb) is set
         bits = np.frexp(a.astype(np.float64))[1]
         shift = bits.astype(np.uint64)
-        u = (((a << _U32) | b) << (_U32 - shift)) | (c >> shift)
-        sticky = (c << (_U64 - shift) != 0) | (np.argmax(nonzero, axis=0) < top - 2)
-        kept = (u >> _U1) | (u & _U1) | sticky
-        # 63 bits rounded to odd round correctly to 53; the scaling by a
-        # power of two is then exact (or overflows to inf)
-        exponent = bits + LIMB_BITS * (self._lo + top - 4) - 1073
+        c_top = c >> shift
+        u = (((a << _U32) | b) << (_U32 - shift)) | c_top
+        u |= (c_top << shift != c) | (low < top - 2)
+        # 64 bits rounded to odd round correctly to 53; the scaling by a
+        # power of two is then exact (or overflows to inf), and a zero
+        # column, whose u is 0 (its low lies above its top), stays 0
+        exponent = bits + LIMB_BITS * top + (LIMB_BITS * (self._lo - 4) - 1074)
         with np.errstate(over="ignore"):
-            value = np.ldexp(kept.astype(np.float64), exponent, out=np.zeros(self.dim), where=a != 0)
-        return np.negative(value, out=value, where=negative)
+            value = np.ldexp(u.astype(np.float64), exponent)
+        return np.copysign(value, flip, out=value)
 
 
 def exact_mean(rows: np.ndarray, denom: int) -> np.ndarray:

@@ -716,10 +716,41 @@ def test_a_held_batch_resumes_a_restored_run_from_its_checkpoint(name):
     assert np.array_equal(held.state.w, alone.state.w)
 
 
+def test_a_held_batch_links_a_restored_run_to_its_seeds_tracker_again():
+    # a restored run holds a staleness tracker of its own; the batch links
+    # the runs of each seed to one sampler and tracker whenever it starts to
+    # advance, so the other run of the seed keeps counting its rounds
+    inst = make_quadratic_instance(5, 2, mu=1.0, smoothness=3.0, sigma=0.5, heterogeneity=1.0, seed=16)
+    model = BernoulliParticipation([0.3, 0.5, 0.7, 0.9, 1.0])
+    sched = StronglyConvexDecay(mu=1.0, smoothness=3.0, local_steps=2)
+
+    def runner(spec):
+        return fedsim.Runner(spec, inst, model, sched, horizon=12, n_steps=2, seed=8)
+
+    specs = (fedsim.MifaSpec(), fedsim.BiasedFedAvgSpec())
+    held = [runner(spec) for spec in specs]
+    batch = fedsim.Batch(held)
+    batch.run_rounds(6)
+    held[0].restore(json.loads(json.dumps(held[0].checkpoint())))
+    batch.run_rounds(12)
+    for spec, run in zip(specs, held):
+        alone = runner(spec).run()
+        result = run.result()
+        assert result.staleness == alone.staleness
+        assert result.rounds == alone.rounds[6:]
+        assert np.array_equal(result.final_w, alone.final_w)
+
 def resized(key, rows, cols=2):
     """An edit of a checkpoint that makes its server's ``key`` table rows x cols."""
     def edit(snapshot):
         snapshot["server"][key] = np.ones((rows, cols)).tolist()
+    return edit
+
+
+def ragged(key, row, length):
+    """An edit of a checkpoint that makes row ``row`` of its server's ``key`` table ``length`` long."""
+    def edit(snapshot):
+        snapshot["server"][key][row] = [1.0] * length
     return edit
 
 
@@ -752,6 +783,9 @@ ANOTHER_SIZE = [
     ("sampling_fedavg", 3, 2, pend_device_3, "server.pending holds device 3, this run has 3 devices"),
     ("sampling_fedavg", 3, 2, collect(7, [1.0, 2.0]), "server.collected holds device 7, this run has 3 devices"),
     ("sampling_fedavg", 3, 2, collect(0, [1.0, 2.0, 3.0]), r"server.collected has shape \(3,\), this run's has shape \(2,\)"),
+    # a table whose rows differ in length, which numpy gives no shape
+    *[(name, 3, 2, ragged(key, row, length), rf"server.{key} row {row} has length {length}, this run's rows have length 2")
+      for name, key in (("mifa", "update_array"), ("mifa_delta", "device_memory")) for row, length in ((0, 1), (2, 3))],
 ]
 
 

@@ -251,6 +251,75 @@ def test_add_rejects_a_column_window_outside_the_sum(values, offsets):
 
 
 # ---------------------------------------------------------------------------
+# negative sums, read off the limbs' two's complement
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("digit", [1, 3, 2**31, 2**32 - 1])
+def test_negative_sums_whose_lowest_limb_is_their_top_limb(digit):
+    # -digit * 2**(32k - 1074) has one nonzero magnitude limb, k: the limb
+    # that takes 2**32 - limb is also the top limb the rounding reads
+    # every limb k whose x leaves room for 3x below the largest double
+    column = np.array([-math.ldexp(digit, 32 * k - 1074) for k in range(66) if 32 * k - 1072 + digit.bit_length() <= 1024])
+    single = column[None, :]
+    cancelling = np.stack([-2.0 * column, 3.0 * column])  # -2x + 3x = x, added in one block
+    for rows in (single, cancelling):
+        acc = ExactVectorSum(len(column))
+        acc.add(rows)
+        assert_bitwise_equal(acc.rounded(), exact_column_sums(rows))
+    acc = ExactVectorSum(len(column))
+    for row in cancelling:  # in two calls
+        acc.add(row)
+    assert_bitwise_equal(acc.rounded(), exact_column_sums(cancelling))
+
+
+def test_a_tiny_negative_remainder_under_a_cancelling_pair():
+    # x - x - TINY: the magnitude's complement runs through every limb from
+    # limb 0 up to x's, and the magnitude is TINY's one bit alone
+    xs = np.array([MAX, 1.0, 2.0**1000, 2.0**-1000, 2.0**-1022, 3 * TINY])
+    for tail in (TINY, 3 * TINY, 2.0**-1022):
+        rows = np.stack([xs, -xs, np.full(len(xs), -tail)])
+        acc = ExactVectorSum(len(xs))
+        acc.add(rows)
+        assert_bitwise_equal(acc.rounded(), exact_column_sums(rows))
+        acc.add(rows[:2])  # the pair again, then a positive remainder
+        acc.add(-rows[2:])
+        assert_bitwise_equal(acc.rounded(), [0.0] * len(xs))
+        acc.add(-rows[2:])
+        assert_bitwise_equal(acc.rounded(), exact_column_sums(-rows[2:]))
+
+
+@st.composite
+def signed_rounds(draw):
+    """(dim, rounds): each round clears a set of columns, then adds a block
+    of rows of either sign, hard floats and their negations mixed."""
+    dim = draw(st.integers(1, 4))
+    rounds = []
+    for _ in range(draw(st.integers(1, 5))):
+        cleared = sorted(draw(st.sets(st.integers(0, dim - 1))))
+        rows = [draw(st.lists(hard_floats, min_size=dim, max_size=dim)) for _ in range(draw(st.integers(1, 6)))]
+        rows += [[-x for x in row] for row in draw(st.lists(st.sampled_from(rows), max_size=3))]
+        rounds.append((cleared, np.array(rows, dtype=np.float64)))
+    return dim, rounds
+
+
+@settings(max_examples=200, deadline=None)
+@given(signed_rounds())
+def test_mixed_sign_blocks_over_several_adds_and_clears(case):
+    dim, rounds = case
+    acc = ExactVectorSum(dim)
+    added = [[] for _ in range(dim)]  # each column's values since it was last cleared
+    for cleared, rows in rounds:
+        acc.clear(cleared)
+        for j in cleared:
+            added[j] = []
+        acc.add(rows)
+        for j in range(dim):
+            added[j] += rows[:, j].tolist()
+        expected = [exact_column_sums(np.array(values or [0.0])[:, None])[0] for values in added]
+        assert_bitwise_equal(acc.rounded(), expected)
+
+# ---------------------------------------------------------------------------
 # the memory servers' running sums against their tables
 # ---------------------------------------------------------------------------
 
