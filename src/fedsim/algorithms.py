@@ -247,13 +247,13 @@ class Server:
         self.t_prime += 1
 
     def state_dict(self) -> dict:
-        return {"w": self.w.tolist(), "t": self.t, "t_prime": self.t_prime}
+        return {"w": self.w.tolist(), "t_prime": self.t_prime}
 
-    def load_state_dict(self, state: dict) -> None:
+    def load_state_dict(self, state: dict, t: int) -> None:
         self.w = np.asarray(state["w"], dtype=np.float64)
-        self.t = int(state["t"])
-        # servers that step every round do not store t_prime
-        self.t_prime = int(state.get("t_prime", self.t))
+        self.t = t
+        # round t is the run's; servers that step every round do not store t_prime
+        self.t_prime = int(state.get("t_prime", t))
 
 
 class MemoryServer(Server):
@@ -270,11 +270,10 @@ class MemoryServer(Server):
         self.memory = np.zeros((n_devices, len(w0)))
 
     def state_dict(self):
-        return {"w": self.w.tolist(), self.table_key: self.memory.tolist(), "t": self.t}
+        return {"w": self.w.tolist(), self.table_key: self.memory.tolist()}
 
-    def load_state_dict(self, state):
-        # checkpoint versions 1 and 2 also held mifa_delta's exact sum, which is not read
-        super().load_state_dict(state)
+    def load_state_dict(self, state, t):
+        super().load_state_dict(state, t)
         self.memory = np.asarray(state[self.table_key], dtype=np.float64)
 
 
@@ -428,18 +427,15 @@ class SamplingFedAvgServer(Server):
 
     def state_dict(self):
         return {
-            "w": self.w.tolist(),
-            "subset_size": self.spec.subset_size,
+            **super().state_dict(),
             "pending": np.flatnonzero(self.pending).tolist(),
             "collected": [{"device": int(i), "value": value.tolist()} for i, value in self.collected.items()],
-            "t": self.t,
-            "t_prime": self.t_prime,
             "window_start": self.window_start,
             "waits": list(self.waits),
         }
 
-    def load_state_dict(self, state):
-        super().load_state_dict(state)
+    def load_state_dict(self, state, t):
+        super().load_state_dict(state, t)
         self.pending = np.zeros(self.n_devices, dtype=bool)
         self.pending[[int(i) for i in state["pending"]]] = True
         # version-2 entries also carry the round that produced them, which nothing reads
@@ -460,9 +456,10 @@ SERVERS = {
 
 
 def _run_fields(state: dict) -> dict:
-    """A version-5 checkpoint's fields that identify its run, keyed by name."""
-    return {"seed": state["seed"], "horizon": state["horizon"], "n_steps": state["n_steps"],
-            **{f"spec.{key}": value for key, value in state["spec"].items()}}
+    """A checkpoint's fields that identify its run, keyed by name."""
+    return {**{key: state.get(key) for key in ("seed", "horizon", "n_steps")},
+            **{f"{group}.{key}": value
+               for group in ("spec", "schedule") for key, value in state.get(group, {}).items()}}
 
 
 class Runner:
@@ -473,7 +470,7 @@ class Runner:
     dedicated substreams of the seed, so every algorithm sees the identical
     active-set sequence and per-device noise for a fixed seed. A ``Batch``
     advances runs; advancing one runner alone is the batch of that one.
-    The participation sampler is positioned when the run next advances.
+    The participation sampler is positioned when the run first advances or is restored.
     ``divergence`` holds the ``DivergenceError`` that stopped the run.
     """
 
@@ -490,8 +487,16 @@ class Runner:
     ):
         if horizon < 2:
             raise ValueError("horizon must be >= 2")
+        if n_steps < 1:
+            raise ValueError("n_steps must be >= 1")
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
         if model.n_devices != instance.n_devices:
             raise ValueError("participation model and instance disagree on device count")
+        for field, name, value in (("local_steps", "n_steps", n_steps), ("horizon", "horizon", horizon),
+                                   ("n_devices", "device count", instance.n_devices)):
+            if getattr(schedule, field, value) != value:  # a schedule tuned to another run
+                raise ValueError(f"schedule {field} is {getattr(schedule, field)}, this run's {name} is {value}")
         self.algo_spec = algo_spec
         self.instance = instance
         self.model = model
@@ -545,59 +550,68 @@ class Runner:
         )
 
     # ---- lossless mid-run checkpointing -----------------------------------
-    # Version 5 stores no derived state, and the seed, horizon, local steps
-    # and spec of the run, which restoring checks. A memory server stores its
-    # table alone, from which the next batch rebuilds the run's exact sum
-    # (versions 1 and 2 also stored mifa_delta's sum, as Shewchuk partials,
-    # then as limbs, which is not read). The participation
-    # sampler is a function of (seed, round), so restoring positions a fresh
-    # one at the next round (versions 1 to 3 also stored its generators or
-    # last-active rounds, which equal the positioned ones and are not read).
+    # Version 6 stores what the run cannot rebuild, each value once, with the
+    # run's seed, horizon, local steps, spec and schedule, which restoring
+    # checks. The round is ``rounds_done`` alone; restoring replays the
+    # sampler and staleness tracker, functions of (model, seed, round); the
+    # averaged iterate's shift is the schedule's; the next batch rebuilds a
+    # memory server's exact sum from its table. Older copies are not read:
+    # the tracker, server round, subset size and averaged shift, dim and
+    # rounds (versions 1-5), sampler states (1-3), mifa_delta's sum (1, 2).
 
     def _identity(self) -> dict:
-        """What a checkpoint stores of the run's settings; the spec's tuples as lists."""
-        spec = {key: list(value) if isinstance(value, tuple) else value for key, value in vars(self.algo_spec).items()}
-        return {"spec": spec, "seed": self.seed, "horizon": self.horizon, "n_steps": self.n_steps}
+        """What a checkpoint stores of the run's settings; tuples as lists."""
+        spec, schedule = ({key: list(value) if isinstance(value, tuple) else value for key, value in vars(obj).items()}
+                          for obj in (self.algo_spec, self.schedule))
+        return {"spec": spec, "schedule": {"variant": type(self.schedule).__name__, **schedule},
+                "seed": self.seed, "horizon": self.horizon, "n_steps": self.n_steps}
 
     def checkpoint(self) -> dict:
         return {
-            "version": 5,
+            "version": 6,
             "algorithm": self.algo_spec.name,
             **self._identity(),
             "rounds_done": self.rounds_done,
             "oracle_calls": self.oracle_calls,
             "min_grad_sq": self.min_grad_sq,
             "server": self.state.state_dict(),
-            "tracker": self.tracker.state_dict(),
             "noise_rngs": [generator_state(g) for g in self.noise_rngs],
             "subset_rng": generator_state(self.subset_rng),
             "averaged": self.averaged.state_dict() if self.averaged is not None else None,
         }
 
     def restore(self, state: dict) -> None:
-        """Resume from ``checkpoint()``'s state, of any version 1 to 5. A
+        """Resume from ``checkpoint()``'s state, of any version 1 to 6. A
         checkpoint of another run raises ``ValueError`` naming the field."""
-        if state["version"] not in (1, 2, 3, 4, 5):
+        if state["version"] not in (1, 2, 3, 4, 5, 6):
             raise ValueError(f"unsupported checkpoint version {state['version']}")
         if state["algorithm"] != self.algo_spec.name:
             raise ValueError("checkpoint belongs to a different algorithm")
-        shape = (state["tracker"]["n_devices"], len(state["server"]["w"]))
+        shape = (len(state["noise_rngs"]), len(state["server"]["w"]))
         expected = (self.instance.n_devices, self.instance.dim)
         if shape != expected:
             raise ValueError(f"checkpoint holds {shape[0]} devices in dimension {shape[1]}, "
                              f"this run has {expected[0]} devices in dimension {expected[1]}")
+        averaged = state["averaged"]
+        if (averaged is None) != (self.averaged is None):
+            held, kept = ("absent", "one") if averaged is None else ("present", "none")
+            raise ValueError(f"checkpoint averaged is {held}, this run's schedule keeps {kept}")
         if state["version"] >= 5:
-            stored = _run_fields(state)
-            for key, value in _run_fields(self._identity()).items():
+            stored, identity = _run_fields(state), self._identity()
+            if state["version"] == 5:
+                del identity["schedule"]  # version 5 holds no schedule
+            for key, value in _run_fields(identity).items():
                 if stored.get(key) != value:
                     raise ValueError(f"checkpoint {key} is {stored.get(key)!r}, this run's is {value!r}")
-        if (state["averaged"] is None) != (self.averaged is None):
-            held, kept = ("absent", "one") if state["averaged"] is None else ("present", "none")
-            raise ValueError(f"checkpoint averaged is {held}, this run's schedule keeps {kept}")
-        # the per-device fields, which the device count above does not cover
+        rounds_done = int(state["rounds_done"])
+        if not 0 <= rounds_done <= self.horizon:
+            raise ValueError(f"checkpoint rounds_done is {rounds_done}, this run's horizon is {self.horizon}")
+        # the per-device and per-coordinate fields, which the sizes above do not cover
         n_devices, server = expected[0], state["server"]
         collected = server.get("collected", [])
-        shapes = [("noise_rngs", (len(state["noise_rngs"]),), (n_devices,))]
+        shapes = [("server.collected", (len(entry["value"]),), expected[1:]) for entry in collected]
+        if averaged is not None:
+            shapes.append(("averaged.weighted_sum", np.shape(averaged["weighted_sum"]), expected[1:]))
         if isinstance(self.state, MemoryServer):
             key, table = f"server.{self.state.table_key}", server[self.state.table_key]
             # a table whose rows differ in length has no shape: name its first row of another length
@@ -606,7 +620,6 @@ class Runner:
                 k = next(k for k, length in enumerate(lengths) if length != expected[1])
                 raise ValueError(f"checkpoint {key} row {k} has length {lengths[k]}, this run's rows have length {expected[1]}")
             shapes.append((key, np.shape(table), expected))
-        shapes += [("server.collected", (len(entry["value"]),), expected[1:]) for entry in collected]
         for key, held, wanted in shapes:
             if held != wanted:
                 raise ValueError(f"checkpoint {key} has shape {held}, this run's has shape {wanted}")
@@ -614,18 +627,20 @@ class Runner:
             outside = [int(i) for i in ids if not 0 <= int(i) < n_devices]
             if outside:
                 raise ValueError(f"checkpoint server.{key} holds device {outside[0]}, this run has {n_devices} devices")
-        self.rounds_done = int(state["rounds_done"])
+        self.rounds_done = rounds_done
         self.oracle_calls = int(state["oracle_calls"])
         self.min_grad_sq = float(state["min_grad_sq"])
-        self.state.load_state_dict(state["server"])
-        self.sampler = None
-        self.tracker = StalenessTracker(self.instance.n_devices)
-        self.tracker.load_state_dict(state["tracker"])
+        self.state.load_state_dict(server, rounds_done)
+        # the engine's own calls, replayed: the run keeps the positioned sampler
+        self.sampler = ParticipationSampler(self.model, self.seed, self.horizon)
+        self.tracker = StalenessTracker(n_devices)
+        for t in range(1, rounds_done + 1):
+            self.tracker.update(t, self.sampler.row(t))
         self.noise_rngs = [restore_generator(s) for s in state["noise_rngs"]]
         # restored in place: the server draws its subsets from this generator
         self.subset_rng.bit_generator.state = state["subset_rng"]
-        if state["averaged"] is not None:
-            self.averaged.load_state_dict(state["averaged"])
+        if averaged is not None:
+            self.averaged.load_state_dict(averaged, rounds_done)
         self.divergence = None
 
 
@@ -649,8 +664,10 @@ class Batch:
     def __init__(self, runners: list):
         if not runners:
             raise ValueError("a batch needs at least one run")
-        first = runners[0]
-        for runner in runners:
+        first, seen = runners[0], {}
+        for k, runner in enumerate(runners):
+            if seen.setdefault(runner, k) != k:
+                raise ValueError(f"the runs at positions {seen[runner]} and {k} are one run: a batch plays each run once")
             if (runner.instance is not first.instance or runner.model is not first.model
                     or (runner.horizon, runner.n_steps) != (first.horizon, first.n_steps)):
                 raise ValueError("the runs of a batch share their instance, participation model, horizon and local steps")
@@ -687,6 +704,8 @@ class Batch:
         """Advance every run still going to round ``upto`` (inclusive). Each
         runner's ``rows`` holds the rows of this call. A run that diverges
         keeps its ``DivergenceError`` in ``divergence`` and stops."""
+        if upto > self.runners[0].horizon:
+            raise ValueError(f"upto {upto} is past the horizon {self.runners[0].horizon}")
         live = self._live()
         for runner in self.runners:
             runner.rows = []

@@ -315,22 +315,6 @@ class StalenessTracker:
             return 0
         return int(max(self._folded_dev_peak.max(), self.staleness.max()))
 
-    def state_dict(self) -> dict:
-        return {
-            "n_devices": self.n_devices,
-            "round": self.round,
-            "staleness": self.staleness.tolist(),
-            "folded_sum": self._folded_sum,
-            "folded_dev_peak": self._folded_dev_peak.tolist(),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self.n_devices = int(state["n_devices"])
-        self.round = int(state["round"])
-        self.staleness = np.asarray(state["staleness"], dtype=np.int64)
-        self._folded_sum = int(state["folded_sum"])
-        self._folded_dev_peak = np.asarray(state["folded_dev_peak"], dtype=np.int64)
-
 
 def realized_staleness(model: ParticipationModel, seed: int, horizon: int) -> StalenessStats:
     """Staleness statistics of the trace ``model`` realizes for ``seed`` over ``horizon`` >= 2 rounds."""

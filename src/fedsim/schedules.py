@@ -151,17 +151,11 @@ class AveragedIterate:
         return t**3 / 3.0 + (a - 1.0) * t**2 + (a * a - 2.0 * a + 2.0 / 3.0) * t
 
     def state_dict(self) -> dict:
-        return {
-            "shift": self.shift,
-            "dim": self.dim,
-            "weighted_sum": self.weighted_sum.tolist(),
-            "weight_total": self.weight_total,
-            "rounds_seen": self.rounds_seen,
-        }
+        """The sums alone: the shift and dimension come from the run's
+        schedule and instance, the rounds seen from its rounds played."""
+        return {"weighted_sum": self.weighted_sum.tolist(), "weight_total": self.weight_total}
 
-    def load_state_dict(self, state: dict) -> None:
-        self.shift = float(state["shift"])
-        self.dim = int(state["dim"])
+    def load_state_dict(self, state: dict, rounds_seen: int) -> None:
         self.weighted_sum = np.asarray(state["weighted_sum"], dtype=np.float64)
         self.weight_total = float(state["weight_total"])
-        self.rounds_seen = int(state["rounds_seen"])
+        self.rounds_seen = rounds_seen

@@ -33,7 +33,7 @@ from fedsim.problems import (
     sphere_noise,
 )
 from fedsim.rng import GRADIENT_NOISE, generator_state, substream
-from fedsim.schedules import InverseDecay, StronglyConvexDecay
+from fedsim.schedules import InverseDecay, NonConvexConstant, StronglyConvexDecay
 
 
 def two_center_instance(sigma=0.0):
@@ -628,6 +628,21 @@ def test_a_batch_rejects_runs_it_cannot_play_in_lockstep():
         fedsim.Batch([])
 
 
+def test_a_batch_names_a_run_listed_twice():
+    first, other = batch_runner("quadratic", "mifa", 0, 1), batch_runner("quadratic", "mifa", 1, 1)
+    with pytest.raises(ValueError, match="the runs at positions 0 and 2 are one run"):
+        fedsim.Batch([first, other, first])
+
+
+def test_run_rounds_names_an_upto_past_the_horizon():
+    runner = batch_runner("quadratic", "mifa", 0, 1)
+    for advance in (runner.run_rounds, fedsim.Batch([runner]).run_rounds):
+        with pytest.raises(ValueError, match=f"^upto {BATCH_HORIZON + 1} is past the horizon {BATCH_HORIZON}$"):
+            advance(BATCH_HORIZON + 1)
+    assert runner.rounds_done == 0
+    assert len(runner.run_rounds(BATCH_HORIZON)) == BATCH_HORIZON
+
+
 @pytest.mark.parametrize("w0, message", [(np.zeros(3), r"w0 has shape \(3,\), the instance's models have shape \(2,\)"),
                                          (np.zeros((1, 2)), r"w0 has shape \(1, 2\)"),
                                          (np.array([0.0, np.nan]), "w0 must be finite"),
@@ -758,6 +773,10 @@ def drop_noise_stream(snapshot):
     snapshot["noise_rngs"].pop()
 
 
+def lengthen_averaged(snapshot):
+    snapshot["averaged"]["weighted_sum"].append(1.0)
+
+
 def pend_device_3(snapshot):
     snapshot["server"]["pending"] = [0, 3]
 
@@ -779,7 +798,9 @@ ANOTHER_SIZE = [
     # into the run of 3 devices in dimension 2 they were taken from
     *[(name, 3, 2, resized(key, *shape), rf"server.{key} has shape \({shape[0]}, {shape[1]}\), this run's has shape \(3, 2\)")
       for name, key in (("mifa", "update_array"), ("mifa_delta", "device_memory")) for shape in ((5, 2), (1, 2), (3, 3))],
-    *[(name, 3, 2, drop_noise_stream, r"noise_rngs has shape \(2,\), this run's has shape \(3,\)") for name in SERVERS],
+    *[(name, 3, 2, drop_noise_stream, "holds 2 devices in dimension 2, this run has 3 devices") for name in SERVERS],
+    *[(name, 3, 2, lengthen_averaged, r"averaged.weighted_sum has shape \(3,\), this run's has shape \(2,\)")
+      for name in SERVERS],
     ("sampling_fedavg", 3, 2, pend_device_3, "server.pending holds device 3, this run has 3 devices"),
     ("sampling_fedavg", 3, 2, collect(7, [1.0, 2.0]), "server.collected holds device 7, this run has 3 devices"),
     ("sampling_fedavg", 3, 2, collect(0, [1.0, 2.0, 3.0]), r"server.collected has shape \(3,\), this run's has shape \(2,\)"),
@@ -867,32 +888,76 @@ def test_version_3_checkpoint_resumes_identically(name):
     assert_resumes_identically(name, snapshot, 21)
 
 
+def version_5_checkpoint(name):
+    """Algorithm ``name``'s checkpoint at round 21, as the version-5 format
+    wrote it: it also held the staleness tracker, the server's round, the
+    averaged iterate's shift, dimension and rounds seen, and the subset size
+    of ``sampling_fedavg``."""
+    with open(DATA / "checkpoints_v5_round21.json") as fh:
+        return json.load(fh)[name]
+
+
+def edit_version_5_copies(snapshot):
+    """Set the copies a version-5 checkpoint holds to other values: its
+    shift is that of delay offset 5, its round 6, and its staleness short."""
+    snapshot["tracker"].update(round=6, staleness=[0], folded_sum=-1)
+    snapshot["server"]["t"] = 6
+    snapshot["averaged"].update(shift=1039.2304845413264, dim=5, rounds_seen=6)
+
+
+@pytest.mark.parametrize("edit", [None, edit_version_5_copies])
 @pytest.mark.parametrize("name", list(SERVERS))
-def test_checkpoints_are_version_5_without_derived_state(name):
+def test_version_5_checkpoint_resumes_identically(name, edit):
+    # the copies of the round, the staleness and the schedule are not read
+    snapshot = version_5_checkpoint(name)
+    assert snapshot["version"] == 5
+    assert snapshot["tracker"]["round"] == snapshot["server"]["t"] == snapshot["averaged"]["rounds_seen"] == 21
+    if edit is not None:
+        edit(snapshot)
+    assert_resumes_identically(name, snapshot, 21)
+
+
+@pytest.mark.parametrize("name", list(SERVERS))
+def test_checkpoints_are_version_6_holding_each_value_once(name):
     runner = checkpoint_runner(name)
     runner.run_rounds(21)
     snapshot = json.loads(json.dumps(runner.checkpoint()))
-    assert snapshot["version"] == 5
+    assert snapshot["version"] == 6
     assert (snapshot["seed"], snapshot["horizon"], snapshot["n_steps"]) == (8, 40, 2)
     assert snapshot["spec"]["name"] == name
-    assert "exact_sum" not in snapshot["server"]
-    assert "sampler" not in snapshot
+    assert snapshot["schedule"] == {"variant": "StronglyConvexDecay", "mu": 1.0, "smoothness": 3.0, "local_steps": 2,
+                                    "delay_offset": 0.0}
+    assert "tracker" not in snapshot and "sampler" not in snapshot
+    assert set(snapshot["averaged"]) == {"weighted_sum", "weight_total"}
+    assert {"t", "subset_size", "exact_sum"}.isdisjoint(snapshot["server"])
     if name == "sampling_fedavg":
         assert snapshot["spec"]["subset_size"] == 2
         assert [set(entry) for entry in snapshot["server"]["collected"]] == [{"device", "value"}]
+    # every value it holds is the version-5 checkpoint's, which held the dropped copies too
+    older = version_5_checkpoint(name)
+    del older["tracker"], older["server"]["t"]
+    older["server"].pop("subset_size", None)
+    for key in ("shift", "dim", "rounds_seen"):
+        del older["averaged"][key]
+    assert snapshot == {**older, "version": 6, "schedule": snapshot["schedule"]}
     assert_resumes_identically(name, snapshot, 21)
 
 
 @pytest.mark.parametrize("name", list(SERVERS))
 def test_version_4_checkpoint_resumes_identically(name):
     # version 4 is version 5 without the run's seed, horizon, steps and spec
-    runner = checkpoint_runner(name)
-    runner.run_rounds(21)
-    snapshot = json.loads(json.dumps(runner.checkpoint()))
+    snapshot = version_5_checkpoint(name)
     for key in ("spec", "seed", "horizon", "n_steps"):
         del snapshot[key]
     snapshot["version"] = 4
     assert_resumes_identically(name, snapshot, 21)
+
+
+def test_restore_names_a_round_past_the_horizon():
+    snapshot = version_5_checkpoint("mifa")
+    snapshot["rounds_done"] = 41
+    with pytest.raises(ValueError, match="^checkpoint rounds_done is 41, this run's horizon is 40$"):
+        checkpoint_runner("mifa").restore(snapshot)
 
 
 def mismatched_runner(name, **changes):
@@ -908,12 +973,17 @@ def mismatched_runner(name, **changes):
 @pytest.mark.parametrize("name, changes, field", [
     ("mifa", {"seed": 9}, "seed"),
     ("mifa_delta", {"horizon": 41}, "horizon"),
-    ("biased_fedavg", {"n_steps": 3}, "n_steps"),
+    ("biased_fedavg", {"n_steps": 3, "schedule": StronglyConvexDecay(mu=1.0, smoothness=3.0, local_steps=3)},
+     "n_steps"),
     ("sampling_fedavg", {"spec": fedsim.SamplingFedAvgSpec(subset_size=3)}, "spec.subset_size"),
     ("is_fedavg", {"spec": fedsim.ImportanceFedAvgSpec(probs=(0.5, 0.8, 0.9))}, "spec.probs"),
     ("is_fedavg", {"spec": fedsim.ImportanceFedAvgSpec(probs=(0.5, 0.8, 1.0), normalization="total_count")},
      "spec.normalization"),
     ("mifa", {"schedule": InverseDecay(eta0=0.05)}, "averaged"),
+    # the averaged iterate's shift is the schedule's: 519.6 at delay offset 0, 1039.2 at 5
+    ("mifa", {"schedule": StronglyConvexDecay(mu=1.0, smoothness=3.0, local_steps=2, delay_offset=5)},
+     "schedule.delay_offset"),
+    ("biased_fedavg", {"schedule": StronglyConvexDecay(mu=1.0, smoothness=4.0, local_steps=2)}, "schedule.smoothness"),
 ])
 def test_restore_names_the_field_of_a_checkpoint_of_another_run(name, changes, field):
     first = checkpoint_runner(name)
@@ -921,6 +991,21 @@ def test_restore_names_the_field_of_a_checkpoint_of_another_run(name, changes, f
     snapshot = json.loads(json.dumps(first.checkpoint()))
     with pytest.raises(ValueError, match=f"^checkpoint {field} "):
         mismatched_runner(name, **changes).restore(snapshot)
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"n_steps": 0}, "^n_steps must be >= 1$"),
+    ({"seed": -1}, "^seed must be >= 0, got -1$"),
+    ({"schedule": StronglyConvexDecay(mu=1.0, smoothness=3.0, local_steps=5)},
+     "^schedule local_steps is 5, this run's n_steps is 2$"),
+    ({"schedule": NonConvexConstant(3, local_steps=2, horizon=41, smoothness=3.0, staleness_cap_mean=1.0)},
+     "^schedule horizon is 41, this run's horizon is 40$"),
+    ({"schedule": NonConvexConstant(4, local_steps=2, horizon=40, smoothness=3.0, staleness_cap_mean=1.0)},
+     "^schedule n_devices is 4, this run's device count is 3$"),
+])
+def test_a_runner_names_a_setting_it_cannot_run(changes, message):
+    with pytest.raises(ValueError, match=message):
+        mismatched_runner("mifa", **changes)
 
 
 @pytest.mark.parametrize("version", [4, 5])

@@ -366,7 +366,7 @@ def test_memory_server_sum_is_the_exact_sum_of_its_table(server_class, case):
         if t == roundtrip_at:
             state = json.loads(json.dumps(server.state_dict()))
             server = server_class(server_class.spec_class(), n, np.zeros(dim), None)
-            server.load_state_dict(state)
+            server.load_state_dict(state, t)
             total = ExactVectorSum(dim)
             total.add(server.memory)
         assert_bitwise_equal(total.rounded(), exact_column_sums(server.memory))
