@@ -563,10 +563,12 @@ class Runner:
         """What a checkpoint stores of the run's settings; tuples as lists."""
         spec, schedule = ({key: list(value) if isinstance(value, tuple) else value for key, value in vars(obj).items()}
                           for obj in (self.algo_spec, self.schedule))
-        return {"spec": spec, "schedule": {"variant": type(self.schedule).__name__, **schedule},
+        return {"spec": spec, "schedule": {"class": type(self.schedule).__name__, **schedule},
                 "seed": self.seed, "horizon": self.horizon, "n_steps": self.n_steps}
 
     def checkpoint(self) -> dict:
+        if self.divergence is not None:  # its streams and server already hold the round it stopped in
+            raise ValueError(f"a run stopped by divergence cannot be checkpointed: {self.divergence}")
         return {
             "version": 6,
             "algorithm": self.algo_spec.name,
@@ -691,7 +693,7 @@ class Batch:
         for runner in live:
             lead = leads.setdefault(runner.seed, runner)
             if lead.sampler is None:
-                lead.sampler = ParticipationSampler(lead.model, lead.seed, lead.horizon, start=lead.rounds_done + 1)
+                lead.sampler = ParticipationSampler(lead.model, lead.seed, lead.horizon)
             runner.tracker, runner.sampler = lead.tracker, lead.sampler
         return live
 

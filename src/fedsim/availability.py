@@ -62,7 +62,7 @@ class ParticipationModel:
 
 
 class ParticipationSampler:
-    """One seed's mask rows, handed out in round order from ``start`` on.
+    """One seed's mask rows, handed out in round order from round 1 on.
 
     The sampler keeps one block of rows and the model's draw state between
     blocks. A block stops at the ``horizon`` (unless already past it) and at
@@ -71,15 +71,13 @@ class ParticipationSampler:
     end, not before.
     """
 
-    def __init__(self, model: ParticipationModel, seed: int, horizon: int, start: int = 1):
-        if start < 1:
-            raise ValueError("rounds are 1-indexed")
+    def __init__(self, model: ParticipationModel, seed: int, horizon: int):
         self.model = model
         self.horizon = horizon
         self._rows = _block_rows(model.n_devices)
-        self._position = model._position(seed, start)
+        self._position = model._position(seed, 1)
         self._block = np.ones((0, model.n_devices), dtype=bool)
-        self._block_start = self._next_round = start
+        self._block_start = self._next_round = 1
 
     def next_block(self) -> tuple[int, np.ndarray]:
         """Draw the rows that follow the last block; returns (first round, block)."""

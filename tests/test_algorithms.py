@@ -612,6 +612,19 @@ def test_a_run_does_not_depend_on_its_batch(kind, runs, n_steps, at):
         assert json.dumps(runner.checkpoint()) == json.dumps(alone.checkpoint())
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_a_diverged_run_cannot_be_checkpointed():
+    # its noise streams and server already hold the round it stopped in, so
+    # a restore would replay that round from advanced streams
+    runner = batch_runner("quadratic", "huge_step", 0, 1)
+    with pytest.raises(DivergenceError):
+        runner.run_rounds(BATCH_HORIZON)
+    assert (runner.rounds_done, runner.state.t) == (10, 11)
+    with pytest.raises(ValueError, match="divergence"):
+        runner.checkpoint()
+
+
 def test_a_batch_rejects_runs_it_cannot_play_in_lockstep():
     inst = BATCH_INSTANCES["quadratic"]
     first = batch_runner("quadratic", "mifa", 0, 1)
@@ -925,7 +938,7 @@ def test_checkpoints_are_version_6_holding_each_value_once(name):
     assert snapshot["version"] == 6
     assert (snapshot["seed"], snapshot["horizon"], snapshot["n_steps"]) == (8, 40, 2)
     assert snapshot["spec"]["name"] == name
-    assert snapshot["schedule"] == {"variant": "StronglyConvexDecay", "mu": 1.0, "smoothness": 3.0, "local_steps": 2,
+    assert snapshot["schedule"] == {"class": "StronglyConvexDecay", "mu": 1.0, "smoothness": 3.0, "local_steps": 2,
                                     "delay_offset": 0.0}
     assert "tracker" not in snapshot and "sampler" not in snapshot
     assert set(snapshot["averaged"]) == {"weighted_sum", "weight_total"}

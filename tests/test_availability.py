@@ -188,8 +188,7 @@ def test_mask_blocks_equal_the_per_round_reference(block_rows, case, seed, horiz
         start = data.draw(st.integers(1, last))
         stop = data.draw(st.integers(start, last + 1))
         assert np.array_equal(model.mask(seed, start, stop), expected[start - 1 : stop - 1])
-        resumed = ParticipationSampler(model, seed, horizon, start=start)
-        assert np.array_equal(np.array([resumed.row(t) for t in range(start, last + 1)]), expected[start - 1 :])
+        assert np.array_equal(model.mask(seed, start, last + 1), expected[start - 1 :])
         if last < horizon:
             with pytest.raises(TraceExhaustedError):
                 sampler.row(last + 1)
