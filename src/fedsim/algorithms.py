@@ -13,7 +13,11 @@ model plays every wall-round the same way, for all its runs at once:
    its randomness from its own noise stream into its row of a draw block
    (``local_update``), then each step is one expression over the block. A
    device's row does not depend on which devices share its batch, and a
-   run whose rows left the doubles stops alone, as diverged;
+   run whose rows left the doubles stops alone, as diverged. Rows with
+   bitwise-equal inputs are computed once: a run whose seed, model, step
+   and computing ids equal an earlier run's in the round (``mifa`` and
+   ``mifa_delta``, say) reuses that run's rows wherever their draws, which
+   every run still makes from its own streams, are bitwise equal;
 3. ``server.fold(ids, values)`` folds each run's slice of that block in and
    returns the rows it adds to its window of the batch's exact sum; every
    run's rows go in with one ``add``, one ``rounded()`` gives every run's
@@ -98,6 +102,35 @@ def _draw_block(instance: ProblemInstance, rngs, shape: tuple, dtype=np.float64)
     return block
 
 
+def _check_block(instance: ProblemInstance, ids, w, eta, n_steps: int, rngs, source):
+    """``local_updates``'s arguments as arrays; a malformed one raises a
+    ``ValueError`` that names it."""
+    ids = np.asarray(ids, dtype=np.intp)
+    if ids.ndim != 1:
+        raise ValueError(f"ids has shape {ids.shape}, expected one flat list of device ids")
+    n, dim, rows = instance.n_devices, instance.dim, len(ids)
+    outside = ids[(ids < 0) | (ids >= n)]
+    if len(outside):
+        raise ValueError(f"ids holds device {outside[0]}, the instance has {n} devices")
+    eta = np.asarray(eta, dtype=np.float64)
+    if eta.shape not in ((), (rows,)):
+        raise ValueError(f"eta has shape {eta.shape}, expected one step size or one for each of the {rows} ids")
+    if not (np.isfinite(eta) & (eta > 0)).all():
+        raise ValueError("eta must be finite and > 0")
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
+    if np.shape(w) not in ((dim,), (rows, dim)):
+        raise ValueError(f"w has shape {np.shape(w)}, expected {(dim,)} or {(rows, dim)}")
+    if len(rngs) != rows:
+        raise ValueError(f"rngs holds {len(rngs)} streams for {rows} ids")
+    if source is not None:
+        source = np.asarray(source, dtype=np.intp)
+        if source.shape != (rows,) or (source < 0).any() or (source > np.arange(rows)).any() \
+                or (source[source] != source).any():
+            raise ValueError("source must map each of the ids' rows to itself or to an earlier row that maps to itself")
+    return ids, eta, source
+
+
 def local_updates(
     instance: ProblemInstance,
     ids,
@@ -105,6 +138,7 @@ def local_updates(
     eta,
     n_steps: int,
     rngs,
+    source=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run K local SGD steps on each device of ``ids``. Returns the (A, d)
     block of their gradient sums, row r for device ``ids[r]``, and the (A,)
@@ -119,33 +153,53 @@ def local_updates(
     the local displacement w - w_K exactly in real arithmetic; it is
     accumulated as a running sum of the sampled gradients so small steps
     lose no precision to cancellation.
+
+    ``source``, an optional (A,) row map, names rows that may share a
+    result: row r may reuse row ``source[r] <= r``, which must map to
+    itself, when the caller knows both start from bitwise-equal models,
+    steps and devices. Every row still draws from its own stream, and row r
+    reuses its source only if their draws are bitwise equal; only the
+    distinct rows are normalised and stepped. A malformed argument raises a
+    ``ValueError`` that names it.
     """
-    eta = np.asarray(eta, dtype=np.float64)
-    if (eta <= 0).any():
-        raise ValueError("eta must be > 0")
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    ids = np.asarray(ids, dtype=np.intp)
+    ids, eta, source = _check_block(instance, ids, w, eta, n_steps, rngs, source)
     if not len(ids):
         return np.empty((0, instance.dim)), np.ones(0, dtype=bool)
     s = instance.stacked
     w0 = np.broadcast_to(w, (len(ids), instance.dim))
     step = eta[..., None]  # one step per row, or one for all
     if instance.kind == "logistic":
-        picks = _draw_block(instance, rngs, (len(ids), n_steps), np.int64)
+        draws = _draw_block(instance, rngs, (len(ids), n_steps), np.int64)
+    else:
+        draws = _draw_block(instance, rngs, (len(ids), n_steps, instance.dim))
+    inverse = None
+    if source is not None:
+        # a row whose draws are not bitwise its source's is computed itself
+        reused = np.flatnonzero(source != np.arange(len(ids)))
+        flat = draws.reshape(len(ids), -1).view(np.int64)
+        differ = (flat[reused] != flat[source[reused]]).any(axis=1)
+        source = source.copy()
+        source[reused[differ]] = reused[differ]
+        distinct = source == np.arange(len(ids))
+        if not distinct.all():
+            inverse = (np.cumsum(distinct) - 1)[source]  # row -> its distinct row
+            ids, w0, draws = ids[distinct], w0[distinct], draws[distinct]
+            step = step[distinct] if step.ndim > 1 else step
+    if instance.kind == "logistic":
         total, w_final = _kernels.local_sgd(
-            lambda v, k: logistic_sample_grads(s, ids, v, picks[:, k]), w0, step, n_steps
+            lambda v, k: logistic_sample_grads(s, ids, v, draws[:, k]), w0, step, n_steps
         )
     else:
         # the draws are freed once normalised: a batch's blocks are large
-        noise = sphere_noise(_draw_block(instance, rngs, (len(ids), n_steps, instance.dim)), instance.constants.noise_std)
+        noise, draws = sphere_noise(draws, instance.constants.noise_std), None
         if instance.kind == "quadratic":
             total, w_final = _kernels.quad_local_sgd(s["hessians"][ids], s["centers"][ids], w0, step, n_steps, noise)
         else:
             total, w_final = _kernels.trig_local_sgd(
                 s["centers"][ids], s["curvature"], s["amplitude"], w0, step, n_steps, noise
             )
-    return total, np.isfinite(total).all(axis=1) & np.isfinite(w_final).all(axis=1)
+    finite = np.isfinite(total).all(axis=1) & np.isfinite(w_final).all(axis=1)
+    return (total, finite) if inverse is None else (total[inverse], finite[inverse])
 
 
 # --------------------------------------------------------------------------
@@ -658,7 +712,10 @@ class Batch:
     A memory run's window is rebuilt from its table each time the batch
     starts to advance, and a FedAvg run's window is zeroed every round. A
     round thus makes one ``local_updates`` call, one metric pass over the
-    (R, d) block of models, and one ``add`` and one ``rounded()``. A run
+    (R, d) block of models, and one ``add`` and one ``rounded()``. A later
+    run whose seed, model bytes, step and computing ids equal an earlier
+    run's in a round is its twin, and hands ``local_updates`` the row map
+    that lets its rows reuse the earlier run's. A run
     that diverges stops alone; a run's rows, checkpoint and result equal
     those of the same run advanced alone.
     """
@@ -729,6 +786,8 @@ class Batch:
         inst = self.instance
         # seed -> (mask row, running mean and peak staleness)
         seeds = {}
+        # (seed, model bytes, step) -> the runs that compute from it; run -> its earlier twin
+        starts, twins = {}, {}
         models, ids, etas, rngs, averaged = [], [], [], [], []
         for k, runner in enumerate(live):
             if runner.seed not in seeds:
@@ -744,6 +803,12 @@ class Batch:
             ids.append(run_ids)
             etas.append(runner.schedule.eta(t))
             rngs += map(runner.noise_rngs.__getitem__, run_ids)
+            same = starts.setdefault((runner.seed, runner.state.w.tobytes(), etas[-1]), [])
+            twin = next((j for j in same if np.array_equal(ids[j], run_ids)), None)
+            if twin is None:
+                same.append(k)
+            else:
+                twins[k] = twin
 
         # the metrics of the models broadcast at the start of the round, and
         # of the averaged iterates, in one pass over their rows
@@ -761,8 +826,16 @@ class Batch:
             avg_gap[k] = gap
 
         counts = list(map(len, ids))
+        source = None
+        if twins:
+            # a twin's rows may reuse its earlier twin's: same seed, model, step and devices
+            offsets = np.cumsum([0] + counts)
+            source = np.arange(offsets[-1])
+            for k, j in twins.items():
+                source[offsets[k] : offsets[k + 1]] = source[offsets[j] : offsets[j + 1]]
         values, finite = local_updates(
-            inst, np.concatenate(ids), models.repeat(counts, axis=0), np.array(etas).repeat(counts), self.n_steps, rngs
+            inst, np.concatenate(ids), models.repeat(counts, axis=0), np.array(etas).repeat(counts), self.n_steps,
+            rngs, source,
         )
 
         going, steps = [], []

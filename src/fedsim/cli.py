@@ -50,6 +50,18 @@ def bounded(kind, interval: str):
     return parse
 
 
+def algorithm_list(text: str) -> list:
+    """An argparse ``type``: a comma-separated list of distinct algorithm
+    names, so an empty or repeated list exits 2 naming its flag."""
+    names = [name.strip() for name in text.split(",") if name.strip()]
+    if not names:
+        raise argparse.ArgumentTypeError(f"expected a comma-separated list of algorithm names, got {text!r}")
+    repeated = [name for k, name in enumerate(names) if name in names[:k]]
+    if repeated:
+        raise argparse.ArgumentTypeError(f"{repeated[0]} is listed twice")
+    return names
+
+
 def _add_common(parser):
     parser.add_argument("--seed", type=bounded(int, "[0, inf)"), help="override run.seeds with one seed")
     parser.add_argument("--out", default=None, help="override the output path base")
@@ -71,7 +83,6 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = load_config(args.config)
-    names = [name.strip() for name in args.algorithms.split(",") if name.strip()]
     if args.seed is not None:
         cfg = dict(cfg, run=dict(cfg["run"], seeds=[args.seed]))
     out = args.out if args.out is not None else cfg["run"].get("out")
@@ -79,7 +90,7 @@ def cmd_compare(args) -> int:
         print("error: compare needs an output path (run.out or --out)", file=sys.stderr)
         return 2
     results = compare_experiment(
-        cfg, names, out=out, base_dir=os.path.dirname(os.path.abspath(args.config))
+        cfg, args.algorithms, out=out, base_dir=os.path.dirname(os.path.abspath(args.config))
     )
     for name, res in results.items():
         print(f"wrote {res.csv_path}")
@@ -152,7 +163,7 @@ def main(argv=None) -> int:
 
     p_cmp = sub.add_parser("compare", help="run several algorithms on shared availability")
     p_cmp.add_argument("config")
-    p_cmp.add_argument("--algorithms", required=True, help="comma-separated algorithm names")
+    p_cmp.add_argument("--algorithms", type=algorithm_list, required=True, help="comma-separated algorithm names")
     _add_common(p_cmp)
     p_cmp.set_defaults(func=cmd_compare)
 

@@ -221,7 +221,12 @@ def compare_experiment(cfg: dict, algorithms, out: str | None = None, base_dir: 
     are built once, before any run writes a file, and shared, since no run
     writes to them. Returns {algorithm: ExperimentResult}; CSVs are written
     per algorithm as <out>_<algorithm>.csv, where ``out`` overrides run.out.
+    An algorithm listed twice raises ``ValueError``.
     """
+    algorithms = list(algorithms)
+    repeated = [name for k, name in enumerate(algorithms) if name in algorithms[:k]]
+    if repeated:
+        raise ValueError(f"algorithm {repeated[0]} is listed twice: compare plays each algorithm once")
     validate_config(cfg)
     out = out if out is not None else cfg["run"].get("out")
     instance = build_instance(cfg)

@@ -222,6 +222,38 @@ def test_an_empty_batch_is_an_empty_block():
     assert values.shape == (0, 1) and finite.shape == (0,)
 
 
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"eta": np.nan}, "eta must be finite and > 0"),
+        ({"eta": np.inf}, "eta must be finite and > 0"),
+        ({"eta": np.array([0.1, 0.1, np.nan])}, "eta must be finite and > 0"),
+        ({"eta": 0.0}, "eta must be finite and > 0"),
+        ({"eta": np.full(2, 0.1)}, r"eta has shape \(2,\), expected one step size or one for each of the 3 ids"),
+        ({"ids": [0, 5, 1]}, "ids holds device 5, the instance has 4 devices"),
+        ({"ids": [0, -1, 1]}, "ids holds device -1, the instance has 4 devices"),
+        ({"ids": [[0, 1, 2]]}, r"ids has shape \(1, 3\)"),
+        ({"w": np.zeros(3)}, r"w has shape \(3,\), expected \(2,\) or \(3, 2\)"),
+        ({"w": np.zeros((2, 2))}, r"w has shape \(2, 2\)"),
+        ({"rngs": 2}, "rngs holds 2 streams for 3 ids"),
+        ({"n_steps": 0}, "n_steps must be >= 1"),
+        ({"source": [0, 0]}, "source must map"),
+        ({"source": [0, 2, 2]}, "source must map"),
+        ({"source": [0, 0, 1]}, "source must map"),
+    ],
+    ids=["eta_nan", "eta_inf", "eta_row_nan", "eta_zero", "eta_length", "id_past_devices", "id_negative",
+         "ids_nested", "w_dim", "w_rows", "rngs_few", "n_steps", "source_length", "source_later_row",
+         "source_chain"],
+)
+def test_local_updates_names_a_malformed_argument(changes, message):
+    inst = BATCH_INSTANCES["quadratic"]  # 4 devices in dimension 2
+    args = {"ids": [0, 1, 2], "w": np.zeros(inst.dim), "eta": 0.1, "n_steps": 2, "rngs": 3, "source": None}
+    args.update(changes)
+    rngs = noise_rngs(0, args.pop("rngs"))
+    with pytest.raises(ValueError, match=message):
+        local_updates(inst, args["ids"], args["w"], args["eta"], args["n_steps"], rngs, args["source"])
+
+
 # ---------------------------------------------------------------------------
 # update-array server
 # ---------------------------------------------------------------------------
@@ -590,7 +622,8 @@ def batch_runner(kind, run, seed, n_steps):
 )
 def test_a_run_does_not_depend_on_its_batch(kind, runs, n_steps, at):
     # each run of a batch gives the result of the same run alone, whichever
-    # runs share the batch and whether they diverge
+    # runs share the batch and whether they diverge; a repeated (run, seed)
+    # pair is a twin, whose rows the batch computes once
     results = fedsim.Batch([batch_runner(kind, run, seed, n_steps) for run, seed in runs]).run()
     for (run, seed), result in zip(runs, results):
         alone = batch_runner(kind, run, seed, n_steps).run()
@@ -610,6 +643,76 @@ def test_a_run_does_not_depend_on_its_batch(kind, runs, n_steps, at):
             continue
         assert runner.divergence is None
         assert json.dumps(runner.checkpoint()) == json.dumps(alone.checkpoint())
+
+
+def counting_kernels(monkeypatch):
+    """Counts of the rows the K-step kernels compute ("rows") and of the
+    ``local_update`` draws ("draws") made from here on."""
+    counts = {"rows": 0, "draws": 0}
+    for name in ("quad_local_sgd", "trig_local_sgd"):
+        def counted(*args, kernel=getattr(fedsim._kernels, name)):
+            counts["rows"] += len(args[-4])  # the (A, d) block of starting models
+            return kernel(*args)
+        monkeypatch.setattr(fedsim._kernels, name, counted)
+
+    def counted_draw(*args, draw=fedsim.algorithms.local_update):
+        counts["draws"] += 1
+        return draw(*args)
+
+    monkeypatch.setattr(fedsim.algorithms, "local_update", counted_draw)
+    return counts
+
+
+def assert_runs_alone_alike(results, runners):
+    for result, runner in zip(results, runners):
+        alone = runner.run()
+        assert repr(result.rounds) == repr(alone.rounds)
+        assert np.array_equal(result.final_w, alone.final_w, equal_nan=True)
+        assert (result.diverged, result.staleness) == (alone.diverged, alone.staleness)
+
+
+def test_twin_runs_compute_each_local_update_once(monkeypatch):
+    # mifa and mifa_delta of one seed hold bitwise-equal models every round
+    counts = counting_kernels(monkeypatch)
+    runners = [batch_runner("trig", name, 1, 2) for name in ("mifa", "mifa_delta")]
+    results = fedsim.Batch(runners).run()
+    updates = runners[0].oracle_calls // 2
+    assert runners[1].oracle_calls // 2 == updates
+    assert counts == {"rows": updates, "draws": 2 * updates}
+    assert_runs_alone_alike(results, [batch_runner("trig", name, 1, 2) for name in ("mifa", "mifa_delta")])
+
+
+def test_twins_whose_draws_differ_compute_their_own_rows(monkeypatch):
+    def pair():
+        runners = [batch_runner("trig", "mifa", 1, 2) for _ in range(2)]
+        runners[1].noise_rngs[0].standard_normal(1)  # device 0 of the second run draws other noise
+        return runners
+
+    counts = counting_kernels(monkeypatch)
+    fedsim.Batch(pair()).run_rounds(1)
+    # every device computes in round 1; only device 0's two rows differ in their draws
+    assert counts == {"rows": 4 + 1, "draws": 2 * 4}
+    counts.update(rows=0, draws=0)
+    results = fedsim.Batch(pair()).run()
+    # from round 2 on the models differ, and every row is computed
+    assert counts["rows"] == counts["draws"] - 3
+    assert_runs_alone_alike(results, pair())
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_diverging_twins_stop_with_the_solo_runs_message(monkeypatch):
+    counts = counting_kernels(monkeypatch)
+    runners = [batch_runner("quadratic", "huge_step", 0, 1) for _ in range(2)]
+    results = fedsim.Batch(runners).run()
+    assert 2 * counts["rows"] == counts["draws"]
+    alone = batch_runner("quadratic", "huge_step", 0, 1)
+    with pytest.raises(DivergenceError) as stopped:
+        alone.run_rounds(BATCH_HORIZON)
+    for runner in runners:
+        assert str(runner.divergence) == str(stopped.value)
+        assert runner.rounds_done == alone.rounds_done
+    assert_runs_alone_alike(results, [batch_runner("quadratic", "huge_step", 0, 1) for _ in range(2)])
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

@@ -251,6 +251,12 @@ def test_compare_shares_availability_across_algorithms(tmp_path):
     assert availability_cols["mifa"] == availability_cols["sampling_fedavg"]
 
 
+def test_compare_names_an_algorithm_listed_twice(tmp_path):
+    with pytest.raises(ValueError, match="algorithm mifa is listed twice"):
+        fedsim.compare_experiment(base_config(), ["mifa", "biased_fedavg", "mifa"], out=str(tmp_path / "cmp"))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_compare_builds_instance_once_and_matches_single_runs(tmp_path, monkeypatch):
     cfg = base_config()
     cfg["algorithm"] = {"name": "mifa", "subset_size": 2}
@@ -893,10 +899,15 @@ WAIT = ["wait-study", "--devices", "2", "--subset-size", "1", "--p", "0.5,0.5", 
         (WAIT + ["--p", "0.5"], "argument --p: 1 probabilities for --devices 2"),
         (WAIT + ["--subset-size", "3"], "argument --subset-size: 3 exceeds --devices 2"),
         (WAIT + ["--p", "0.5,1.5"], "argument --p: expected float in (0, 1], got '1.5'"),
+        (["compare", "cfg.json", "--algorithms", ","],
+         "argument --algorithms: expected a comma-separated list of algorithm names, got ','"),
+        (["compare", "cfg.json", "--algorithms", "mifa,biased_fedavg,mifa", "--out", "c"],
+         "argument --algorithms: mifa is listed twice"),
     ],
     ids=["run_seed", "compare_seed", "tau_seed", "wait_seed", "traces", "trials", "delta_above_one",
          "delta_zero", "validate_seed", "validate_out", "wait_zero_devices", "wait_too_few_probabilities",
-         "wait_subset_above_devices", "wait_probability_above_one"],
+         "wait_subset_above_devices", "wait_probability_above_one", "compare_no_algorithms",
+         "compare_repeated_algorithm"],
 )
 def test_cli_flags_name_themselves(tmp_path, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
