@@ -8,16 +8,17 @@ model plays every wall-round the same way, for all its runs at once:
 1. each seed's participation mask row is drawn once and handed to every run
    of that seed; ``server.needs(t, row)`` checks that ``t`` is the next round
    and returns the sorted ids of the devices that compute in it;
-2. one ``local_updates`` call runs every run's devices, from their runs'
-   models, as one (A, d) block of summed sampled gradients: each device draws
-   its randomness from its own noise stream into its row of a draw block
-   (``local_update``), then each step is one expression over the block. A
-   device's row does not depend on which devices share its batch, and a
-   run whose rows left the doubles stops alone, as diverged. Rows with
-   bitwise-equal inputs are computed once: a run whose seed, model, step
-   and computing ids equal an earlier run's in the round (``mifa`` and
-   ``mifa_delta``, say) reuses that run's rows wherever their draws, which
-   every run still makes from its own streams, are bitwise equal;
+2. every run's devices, from their runs' models, run their K local steps
+   as one (A, d) block of summed sampled gradients, as ``local_updates``
+   runs them: each device draws its randomness from its own noise stream
+   into its row of one draw block (``local_update``), then each step is
+   one expression over the block. A device's row does not depend on which
+   devices share its batch, and a run whose rows left the doubles stops
+   alone, as diverged. Rows with bitwise-equal inputs are computed once: a
+   run whose seed, model, step and computing ids equal an earlier run's in
+   the round (``mifa`` and ``mifa_delta``, say) is its twin, and reuses
+   that run's rows whole if all its draws, which every run still makes
+   from its own streams, are bitwise equal to that run's;
 3. ``server.fold(ids, values)`` folds each run's slice of that block in and
    returns the rows it adds to its window of the batch's exact sum; every
    run's rows go in with one ``add``, one ``rounded()`` gives every run's
@@ -94,15 +95,26 @@ def local_update(instance: ProblemInstance, rng: np.random.Generator, out: np.nd
         rng.standard_normal(out=out)
 
 
-def _draw_block(instance: ProblemInstance, rngs, shape: tuple, dtype=np.float64) -> np.ndarray:
-    """The round's draw block: row r drawn from ``rngs[r]`` by ``local_update``."""
-    block = np.zeros(shape, dtype)
-    for row, rng in zip(block, rngs, strict=True):
+def _draw_block(instance: ProblemInstance, rngs, n_steps: int) -> np.ndarray:
+    """The draw block of one row per stream of ``rngs``, row r drawn from
+    ``rngs[r]`` by ``local_update``: (A, K) sample indices (logistic) or
+    (A, K, d) standard normals."""
+    if instance.kind == "logistic":
+        block = np.zeros((len(rngs), n_steps), np.int64)
+    else:
+        block = np.zeros((len(rngs), n_steps, instance.dim))
+    for row, rng in zip(block, rngs):
         local_update(instance, rng, row)
     return block
 
 
-def _check_block(instance: ProblemInstance, ids, w, eta, n_steps: int, rngs, source):
+def _normalised(instance: ProblemInstance, draws: np.ndarray) -> np.ndarray:
+    """The draw block as the K steps read it: the noise scaled onto the
+    sphere (quadratic, trig), or the sample indices as drawn (logistic)."""
+    return draws if instance.kind == "logistic" else sphere_noise(draws, instance.constants.noise_std)
+
+
+def _check_block(instance: ProblemInstance, ids, w, eta, n_steps: int, rngs):
     """``local_updates``'s arguments as arrays; a malformed one raises a
     ``ValueError`` that names it."""
     ids = np.asarray(ids, dtype=np.intp)
@@ -123,12 +135,7 @@ def _check_block(instance: ProblemInstance, ids, w, eta, n_steps: int, rngs, sou
         raise ValueError(f"w has shape {np.shape(w)}, expected {(dim,)} or {(rows, dim)}")
     if len(rngs) != rows:
         raise ValueError(f"rngs holds {len(rngs)} streams for {rows} ids")
-    if source is not None:
-        source = np.asarray(source, dtype=np.intp)
-        if source.shape != (rows,) or (source < 0).any() or (source > np.arange(rows)).any() \
-                or (source[source] != source).any():
-            raise ValueError("source must map each of the ids' rows to itself or to an earlier row that maps to itself")
-    return ids, eta, source
+    return ids, eta
 
 
 def local_updates(
@@ -138,7 +145,6 @@ def local_updates(
     eta,
     n_steps: int,
     rngs,
-    source=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run K local SGD steps on each device of ``ids``. Returns the (A, d)
     block of their gradient sums, row r for device ``ids[r]``, and the (A,)
@@ -152,54 +158,33 @@ def local_updates(
     returns, whatever the other rows and their order. A row times eta equals
     the local displacement w - w_K exactly in real arithmetic; it is
     accumulated as a running sum of the sampled gradients so small steps
-    lose no precision to cancellation.
-
-    ``source``, an optional (A,) row map, names rows that may share a
-    result: row r may reuse row ``source[r] <= r``, which must map to
-    itself, when the caller knows both start from bitwise-equal models,
-    steps and devices. Every row still draws from its own stream, and row r
-    reuses its source only if their draws are bitwise equal; only the
-    distinct rows are normalised and stepped. A malformed argument raises a
+    lose no precision to cancellation. A malformed argument raises a
     ``ValueError`` that names it.
     """
-    ids, eta, source = _check_block(instance, ids, w, eta, n_steps, rngs, source)
+    ids, eta = _check_block(instance, ids, w, eta, n_steps, rngs)
+    # the raw draws are freed once normalised: a batch's blocks are large
+    return _k_steps(instance, ids, w, eta, n_steps, _normalised(instance, _draw_block(instance, rngs, n_steps)))
+
+
+def _k_steps(instance: ProblemInstance, ids, w, eta, n_steps: int, draws) -> tuple[np.ndarray, np.ndarray]:
+    """``local_updates``'s K steps on checked arguments, from the normalised
+    draw block ``draws``."""
     if not len(ids):
         return np.empty((0, instance.dim)), np.ones(0, dtype=bool)
     s = instance.stacked
     w0 = np.broadcast_to(w, (len(ids), instance.dim))
     step = eta[..., None]  # one step per row, or one for all
     if instance.kind == "logistic":
-        draws = _draw_block(instance, rngs, (len(ids), n_steps), np.int64)
-    else:
-        draws = _draw_block(instance, rngs, (len(ids), n_steps, instance.dim))
-    inverse = None
-    if source is not None:
-        # a row whose draws are not bitwise its source's is computed itself
-        reused = np.flatnonzero(source != np.arange(len(ids)))
-        flat = draws.reshape(len(ids), -1).view(np.int64)
-        differ = (flat[reused] != flat[source[reused]]).any(axis=1)
-        source = source.copy()
-        source[reused[differ]] = reused[differ]
-        distinct = source == np.arange(len(ids))
-        if not distinct.all():
-            inverse = (np.cumsum(distinct) - 1)[source]  # row -> its distinct row
-            ids, w0, draws = ids[distinct], w0[distinct], draws[distinct]
-            step = step[distinct] if step.ndim > 1 else step
-    if instance.kind == "logistic":
         total, w_final = _kernels.local_sgd(
             lambda v, k: logistic_sample_grads(s, ids, v, draws[:, k]), w0, step, n_steps
         )
+    elif instance.kind == "quadratic":
+        total, w_final = _kernels.quad_local_sgd(s["hessians"][ids], s["centers"][ids], w0, step, n_steps, draws)
     else:
-        # the draws are freed once normalised: a batch's blocks are large
-        noise, draws = sphere_noise(draws, instance.constants.noise_std), None
-        if instance.kind == "quadratic":
-            total, w_final = _kernels.quad_local_sgd(s["hessians"][ids], s["centers"][ids], w0, step, n_steps, noise)
-        else:
-            total, w_final = _kernels.trig_local_sgd(
-                s["centers"][ids], s["curvature"], s["amplitude"], w0, step, n_steps, noise
-            )
-    finite = np.isfinite(total).all(axis=1) & np.isfinite(w_final).all(axis=1)
-    return (total, finite) if inverse is None else (total[inverse], finite[inverse])
+        total, w_final = _kernels.trig_local_sgd(
+            s["centers"][ids], s["curvature"], s["amplitude"], w0, step, n_steps, draws
+        )
+    return total, np.isfinite(total).all(axis=1) & np.isfinite(w_final).all(axis=1)
 
 
 # --------------------------------------------------------------------------
@@ -509,6 +494,22 @@ SERVERS = {
 # --------------------------------------------------------------------------
 
 
+# the fields every checkpoint version holds
+_CHECKPOINT_KEYS = ("version", "algorithm", "rounds_done", "oracle_calls", "min_grad_sq", "server", "noise_rngs",
+                    "subset_rng", "averaged")
+
+
+def _parsed(field: str, parse, *args):
+    """``parse(*args)``, checkpoint field ``field``'s value; a key missing
+    from it or a malformed value raises ``ValueError`` naming the field."""
+    try:
+        return parse(*args)
+    except KeyError as err:
+        raise ValueError(f"checkpoint {field}.{err.args[0]} is missing") from err
+    except (TypeError, ValueError, IndexError) as err:
+        raise ValueError(f"checkpoint {field} is malformed: {err}") from err
+
+
 def _run_fields(state: dict) -> dict:
     """A checkpoint's fields that identify its run, keyed by name."""
     return {**{key: state.get(key) for key in ("seed", "horizon", "n_steps")},
@@ -638,7 +639,14 @@ class Runner:
 
     def restore(self, state: dict) -> None:
         """Resume from ``checkpoint()``'s state, of any version 1 to 6. A
-        checkpoint of another run raises ``ValueError`` naming the field."""
+        checkpoint of another run, or a missing or malformed field, raises
+        ``ValueError`` naming the field, and the run is left as it was:
+        every field is checked and parsed before any is assigned."""
+        table = [self.state.table_key] if isinstance(self.state, MemoryServer) else []
+        missing = [key for key in _CHECKPOINT_KEYS if key not in state] or [
+            f"server.{key}" for key in ("w", *table) if key not in state["server"]]
+        if missing:
+            raise ValueError(f"checkpoint {missing[0]} is missing")
         if state["version"] not in (1, 2, 3, 4, 5, 6):
             raise ValueError(f"unsupported checkpoint version {state['version']}")
         if state["algorithm"] != self.algo_spec.name:
@@ -659,7 +667,7 @@ class Runner:
             for key, value in _run_fields(identity).items():
                 if stored.get(key) != value:
                     raise ValueError(f"checkpoint {key} is {stored.get(key)!r}, this run's is {value!r}")
-        rounds_done = int(state["rounds_done"])
+        rounds_done = _parsed("rounds_done", int, state["rounds_done"])
         if not 0 <= rounds_done <= self.horizon:
             raise ValueError(f"checkpoint rounds_done is {rounds_done}, this run's horizon is {self.horizon}")
         # the per-device and per-coordinate fields, which the sizes above do not cover
@@ -667,15 +675,15 @@ class Runner:
         collected = server.get("collected", [])
         shapes = [("server.collected", (len(entry["value"]),), expected[1:]) for entry in collected]
         if averaged is not None:
-            shapes.append(("averaged.weighted_sum", np.shape(averaged["weighted_sum"]), expected[1:]))
-        if isinstance(self.state, MemoryServer):
-            key, table = f"server.{self.state.table_key}", server[self.state.table_key]
+            shapes.append(("averaged.weighted_sum", np.shape(averaged.get("weighted_sum")), expected[1:]))
+        if table:
+            key, rows = f"server.{table[0]}", server[table[0]]
             # a table whose rows differ in length has no shape: name its first row of another length
-            lengths = [len(row) if isinstance(row, list) else None for row in table]
+            lengths = [len(row) if isinstance(row, list) else None for row in rows]
             if len(set(lengths)) > 1:
                 k = next(k for k, length in enumerate(lengths) if length != expected[1])
                 raise ValueError(f"checkpoint {key} row {k} has length {lengths[k]}, this run's rows have length {expected[1]}")
-            shapes.append((key, np.shape(table), expected))
+            shapes.append((key, np.shape(rows), expected))
         for key, held, wanted in shapes:
             if held != wanted:
                 raise ValueError(f"checkpoint {key} has shape {held}, this run's has shape {wanted}")
@@ -683,21 +691,25 @@ class Runner:
             outside = [int(i) for i in ids if not 0 <= int(i) < n_devices]
             if outside:
                 raise ValueError(f"checkpoint server.{key} holds device {outside[0]}, this run has {n_devices} devices")
-        self.rounds_done = rounds_done
-        self.oracle_calls = int(state["oracle_calls"])
-        self.min_grad_sq = float(state["min_grad_sq"])
-        self.state.load_state_dict(server, rounds_done)
-        # the engine's own calls, replayed: the run keeps the positioned sampler
-        self.sampler = ParticipationSampler(self.model, self.seed, self.horizon)
-        self.tracker = StalenessTracker(n_devices)
-        for t in range(1, rounds_done + 1):
-            self.tracker.update(t, self.sampler.row(t))
-        self.noise_rngs = [restore_generator(s) for s in state["noise_rngs"]]
-        # restored in place: the server draws its subsets from this generator
-        self.subset_rng.bit_generator.state = state["subset_rng"]
+        # parsed into fresh objects; the server draws its subsets from the restored generator
+        noise_rngs = [_parsed(f"noise_rngs[{i}]", restore_generator, g) for i, g in enumerate(state["noise_rngs"])]
+        subset_rng = _parsed("subset_rng", restore_generator, state["subset_rng"])
+        restored = SERVERS[self.algo_spec.name](self.algo_spec, n_devices, self.w0, subset_rng)
+        _parsed("server", restored.load_state_dict, server, rounds_done)
+        iterate = None
         if averaged is not None:
-            self.averaged.load_state_dict(averaged, rounds_done)
-        self.divergence = None
+            iterate = AveragedIterate(self.averaged.shift, expected[1])
+            _parsed("averaged", iterate.load_state_dict, averaged, rounds_done)
+        oracle_calls = _parsed("oracle_calls", int, state["oracle_calls"])
+        min_grad_sq = _parsed("min_grad_sq", float, state["min_grad_sq"])
+        # the engine's own calls, replayed: the run keeps the positioned sampler
+        sampler = ParticipationSampler(self.model, self.seed, self.horizon)
+        tracker = StalenessTracker(n_devices)
+        for t in range(1, rounds_done + 1):
+            tracker.update(t, sampler.row(t))
+        self.rounds_done, self.oracle_calls, self.min_grad_sq = rounds_done, oracle_calls, min_grad_sq
+        self.state, self.noise_rngs, self.subset_rng, self.averaged = restored, noise_rngs, subset_rng, iterate
+        self.sampler, self.tracker, self.divergence = sampler, tracker, None
 
 
 class Batch:
@@ -711,13 +723,14 @@ class Batch:
     columns k d .. (k + 1) d - 1.
     A memory run's window is rebuilt from its table each time the batch
     starts to advance, and a FedAvg run's window is zeroed every round. A
-    round thus makes one ``local_updates`` call, one metric pass over the
-    (R, d) block of models, and one ``add`` and one ``rounded()``. A later
-    run whose seed, model bytes, step and computing ids equal an earlier
-    run's in a round is its twin, and hands ``local_updates`` the row map
-    that lets its rows reuse the earlier run's. A run
-    that diverges stops alone; a run's rows, checkpoint and result equal
-    those of the same run advanced alone.
+    round thus draws one block, runs one K-step pass over its rows, makes
+    one metric pass over the (R, d) block of models, and one ``add`` and
+    one ``rounded()``. A later run whose seed, model bytes, step and
+    computing ids equal an earlier run's in a round is its twin: if its
+    slice of the draw block is bitwise the earlier run's, its rows are not
+    computed, and it folds the earlier run's. A run that diverges stops
+    alone; a run's rows, checkpoint and result equal those of the same run
+    advanced alone.
     """
 
     def __init__(self, runners: list):
@@ -826,23 +839,29 @@ class Batch:
             avg_gap[k] = gap
 
         counts = list(map(len, ids))
-        source = None
-        if twins:
-            # a twin's rows may reuse its earlier twin's: same seed, model, step and devices
-            offsets = np.cumsum([0] + counts)
-            source = np.arange(offsets[-1])
-            for k, j in twins.items():
-                source[offsets[k] : offsets[k + 1]] = source[offsets[j] : offsets[j + 1]]
-        values, finite = local_updates(
-            inst, np.concatenate(ids), models.repeat(counts, axis=0), np.array(etas).repeat(counts), self.n_steps,
-            rngs, source,
+        offsets = np.cumsum([0] + counts)
+        draws = _draw_block(inst, rngs, self.n_steps)
+        # a twin reuses its earlier twin's rows only if its draws are bitwise theirs
+        reused = {k: j for k, j in twins.items()
+                  if np.array_equal(*(draws[offsets[i] : offsets[i + 1]].view(np.int64) for i in (k, j)))}
+        computed = [0 if k in reused else count for k, count in enumerate(counts)]  # rows each run computes
+        row_ids = np.concatenate(ids)
+        if reused:
+            keep = np.repeat(np.array(computed, dtype=bool), counts)
+            row_ids, draws = row_ids[keep], draws[keep]
+        # the raw draws are freed once normalised, and the noise once stepped: a batch's blocks are large
+        draws = _normalised(inst, draws)
+        values, finite = _k_steps(
+            inst, row_ids, models.repeat(computed, axis=0), np.array(etas).repeat(computed), self.n_steps, draws
         )
+        del draws
+        start = np.cumsum([0] + computed)
 
         going, steps = [], []
-        hi = 0
         for k, (runner, run_ids, count) in enumerate(zip(live, ids, counts)):
             runner.min_grad_sq = min(runner.min_grad_sq, grad_sq[k])
-            lo, hi = hi, hi + count
+            lo = start[reused.get(k, k)]
+            hi = lo + count
             if not finite[lo:hi].all():
                 lowest = run_ids[~finite[lo:hi]].min()
                 self._stop(runner, DivergenceError(f"device {lowest} produced a non-finite local iterate"))

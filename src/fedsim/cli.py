@@ -27,6 +27,7 @@ from .config import (
     build_model,
     build_schedule,
     load_config,
+    repeated,
 )
 from .experiment import (
     compare_experiment,
@@ -56,9 +57,8 @@ def algorithm_list(text: str) -> list:
     names = [name.strip() for name in text.split(",") if name.strip()]
     if not names:
         raise argparse.ArgumentTypeError(f"expected a comma-separated list of algorithm names, got {text!r}")
-    repeated = [name for k, name in enumerate(names) if name in names[:k]]
-    if repeated:
-        raise argparse.ArgumentTypeError(f"{repeated[0]} is listed twice")
+    if repeated(names):
+        raise argparse.ArgumentTypeError(f"{repeated(names)[0]} is listed twice")
     return names
 
 

@@ -64,7 +64,8 @@ class Obj:
     """A JSON object holding only the keys of its table, whose named checks
     ``(key, holds, message)`` relate the parsed keys. A tagged object's
     ``tag`` key instead picks one of its ``variants``, an ``Obj`` that names
-    its ``builder`` and the ``context`` values the builder takes first."""
+    its ``builder`` and the ``context`` values the builder takes first. A
+    check's message may be a function of the parsed keys."""
 
     def __init__(self, keys=None, checks=(), builder=None, context=(), tag=None, variants=None, default=REQUIRED):
         self.keys, self.checks, self.builder, self.context = keys, checks, builder, context
@@ -92,8 +93,13 @@ class Obj:
                 parsed[key] = spec.default
         for key, holds, message in self.checks:
             if not holds(parsed):
-                raise ConfigError(prefix + key, message)
+                raise ConfigError(prefix + key, message(parsed) if callable(message) else message)
         return parsed
+
+
+def repeated(values: list) -> list:
+    """The entries of ``values`` that equal an earlier entry, in order."""
+    return [value for k, value in enumerate(values) if value in values[:k]]
 
 
 _COUNT = Key(int, "[1, inf)")
@@ -162,7 +168,9 @@ SCHEMA = Obj({
         "inverse_decay": Obj({"eta0": _POSITIVE}, builder="schedules.InverseDecay"),
     }),
     "run": Obj({"horizon": Key(int, "[2, inf)"), "local_steps": _COUNT,
-                "seeds": Key(int, "[0, inf)", shape=[None]), "out": Key(str, default=None)}),
+                "seeds": Key(int, "[0, inf)", shape=[None]), "out": Key(str, default=None)},
+               checks=[("seeds", lambda k: not repeated(k["seeds"]),
+                        lambda k: f"seed {repeated(k['seeds'])[0]} is listed twice: a run plays each seed once")]),
 })
 
 

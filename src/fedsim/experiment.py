@@ -26,6 +26,7 @@ from .config import (
     build_instance,
     build_model,
     build_schedule,
+    repeated,
     validate_config,
 )
 from .records import RoundMetrics, RunResult
@@ -121,10 +122,12 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run every seed of a config independently and write CSV outputs.
 
-    ``out`` overrides run.out; ``seeds`` overrides run.seeds. Omitting all
-    output paths keeps results in memory only.
+    ``out`` overrides run.out; ``seeds`` overrides run.seeds, and is checked
+    as run.seeds is. Omitting all output paths keeps results in memory only.
     """
     validate_config(cfg)
+    if seeds is not None:
+        validate_config(dict(cfg, run=dict(cfg["run"], seeds=list(seeds))))
     instance = build_instance(cfg)
     model = build_model(cfg, instance, base_dir=base_dir)
     algo_spec = build_algo_spec(cfg, model)
@@ -224,9 +227,8 @@ def compare_experiment(cfg: dict, algorithms, out: str | None = None, base_dir: 
     An algorithm listed twice raises ``ValueError``.
     """
     algorithms = list(algorithms)
-    repeated = [name for k, name in enumerate(algorithms) if name in algorithms[:k]]
-    if repeated:
-        raise ValueError(f"algorithm {repeated[0]} is listed twice: compare plays each algorithm once")
+    if repeated(algorithms):
+        raise ValueError(f"algorithm {repeated(algorithms)[0]} is listed twice: compare plays each algorithm once")
     validate_config(cfg)
     out = out if out is not None else cfg["run"].get("out")
     instance = build_instance(cfg)

@@ -1,5 +1,7 @@
 import functools
 import json
+import re
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -237,21 +239,17 @@ def test_an_empty_batch_is_an_empty_block():
         ({"w": np.zeros((2, 2))}, r"w has shape \(2, 2\)"),
         ({"rngs": 2}, "rngs holds 2 streams for 3 ids"),
         ({"n_steps": 0}, "n_steps must be >= 1"),
-        ({"source": [0, 0]}, "source must map"),
-        ({"source": [0, 2, 2]}, "source must map"),
-        ({"source": [0, 0, 1]}, "source must map"),
     ],
     ids=["eta_nan", "eta_inf", "eta_row_nan", "eta_zero", "eta_length", "id_past_devices", "id_negative",
-         "ids_nested", "w_dim", "w_rows", "rngs_few", "n_steps", "source_length", "source_later_row",
-         "source_chain"],
+         "ids_nested", "w_dim", "w_rows", "rngs_few", "n_steps"],
 )
 def test_local_updates_names_a_malformed_argument(changes, message):
     inst = BATCH_INSTANCES["quadratic"]  # 4 devices in dimension 2
-    args = {"ids": [0, 1, 2], "w": np.zeros(inst.dim), "eta": 0.1, "n_steps": 2, "rngs": 3, "source": None}
+    args = {"ids": [0, 1, 2], "w": np.zeros(inst.dim), "eta": 0.1, "n_steps": 2, "rngs": 3}
     args.update(changes)
     rngs = noise_rngs(0, args.pop("rngs"))
     with pytest.raises(ValueError, match=message):
-        local_updates(inst, args["ids"], args["w"], args["eta"], args["n_steps"], rngs, args["source"])
+        local_updates(inst, args["ids"], args["w"], args["eta"], args["n_steps"], rngs)
 
 
 # ---------------------------------------------------------------------------
@@ -671,15 +669,16 @@ def assert_runs_alone_alike(results, runners):
         assert (result.diverged, result.staleness) == (alone.diverged, alone.staleness)
 
 
-def test_twin_runs_compute_each_local_update_once(monkeypatch):
+@pytest.mark.parametrize("kind", sorted(BATCH_INSTANCES))
+def test_twin_runs_compute_each_local_update_once(monkeypatch, kind):
     # mifa and mifa_delta of one seed hold bitwise-equal models every round
     counts = counting_kernels(monkeypatch)
-    runners = [batch_runner("trig", name, 1, 2) for name in ("mifa", "mifa_delta")]
+    runners = [batch_runner(kind, name, 1, 2) for name in ("mifa", "mifa_delta")]
     results = fedsim.Batch(runners).run()
     updates = runners[0].oracle_calls // 2
     assert runners[1].oracle_calls // 2 == updates
     assert counts == {"rows": updates, "draws": 2 * updates}
-    assert_runs_alone_alike(results, [batch_runner("trig", name, 1, 2) for name in ("mifa", "mifa_delta")])
+    assert_runs_alone_alike(results, [batch_runner(kind, name, 1, 2) for name in ("mifa", "mifa_delta")])
 
 
 def test_twins_whose_draws_differ_compute_their_own_rows(monkeypatch):
@@ -690,13 +689,42 @@ def test_twins_whose_draws_differ_compute_their_own_rows(monkeypatch):
 
     counts = counting_kernels(monkeypatch)
     fedsim.Batch(pair()).run_rounds(1)
-    # every device computes in round 1; only device 0's two rows differ in their draws
-    assert counts == {"rows": 4 + 1, "draws": 2 * 4}
+    # every device computes in round 1; device 0's draws differ, so the second run computes all its rows
+    assert counts == {"rows": 2 * 4, "draws": 2 * 4}
     counts.update(rows=0, draws=0)
     results = fedsim.Batch(pair()).run()
-    # from round 2 on the models differ, and every row is computed
-    assert counts["rows"] == counts["draws"] - 3
+    # from round 2 on the models differ too
+    assert counts["rows"] == counts["draws"]
     assert_runs_alone_alike(results, pair())
+
+
+@pytest.mark.parametrize("names", [("mifa", "mifa_delta"), ("mifa",)])
+@pytest.mark.parametrize("kind", sorted(BATCH_INSTANCES))
+def test_no_draw_block_is_alive_in_the_kernels_or_the_exact_sum(monkeypatch, kind, names):
+    # a raw draw block kept alive past its normalisation slows the
+    # allocations of the kernels and of the exact sum, with equal outputs
+    blocks, calls = [], []
+
+    def draw_block(*args, draw=fedsim.algorithms._draw_block):
+        block = draw(*args)
+        blocks.append(weakref.ref(block))
+        return block
+
+    def no_block_alive(owner, name):
+        def checked(*args, original=getattr(owner, name)):
+            calls.append(name)
+            assert all(block() is None for block in blocks), f"a draw block is alive in {name}"
+            return original(*args)
+        monkeypatch.setattr(owner, name, checked)
+
+    monkeypatch.setattr(fedsim.algorithms, "_draw_block", draw_block)
+    no_block_alive(fedsim._kernels, "quad_local_sgd")
+    no_block_alive(fedsim._kernels, "trig_local_sgd")
+    no_block_alive(fedsim.algorithms.ExactVectorSum, "add")
+    fedsim.Batch([batch_runner(kind, name, 1, 2) for name in names]).run()
+    assert len(blocks) == BATCH_HORIZON
+    assert calls.count("quad_local_sgd" if kind == "quadratic" else "trig_local_sgd") == BATCH_HORIZON
+    assert calls.count("add") >= BATCH_HORIZON
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -1074,6 +1102,48 @@ def test_restore_names_a_round_past_the_horizon():
     snapshot["rounds_done"] = 41
     with pytest.raises(ValueError, match="^checkpoint rounds_done is 41, this run's horizon is 40$"):
         checkpoint_runner("mifa").restore(snapshot)
+
+
+def without(path):
+    """An edit that deletes the dotted ``path`` from a checkpoint."""
+    def edit(snapshot):
+        *groups, key = path.split(".")
+        for group in groups:
+            snapshot = snapshot[group]
+        del snapshot[key]
+    return edit
+
+
+def malformed_noise_stream(snapshot):
+    snapshot["noise_rngs"][1] = {"bit_generator": "PCG64", "state": {"state": "x"}}
+
+
+BAD_FIELDS = [
+    *[("mifa", without(key), key) for key in ("version", "algorithm", "rounds_done", "oracle_calls", "min_grad_sq",
+                                              "server", "noise_rngs", "subset_rng", "averaged", "server.w",
+                                              "server.update_array")],
+    ("mifa_delta", without("server.device_memory"), "server.device_memory"),
+    ("sampling_fedavg", without("subset_rng"), "subset_rng"),
+    ("sampling_fedavg", without("server.window_start"), "server.window_start"),
+    ("biased_fedavg", without("averaged.weight_total"), "averaged.weight_total"),
+    ("is_fedavg", malformed_noise_stream, "noise_rngs[1]"),
+]
+
+
+@pytest.mark.parametrize("name, edit, field", BAD_FIELDS, ids=[f"{name}-{field}" for name, _, field in BAD_FIELDS])
+def test_restore_names_a_missing_or_malformed_field_and_leaves_the_run_as_it_was(name, edit, field):
+    first = checkpoint_runner(name)
+    first.run_rounds(3)
+    snapshot = json.loads(json.dumps(first.checkpoint()))
+    edit(snapshot)
+    runner, untouched = checkpoint_runner(name), checkpoint_runner(name)
+    runner.run_rounds(6)
+    untouched.run_rounds(6)
+    with pytest.raises(ValueError, match=f"^checkpoint {re.escape(field)} is (missing|malformed)"):
+        runner.restore(snapshot)
+    assert json.dumps(runner.checkpoint()) == json.dumps(untouched.checkpoint())
+    assert runner.run_rounds(40) == untouched.run_rounds(40)
+    assert np.array_equal(runner.state.w, untouched.state.w)
 
 
 def mismatched_runner(name, **changes):

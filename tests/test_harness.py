@@ -257,6 +257,21 @@ def test_compare_names_an_algorithm_listed_twice(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("seeds, message", [
+    ([3, 4, 3], "seed 3 is listed twice"),
+    ([1.5], "expected an integer, got 1.5"),
+])
+@pytest.mark.parametrize("override", [False, True])
+def test_run_names_a_malformed_seed_list(tmp_path, override, seeds, message):
+    # a seeds argument is checked as the config's run.seeds is
+    cfg = base_config()
+    if not override:
+        cfg["run"]["seeds"] = seeds
+    with pytest.raises(fedsim.ConfigError, match=f"^config key 'run.seeds': {message}"):
+        run_experiment(cfg, out=str(tmp_path / "run"), seeds=seeds if override else None)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_compare_builds_instance_once_and_matches_single_runs(tmp_path, monkeypatch):
     cfg = base_config()
     cfg["algorithm"] = {"name": "mifa", "subset_size": 2}
@@ -853,6 +868,7 @@ def test_every_single_key_mutation_exits_2_naming_the_key(cfg, path, mutation, d
         ({"problem": {"family": "logistic", "n_devices": 10, "dim": 5, "samples_per_device": 20,
                       "l2": 1e-300, "label_skew": 0.0, "seed": 7}}, "config key 'problem.l2'"),
         ({"schedule.delay_offset": 1e308}, "config key 'schedule.delay_offset'"),
+        ({"run.seeds": [3, 3]}, "config key 'run.seeds': seed 3 is listed twice"),
     ],
     ids=[
         "mu_null", "heterogeneity_list", "uniform_without_seed", "uniform_string",
@@ -862,7 +878,7 @@ def test_every_single_key_mutation_exits_2_naming_the_key(cfg, path, mutation, d
         "smoothness_below_mu", "fractional_dim", "fractional_horizon", "fractional_seed",
         "local_steps_string", "subset_size_string", "numeric_out", "bool_horizon",
         "overflowing_heterogeneity", "overflowing_smoothness", "logistic_l2_overflowing_the_shift",
-        "delay_offset_overflowing_the_shift",
+        "delay_offset_overflowing_the_shift", "repeated_seed",
     ],
 )
 def test_cli_run_names_each_malformed_quickstart_key(tmp_path, monkeypatch, edits, message):
