@@ -61,13 +61,15 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
 from . import _kernels
 from .availability import BernoulliParticipation, ParticipationSampler, StalenessTracker
 from .exact import ExactVectorSum, exact_mean, two_diff
-from .problems import ProblemInstance, SpecError, _row_dots, logistic_sample_grads, sphere_noise
+from .problems import (ProblemInstance, SpecError, _row_dots, is_int, logistic_sample_grads, read_device_ids,
+                       read_floats, read_int, sphere_noise)
 from .records import RoundMetrics, RunResult
 from .rng import (
     SUBSET_SAMPLING,
@@ -289,10 +291,10 @@ class Server:
         return {"w": self.w.tolist(), "t_prime": self.t_prime}
 
     def load_state_dict(self, state: dict, t: int) -> None:
-        self.w = np.asarray(state["w"], dtype=np.float64)
+        """Take ``state_dict()``'s state at the run's round ``t``; a bad field raises ``KeyError`` or ``SpecError``."""
+        self.w = read_floats("w", state["w"], self.w.shape)
         self.t = t
-        # round t is the run's; servers that step every round do not store t_prime
-        self.t_prime = int(state.get("t_prime", t))
+        self.t_prime = read_int("t_prime", state["t_prime"], 0, t)
 
 
 class MemoryServer(Server):
@@ -312,8 +314,8 @@ class MemoryServer(Server):
         return {"w": self.w.tolist(), self.table_key: self.memory.tolist()}
 
     def load_state_dict(self, state, t):
-        super().load_state_dict(state, t)
-        self.memory = np.asarray(state[self.table_key], dtype=np.float64)
+        super().load_state_dict({**state, "t_prime": t}, t)  # the model steps every round
+        self.memory = read_floats(self.table_key, state[self.table_key], self.memory.shape)
 
 
 class MifaServer(MemoryServer):
@@ -475,12 +477,27 @@ class SamplingFedAvgServer(Server):
 
     def load_state_dict(self, state, t):
         super().load_state_dict(state, t)
-        self.pending = np.zeros(self.n_devices, dtype=bool)
-        self.pending[[int(i) for i in state["pending"]]] = True
+        entries, waits = state["collected"], state["waits"]
         # version-2 entries also carry the round that produced them, which nothing reads
-        self.collected = {int(d["device"]): np.asarray(d["value"], dtype=np.float64) for d in state["collected"]}
-        self.window_start = int(state["window_start"])
-        self.waits = [int(x) for x in state["waits"]]
+        if not isinstance(entries, list) or not all(
+                isinstance(entry, dict) and {"device", "value"} <= entry.keys() for entry in entries):
+            raise SpecError("collected", "must be a list of {device, value} entries")
+        pending = read_device_ids("pending", state["pending"], self.n_devices)
+        collected = read_device_ids("collected", [entry["device"] for entry in entries], self.n_devices)
+        values = [read_floats("collected", entry["value"], self.w.shape) for entry in entries]
+        both = set(pending).intersection(collected)
+        if both:
+            raise SpecError("collected", f"holds device {min(both)}, which is still pending")
+        # a window's subset is pending or collected, and its last update empties both
+        if (len(pending) + len(collected) != self.spec.subset_size) if pending else collected:
+            raise SpecError("collected", f"holds {len(collected)} updates and {len(pending)} pending: not one window")
+        self.pending = np.zeros(self.n_devices, dtype=bool)
+        self.pending[pending] = True
+        self.collected = dict(zip(collected, values))
+        self.window_start = read_int("window_start", state["window_start"], 0, t)
+        if not isinstance(waits, list) or len(waits) != self.t_prime:
+            raise SpecError("waits", f"must list one wait for each of the {self.t_prime} global updates")
+        self.waits = [read_int("waits", wait, 1, t) for wait in waits]
 
 
 SERVERS = {
@@ -494,37 +511,37 @@ SERVERS = {
 # --------------------------------------------------------------------------
 
 
-# the fields every checkpoint version holds
-_CHECKPOINT_KEYS = ("version", "algorithm", "rounds_done", "oracle_calls", "min_grad_sq", "server", "noise_rngs",
-                    "subset_rng", "averaged")
-
-
 def _parsed(field: str, parse, *args):
-    """``parse(*args)``, checkpoint field ``field``'s value; a key missing
-    from it or a malformed value raises ``ValueError`` naming the field."""
+    """``parse(*args)``, which reads checkpoint field ``field``: the
+    ``SpecError`` of a field of it, a key missing from it or a malformed
+    value raises ``SpecError`` keyed by its path in the checkpoint."""
     try:
         return parse(*args)
+    except SpecError as err:
+        raise SpecError(f"{field}.{err.key}", str(err)) from err
     except KeyError as err:
-        raise ValueError(f"checkpoint {field}.{err.args[0]} is missing") from err
+        raise SpecError(f"{field}.{err.args[0]}", "is missing") from err
     except (TypeError, ValueError, IndexError) as err:
-        raise ValueError(f"checkpoint {field} is malformed: {err}") from err
+        raise SpecError(field, f"is malformed: {err}") from err
 
 
 def _run_fields(state: dict) -> dict:
-    """A checkpoint's fields that identify its run, keyed by name."""
+    """A checkpoint's fields that identify its run, keyed by name; a group
+    that is no object holds none."""
     return {**{key: state.get(key) for key in ("seed", "horizon", "n_steps")},
-            **{f"{group}.{key}": value
-               for group in ("spec", "schedule") for key, value in state.get(group, {}).items()}}
+            **{f"{group}.{key}": value for group in ("spec", "schedule") if isinstance(state.get(group), dict)
+               for key, value in state[group].items()}}
 
 
 class Runner:
     """One (algorithm, seed) run: its server, noise and subset streams,
     staleness, counters and metric rows.
 
-    Participation, gradient noise, and subset sampling each draw from
-    dedicated substreams of the seed, so every algorithm sees the identical
-    active-set sequence and per-device noise for a fixed seed. A ``Batch``
-    advances runs; advancing one runner alone is the batch of that one.
+    Participation and gradient noise draw from dedicated per-device
+    substreams of the seed, so every algorithm sees the identical active-set
+    sequence and per-device noise for a fixed seed; subset sampling draws from
+    one stream of the run, ``substream(seed, SUBSET_SAMPLING, 0)``. A
+    ``Batch`` advances runs; advancing one runner alone is the batch of that one.
     The participation sampler is positioned when the run first advances or is restored.
     ``divergence`` holds the ``DivergenceError`` that stopped the run.
     """
@@ -540,6 +557,9 @@ class Runner:
         seed: int,
         w0: np.ndarray | None = None,
     ):
+        for name, value in (("horizon", horizon), ("n_steps", n_steps), ("seed", seed)):
+            if not is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if horizon < 2:
             raise ValueError("horizon must be >= 2")
         if n_steps < 1:
@@ -638,76 +658,58 @@ class Runner:
         }
 
     def restore(self, state: dict) -> None:
-        """Resume from ``checkpoint()``'s state, of any version 1 to 6. A
-        checkpoint of another run, or a missing or malformed field, raises
-        ``ValueError`` naming the field, and the run is left as it was:
-        every field is checked and parsed before any is assigned."""
-        table = [self.state.table_key] if isinstance(self.state, MemoryServer) else []
-        missing = [key for key in _CHECKPOINT_KEYS if key not in state] or [
-            f"server.{key}" for key in ("w", *table) if key not in state["server"]]
-        if missing:
-            raise ValueError(f"checkpoint {missing[0]} is missing")
-        if state["version"] not in (1, 2, 3, 4, 5, 6):
-            raise ValueError(f"unsupported checkpoint version {state['version']}")
-        if state["algorithm"] != self.algo_spec.name:
-            raise ValueError("checkpoint belongs to a different algorithm")
-        shape = (len(state["noise_rngs"]), len(state["server"]["w"]))
-        expected = (self.instance.n_devices, self.instance.dim)
-        if shape != expected:
-            raise ValueError(f"checkpoint holds {shape[0]} devices in dimension {shape[1]}, "
-                             f"this run has {expected[0]} devices in dimension {expected[1]}")
-        averaged = state["averaged"]
-        if (averaged is None) != (self.averaged is None):
-            held, kept = ("absent", "one") if averaged is None else ("present", "none")
-            raise ValueError(f"checkpoint averaged is {held}, this run's schedule keeps {kept}")
-        if state["version"] >= 5:
-            stored, identity = _run_fields(state), self._identity()
-            if state["version"] == 5:
-                del identity["schedule"]  # version 5 holds no schedule
-            for key, value in _run_fields(identity).items():
-                if stored.get(key) != value:
-                    raise ValueError(f"checkpoint {key} is {stored.get(key)!r}, this run's is {value!r}")
-        rounds_done = _parsed("rounds_done", int, state["rounds_done"])
-        if not 0 <= rounds_done <= self.horizon:
-            raise ValueError(f"checkpoint rounds_done is {rounds_done}, this run's horizon is {self.horizon}")
-        # the per-device and per-coordinate fields, which the sizes above do not cover
-        n_devices, server = expected[0], state["server"]
-        collected = server.get("collected", [])
-        shapes = [("server.collected", (len(entry["value"]),), expected[1:]) for entry in collected]
-        if averaged is not None:
-            shapes.append(("averaged.weighted_sum", np.shape(averaged.get("weighted_sum")), expected[1:]))
-        if table:
-            key, rows = f"server.{table[0]}", server[table[0]]
-            # a table whose rows differ in length has no shape: name its first row of another length
-            lengths = [len(row) if isinstance(row, list) else None for row in rows]
-            if len(set(lengths)) > 1:
-                k = next(k for k, length in enumerate(lengths) if length != expected[1])
-                raise ValueError(f"checkpoint {key} row {k} has length {lengths[k]}, this run's rows have length {expected[1]}")
-            shapes.append((key, np.shape(rows), expected))
-        for key, held, wanted in shapes:
-            if held != wanted:
-                raise ValueError(f"checkpoint {key} has shape {held}, this run's has shape {wanted}")
-        for key, ids in (("pending", server.get("pending", [])), ("collected", [entry["device"] for entry in collected])):
-            outside = [int(i) for i in ids if not 0 <= int(i) < n_devices]
-            if outside:
-                raise ValueError(f"checkpoint server.{key} holds device {outside[0]}, this run has {n_devices} devices")
-        # parsed into fresh objects; the server draws its subsets from the restored generator
-        noise_rngs = [_parsed(f"noise_rngs[{i}]", restore_generator, g) for i, g in enumerate(state["noise_rngs"])]
-        subset_rng = _parsed("subset_rng", restore_generator, state["subset_rng"])
-        restored = SERVERS[self.algo_spec.name](self.algo_spec, n_devices, self.w0, subset_rng)
-        _parsed("server", restored.load_state_dict, server, rounds_done)
-        iterate = None
-        if averaged is not None:
-            iterate = AveragedIterate(self.averaged.shift, expected[1])
-            _parsed("averaged", iterate.load_state_dict, averaged, rounds_done)
-        oracle_calls = _parsed("oracle_calls", int, state["oracle_calls"])
-        min_grad_sq = _parsed("min_grad_sq", float, state["min_grad_sq"])
+        """Resume from ``checkpoint()``'s state, of any version 1 to 6. A checkpoint
+        of another run, or a missing or malformed field, raises ``ValueError``
+        naming the field, and the run is left as it was: every field is parsed
+        into fresh objects before any is assigned. The run checks its own fields;
+        the server and the averaged iterate check theirs in ``load_state_dict``."""
+        try:
+            version = read_int("version", state["version"], 1, 6)
+            if state["algorithm"] != self.algo_spec.name:
+                raise SpecError("algorithm", f"is {state['algorithm']!r}, this run's is {self.algo_spec.name!r}")
+            n_devices, dim = self.instance.n_devices, self.instance.dim
+            sizes = (_parsed("noise_rngs", len, state["noise_rngs"]),
+                     _parsed("server.w", len, _parsed("server", itemgetter("w"), state["server"])))
+            if sizes != (n_devices, dim):
+                raise SpecError("noise_rngs" if sizes[0] != n_devices else "server.w",
+                                f"is of another size: the checkpoint holds {sizes[0]} devices in dimension {sizes[1]}, "
+                                f"this run has {n_devices} devices in dimension {dim}")
+            averaged = state["averaged"]
+            if (averaged is None) != (self.averaged is None):
+                held, kept = ("absent", "one") if averaged is None else ("present", "none")
+                raise SpecError("averaged", f"is {held}, this run's schedule keeps {kept}")
+            if version >= 5:
+                stored, identity = _run_fields(state), self._identity()
+                if version == 5:
+                    del identity["schedule"]  # version 5 holds no schedule
+                for key, value in _run_fields(identity).items():
+                    if stored.get(key) != value:
+                        raise SpecError(key, f"is {stored.get(key)!r}, this run's is {value!r}")
+            rounds_done = read_int("rounds_done", state["rounds_done"], 0)
+            if rounds_done > self.horizon:
+                raise SpecError("rounds_done", f"is {rounds_done}, this run's horizon is {self.horizon}")
+            oracle_calls = read_int("oracle_calls", state["oracle_calls"], 0, rounds_done * n_devices * self.n_steps)
+            min_grad_sq = state["min_grad_sq"]
+            if not ((is_int(min_grad_sq) or isinstance(min_grad_sq, float)) and min_grad_sq >= 0):
+                raise SpecError("min_grad_sq", f"is {min_grad_sq!r}, expected a number >= 0 or Infinity")
+            # parsed into fresh objects; the server draws its subsets from the restored generator
+            noise_rngs = [_parsed(f"noise_rngs[{i}]", restore_generator, g) for i, g in enumerate(state["noise_rngs"])]
+            subset_rng = _parsed("subset_rng", restore_generator, state["subset_rng"])
+            restored = SERVERS[self.algo_spec.name](self.algo_spec, n_devices, self.w0, subset_rng)
+            _parsed("server", restored.load_state_dict, state["server"], rounds_done)
+            iterate = None if averaged is None else AveragedIterate(self.averaged.shift, dim)
+            if iterate is not None:
+                _parsed("averaged", iterate.load_state_dict, averaged, rounds_done)
+        except KeyError as err:  # a field of the checkpoint itself; _parsed names the fields of a field
+            raise ValueError(f"checkpoint {err.args[0]} is missing") from err
+        except SpecError as err:
+            raise ValueError(f"checkpoint {err.key} {err}") from err
         # the engine's own calls, replayed: the run keeps the positioned sampler
         sampler = ParticipationSampler(self.model, self.seed, self.horizon)
         tracker = StalenessTracker(n_devices)
         for t in range(1, rounds_done + 1):
             tracker.update(t, sampler.row(t))
-        self.rounds_done, self.oracle_calls, self.min_grad_sq = rounds_done, oracle_calls, min_grad_sq
+        self.rounds_done, self.oracle_calls, self.min_grad_sq = rounds_done, oracle_calls, float(min_grad_sq)
         self.state, self.noise_rngs, self.subset_rng, self.averaged = restored, noise_rngs, subset_rng, iterate
         self.sampler, self.tracker, self.divergence = sampler, tracker, None
 
@@ -799,7 +801,7 @@ class Batch:
         inst = self.instance
         # seed -> (mask row, running mean and peak staleness)
         seeds = {}
-        # (seed, model bytes, step) -> the runs that compute from it; run -> its earlier twin
+        # (seed, model bytes, step, computing ids) -> the first run with them; run -> its earlier twin
         starts, twins = {}, {}
         models, ids, etas, rngs, averaged = [], [], [], [], []
         for k, runner in enumerate(live):
@@ -816,12 +818,9 @@ class Batch:
             ids.append(run_ids)
             etas.append(runner.schedule.eta(t))
             rngs += map(runner.noise_rngs.__getitem__, run_ids)
-            same = starts.setdefault((runner.seed, runner.state.w.tobytes(), etas[-1]), [])
-            twin = next((j for j in same if np.array_equal(ids[j], run_ids)), None)
-            if twin is None:
-                same.append(k)
-            else:
-                twins[k] = twin
+            first = starts.setdefault((runner.seed, runner.state.w.tobytes(), etas[-1], run_ids.tobytes()), k)
+            if first != k:
+                twins[k] = first
 
         # the metrics of the models broadcast at the start of the round, and
         # of the averaged iterates, in one pass over their rows
@@ -839,11 +838,12 @@ class Batch:
             avg_gap[k] = gap
 
         counts = list(map(len, ids))
-        offsets = np.cumsum([0] + counts)
         draws = _draw_block(inst, rngs, self.n_steps)
-        # a twin reuses its earlier twin's rows only if its draws are bitwise theirs
-        reused = {k: j for k, j in twins.items()
-                  if np.array_equal(*(draws[offsets[i] : offsets[i + 1]].view(np.int64) for i in (k, j)))}
+        reused = {}
+        if twins:  # a twin reuses its earlier twin's rows only if its draws are bitwise theirs
+            offsets = np.cumsum([0] + counts)
+            reused = {k: j for k, j in twins.items()
+                      if np.array_equal(*(draws[offsets[i] : offsets[i + 1]].view(np.int64) for i in (k, j)))}
         computed = [0 if k in reused else count for k, count in enumerate(counts)]  # rows each run computes
         row_ids = np.concatenate(ids)
         if reused:

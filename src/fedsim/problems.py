@@ -31,15 +31,74 @@ class MissingOptimumError(RuntimeError):
 
 
 class SpecError(ValueError):
-    """A builder rejects the value of its argument ``key``, the same key in
-    the config section it builds: a value an algorithm's spec rules out, or
-    a problem family's value that passes its range check but that the build
-    cannot carry in double precision. A builder whose argument comes from
-    another section (the schedule's ``mu``) is re-keyed by its caller."""
+    """The value under ``key`` is rejected. Either a builder rejects its
+    argument ``key``, the same key in the config section it builds: a value
+    an algorithm's spec rules out, or a problem family's value that passes
+    its range check but that the build cannot carry in double precision. Or
+    an object rejects checkpoint field ``key`` of its own state, read with
+    ``read_floats``, ``read_int`` or ``read_device_ids``. A builder whose
+    argument comes from another section (the schedule's ``mu``) is re-keyed
+    by its caller; a checkpoint field is re-keyed by the run that restores
+    it, as ``checkpoint <owner>.<key>``."""
 
     def __init__(self, key: str, message: str):
         self.key = key
         super().__init__(message)
+
+
+def is_int(value) -> bool:
+    """Whether ``value`` is an integer: a Python or numpy int, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def read_int(key: str, value, lo: int, hi: int | None = None) -> int:
+    """Checkpoint field ``key``'s ``value``, an integer in [lo, hi], or at
+    least ``lo`` where ``hi`` is None; anything else, a bool or a float too,
+    raises ``SpecError`` naming ``key``."""
+    if not is_int(value) or value < lo or (hi is not None and value > hi):
+        bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise SpecError(key, f"is {value!r}, expected an integer {bounds}")
+    return int(value)
+
+
+def read_floats(key: str, value, shape: tuple) -> np.ndarray:
+    """Checkpoint field ``key``'s ``value``, nested lists of numbers, as a
+    float64 array of ``shape`` whose entries are all finite; anything else
+    raises ``SpecError`` naming ``key``. A table whose rows differ in length
+    has no shape, so its first row of another length is named."""
+    if len(shape) == 2 and isinstance(value, list):
+        lengths = [len(row) if isinstance(row, list) else None for row in value]
+        if len(set(lengths)) > 1:
+            k = next(k for k, length in enumerate(lengths) if length != shape[1])
+            raise SpecError(key, f"row {k} has length {lengths[k]}, this run's rows have length {shape[1]}")
+    try:
+        array = np.array(value)
+    except ValueError as err:  # rows of rows that differ in length
+        raise SpecError(key, f"is no array: {err}") from err
+    if array.shape != shape:
+        raise SpecError(key, f"has shape {array.shape}, this run's has shape {shape}")
+    if array.dtype.kind not in "iuf":
+        raise SpecError(key, f"holds {array.dtype} entries, expected numbers")
+    if not np.isfinite(array).all():
+        raise SpecError(key, "holds a value that is not finite")
+    return array.astype(np.float64, copy=False)
+
+
+def read_device_ids(key: str, value, n_devices: int) -> list:
+    """Checkpoint field ``key``'s ``value``, a list of distinct device ids
+    below ``n_devices``; anything else raises ``SpecError`` naming ``key``."""
+    if not isinstance(value, list):
+        raise SpecError(key, f"is {value!r}, expected a list of device ids")
+    seen = set()
+    for i in value:
+        if not is_int(i):
+            raise SpecError(key, f"holds {i!r}, which is no device id")
+        if not 0 <= i < n_devices:
+            raise SpecError(key, f"holds device {i}, this run has {n_devices} devices")
+        if i in seen:
+            raise SpecError(key, f"holds device {i} twice")
+        seen.add(i)
+    return [int(i) for i in value]
 
 
 def _check_scale(smoothness_key, smoothness, log_alpha, heterogeneity, dim):

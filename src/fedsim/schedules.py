@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import SpecError
+from .problems import SpecError, read_floats
 
 
 class LrSchedule:
@@ -156,6 +156,10 @@ class AveragedIterate:
         return {"weighted_sum": self.weighted_sum.tolist(), "weight_total": self.weight_total}
 
     def load_state_dict(self, state: dict, rounds_seen: int) -> None:
-        self.weighted_sum = np.asarray(state["weighted_sum"], dtype=np.float64)
-        self.weight_total = float(state["weight_total"])
+        """Restore the sums; a missing or malformed one raises ``KeyError``
+        or ``SpecError`` naming it."""
+        self.weighted_sum = read_floats("weighted_sum", state["weighted_sum"], (self.dim,))
+        self.weight_total = float(read_floats("weight_total", state["weight_total"], ()))
+        if self.weight_total < 0.0:  # a sum of positive weights
+            raise SpecError("weight_total", f"is {self.weight_total!r}, expected a number >= 0")
         self.rounds_seen = rounds_seen

@@ -1,6 +1,7 @@
 import functools
 import json
 import re
+import sys
 import weakref
 from pathlib import Path
 
@@ -1087,6 +1088,26 @@ def test_checkpoints_are_version_6_holding_each_value_once(name):
     assert_resumes_identically(name, snapshot, 21)
 
 
+def round_21_checkpoints() -> dict:
+    """Every server's checkpoint at round 21 on the checkpoint tests' setup,
+    through JSON, keyed by algorithm."""
+    snapshots = {}
+    for name in SERVERS:
+        runner = checkpoint_runner(name)
+        runner.run_rounds(21)
+        snapshots[name] = json.loads(json.dumps(runner.checkpoint()))
+    return snapshots
+
+
+@pytest.mark.parametrize("name", list(SERVERS))
+def test_version_6_checkpoint_resumes_identically(name):
+    # recorded by the version-6 format; the current format writes the same values
+    with open(DATA / "checkpoints_v6_round21.json") as fh:
+        snapshot = json.load(fh)[name]
+    assert snapshot["version"] == 6
+    assert_resumes_identically(name, snapshot, 21)
+
+
 @pytest.mark.parametrize("name", list(SERVERS))
 def test_version_4_checkpoint_resumes_identically(name):
     # version 4 is version 5 without the run's seed, horizon, steps and spec
@@ -1130,20 +1151,139 @@ BAD_FIELDS = [
 ]
 
 
-@pytest.mark.parametrize("name, edit, field", BAD_FIELDS, ids=[f"{name}-{field}" for name, _, field in BAD_FIELDS])
-def test_restore_names_a_missing_or_malformed_field_and_leaves_the_run_as_it_was(name, edit, field):
+@functools.cache
+def round_3_checkpoint(name):
+    """Algorithm ``name``'s checkpoint at round 3, as JSON text, so that
+    every test edits a copy of its own."""
     first = checkpoint_runner(name)
     first.run_rounds(3)
-    snapshot = json.loads(json.dumps(first.checkpoint()))
-    edit(snapshot)
+    return json.dumps(first.checkpoint())
+
+
+def assert_refused_leaving_the_run_as_it_was(name, snapshot, message):
+    """Restoring ``snapshot`` into a round-6 run of ``name`` raises a
+    ``ValueError`` matching ``message``, and the run plays on as if it had
+    not been tried."""
     runner, untouched = checkpoint_runner(name), checkpoint_runner(name)
     runner.run_rounds(6)
     untouched.run_rounds(6)
-    with pytest.raises(ValueError, match=f"^checkpoint {re.escape(field)} is (missing|malformed)"):
+    with pytest.raises(ValueError, match=message):
         runner.restore(snapshot)
     assert json.dumps(runner.checkpoint()) == json.dumps(untouched.checkpoint())
     assert runner.run_rounds(40) == untouched.run_rounds(40)
     assert np.array_equal(runner.state.w, untouched.state.w)
+
+
+@pytest.mark.parametrize("name, edit, field", BAD_FIELDS, ids=[f"{name}-{field}" for name, _, field in BAD_FIELDS])
+def test_restore_names_a_missing_or_malformed_field_and_leaves_the_run_as_it_was(name, edit, field):
+    snapshot = json.loads(round_3_checkpoint(name))
+    edit(snapshot)
+    assert_refused_leaving_the_run_as_it_was(name, snapshot, f"^checkpoint {re.escape(field)} is (missing|malformed)")
+
+
+def setting(path, value):
+    """An edit that sets the dotted ``path`` of a checkpoint to ``value``."""
+    def edit(snapshot):
+        *groups, key = path.split(".")
+        for group in groups:
+            snapshot = snapshot[group]
+        snapshot[key] = value
+    return edit
+
+
+def pend_the_collected_device(snapshot):
+    snapshot["server"]["pending"].append(snapshot["server"]["collected"][0]["device"])
+
+
+def first_entry(key, value):
+    """An edit that sets ``key`` of the first entry of ``server.update_array`` or ``server.w`` to ``value``."""
+    def edit(snapshot):
+        table = snapshot["server"][key]
+        (table[0] if isinstance(table[0], list) else table)[0] = value
+    return edit
+
+
+REFUSED_VALUES = [
+    ("mifa", setting("rounds_done", 3.7), "rounds_done"),
+    ("mifa", setting("rounds_done", True), "rounds_done"),
+    ("biased_fedavg", setting("oracle_calls", 2.5), "oracle_calls"),
+    ("sampling_fedavg", setting("server.pending", [1.5]), "server.pending"),
+    ("sampling_fedavg", setting("server.window_start", 2.9), "server.window_start"),
+    ("sampling_fedavg", pend_the_collected_device, "server.collected"),
+    ("mifa", setting("min_grad_sq", float("nan")), "min_grad_sq"),
+    ("mifa", setting("min_grad_sq", "1e5"), "min_grad_sq"),
+    ("mifa", first_entry("update_array", float("nan")), "server.update_array"),
+    ("is_fedavg", first_entry("w", float("inf")), "server.w"),
+    ("mifa_delta", setting("spec", None), "spec"),
+    ("mifa", setting("schedule", [1]), "schedule"),
+    ("biased_fedavg", setting("averaged", [1]), "averaged"),
+    ("biased_fedavg", setting("averaged.weight_total", -5.0), "averaged.weight_total"),
+    ("mifa", setting("server", None), "server"),
+    ("is_fedavg", setting("noise_rngs", None), "noise_rngs"),
+    ("sampling_fedavg", lambda snapshot: snapshot["server"]["collected"][0].pop("value"), "server.collected"),
+]
+
+
+@pytest.mark.parametrize("name, edit, field", REFUSED_VALUES, ids=[f"{name}-{field}-{k}"
+                                                                  for k, (name, _, field) in enumerate(REFUSED_VALUES)])
+def test_restore_names_a_field_of_the_wrong_type_or_range_and_leaves_the_run_as_it_was(name, edit, field):
+    snapshot = json.loads(round_3_checkpoint(name))
+    edit(snapshot)
+    assert_refused_leaving_the_run_as_it_was(name, snapshot, f"^checkpoint {re.escape(field)}[ .]")
+
+
+def corruptible(snapshot):
+    """The (path, field) pairs of a checkpoint that a corruption can target:
+    a key of the checkpoint or of its groups (spec, schedule, server,
+    averaged), then any list indices below it; ``field`` is its dotted key
+    path. The generator states are numpy's, so only they, not their keys, are
+    targets."""
+    def below(path, field, value):
+        yield path, field
+        if isinstance(value, list):
+            for i, item in enumerate(value):
+                yield from below((*path, i), field, item)
+
+    for key, value in snapshot.items():
+        yield from below((key,), key, value)
+        if isinstance(value, dict) and key != "subset_rng":
+            for inner, item in value.items():
+                yield from below((key, inner), f"{key}.{inner}", item)
+
+
+DELETE = object()
+
+
+def corruptions(value, deletable):
+    """The corrupted values of ``value`` by kind: deleted, null, of another
+    type, fractional, out of range, non-finite or too long."""
+    out = {"delete": DELETE} if deletable else {}
+    out.update(null=None, type=[1] if isinstance(value, dict) else "x" if isinstance(value, list) else
+               1 if isinstance(value, str) else str(value))
+    if isinstance(value, int):
+        out.update(fractional=value + 0.5, negative=-1, huge=10**6)
+    if isinstance(value, float):
+        out.update(nan=float("nan"), minus_inf=-float("inf"))
+    if isinstance(value, list) and value:
+        out["too long"] = value + value[-1:]
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_restore_refuses_any_corrupted_field_and_leaves_the_run_as_it_was(data):
+    name = data.draw(st.sampled_from(list(SERVERS)), label="server")
+    snapshot = json.loads(round_3_checkpoint(name))
+    path, field = data.draw(st.sampled_from(list(corruptible(snapshot))), label="target")
+    *groups, last = path
+    holder = functools.reduce(lambda node, key: node[key], groups, snapshot)
+    kind, value = data.draw(st.sampled_from(list(corruptions(holder[last], isinstance(last, str)).items())),
+                            label="corruption")
+    if value is DELETE:
+        del holder[last]
+    else:
+        holder[last] = value
+    assert_refused_leaving_the_run_as_it_was(name, snapshot, f"^checkpoint {re.escape(field)}([ .\\[]|$)")
 
 
 def mismatched_runner(name, **changes):
@@ -1182,6 +1322,11 @@ def test_restore_names_the_field_of_a_checkpoint_of_another_run(name, changes, f
 @pytest.mark.parametrize("changes, message", [
     ({"n_steps": 0}, "^n_steps must be >= 1$"),
     ({"seed": -1}, "^seed must be >= 0, got -1$"),
+    ({"seed": 1.5}, "^seed must be an integer, got 1.5$"),
+    ({"seed": True}, "^seed must be an integer, got True$"),
+    ({"horizon": 10.5}, "^horizon must be an integer, got 10.5$"),
+    ({"n_steps": 2.0}, "^n_steps must be an integer, got 2.0$"),
+    ({"n_steps": True}, "^n_steps must be an integer, got True$"),
     ({"schedule": StronglyConvexDecay(mu=1.0, smoothness=3.0, local_steps=5)},
      "^schedule local_steps is 5, this run's n_steps is 2$"),
     ({"schedule": NonConvexConstant(3, local_steps=2, horizon=41, smoothness=3.0, staleness_cap_mean=1.0)},
@@ -1281,3 +1426,12 @@ def test_importance_spec_through_runner():
     )
     assert len(res.rounds) == 30
     assert res.rounds[-1].f_gap < res.rounds[0].f_gap
+
+
+if __name__ == "__main__":
+    # records the current checkpoint version's round-21 fixture, as
+    # tests/data/checkpoints_v<version>_round21.json
+    snapshots = round_21_checkpoints()
+    path = DATA / f"checkpoints_v{snapshots['mifa']['version']}_round21.json"
+    path.write_text(json.dumps(snapshots, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {path}", file=sys.stderr)
