@@ -59,14 +59,13 @@ checkpoint holds the table alone.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
 
 from . import _kernels
-from .availability import BernoulliParticipation, ParticipationSampler, StalenessTracker
+from .availability import BernoulliParticipation, ParticipationSampler
 from .exact import ExactVectorSum, exact_mean, two_diff
 from .problems import (ProblemInstance, SpecError, _row_dots, is_int, logistic_sample_grads, read_device_ids,
                        read_floats, read_int, sphere_noise)
@@ -542,8 +541,8 @@ class Runner:
     sequence and per-device noise for a fixed seed; subset sampling draws from
     one stream of the run, ``substream(seed, SUBSET_SAMPLING, 0)``. A
     ``Batch`` advances runs; advancing one runner alone is the batch of that one.
-    The participation sampler is positioned when the run first advances or is restored.
-    ``divergence`` holds the ``DivergenceError`` that stopped the run.
+    ``sampler`` is positioned when the run first advances or is restored, ``staleness`` holds
+    the run's statistics as of its last advance or stop, and ``divergence`` the error that stopped it.
     """
 
     def __init__(
@@ -586,10 +585,9 @@ class Runner:
             raise ValueError(f"w0 has shape {self.w0.shape}, the instance's models have shape {(dim,)}")
         if not np.isfinite(self.w0).all():
             raise ValueError("w0 must be finite")
-        self.sampler = None
+        self.sampler = self.staleness = None
         self.noise_rngs = device_noise_streams(seed, instance.n_devices)
         self.subset_rng = substream(seed, SUBSET_SAMPLING, 0)
-        self.tracker = StalenessTracker(instance.n_devices)
         self.oracle_calls = 0
         self.min_grad_sq = np.inf
         self.rounds_done = 0
@@ -620,16 +618,16 @@ class Runner:
             rounds=self.rows,
             diverged=self.divergence is not None,
             final_avg_gap=self.rows[-1].avg_gap if self.rows else None,
-            staleness=self.tracker.stats() if self.tracker.round >= 2 else None,
+            staleness=self.staleness,
             final_w=self.state.w.copy(),
         )
 
     # ---- lossless mid-run checkpointing -----------------------------------
     # Version 6 stores what the run cannot rebuild, each value once, with the
     # run's seed, horizon, local steps, spec and schedule, which restoring
-    # checks. The round is ``rounds_done`` alone; restoring replays the
-    # sampler and staleness tracker, functions of (model, seed, round); the
-    # averaged iterate's shift is the schedule's; the next batch rebuilds a
+    # checks. The round is ``rounds_done`` alone; restoring positions the
+    # sampler, whose rows and staleness are functions of (model, seed, round);
+    # the averaged iterate's shift is the schedule's; the next batch rebuilds a
     # memory server's exact sum from its table. Older copies are not read:
     # the tracker, server round, subset size and averaged shift, dim and
     # rounds (versions 1-5), sampler states (1-3), mifa_delta's sum (1, 2).
@@ -704,23 +702,19 @@ class Runner:
             raise ValueError(f"checkpoint {err.args[0]} is missing") from err
         except SpecError as err:
             raise ValueError(f"checkpoint {err.key} {err}") from err
-        # the engine's own calls, replayed: the run keeps the positioned sampler
-        sampler = ParticipationSampler(self.model, self.seed, self.horizon)
-        tracker = StalenessTracker(n_devices)
-        for t in range(1, rounds_done + 1):
-            tracker.update(t, sampler.row(t))
+        sampler = ParticipationSampler(self.model, self.seed, self.horizon, rounds_done)
         self.rounds_done, self.oracle_calls, self.min_grad_sq = rounds_done, oracle_calls, float(min_grad_sq)
         self.state, self.noise_rngs, self.subset_rng, self.averaged = restored, noise_rngs, subset_rng, iterate
-        self.sampler, self.tracker, self.divergence = sampler, tracker, None
+        self.sampler, self.staleness, self.divergence = sampler, sampler.stats(rounds_done), None
 
 
 class Batch:
     """Runs that share an instance, a participation model, a horizon and a
     local step count, advanced round by round in lockstep.
 
-    The runs of one seed share one participation sampler and one staleness
-    tracker, since their masks are equal; they are linked each time the
-    batch starts to advance, as a restored run holds its own. The batch
+    The runs of one seed share one participation sampler, which draws their
+    equal masks and tracks their staleness; each run keeps its own statistics,
+    set when it stops and at the end of every advance. The batch
     keeps the one exact sum of its runs, R d columns wide: run k owns
     columns k d .. (k + 1) d - 1.
     A memory run's window is rebuilt from its table each time the batch
@@ -754,19 +748,19 @@ class Batch:
         self._fresh = np.repeat([runner.state.fresh for runner in runners], dim)
 
     def _live(self) -> list:
-        """The runs still going, checked to have played the same rounds. The
-        runs of one seed are linked to the first one's sampler and tracker
-        here, each time the batch starts to advance, so that a run restored
-        meanwhile, which holds a tracker of its own, is linked again."""
+        """The runs still going, checked to have played the same rounds. Each
+        time the batch starts to advance, the runs of one seed share the first
+        one's sampler if it stands at their round, else a fresh one positioned
+        there: a run restored or advanced elsewhere meanwhile moved its own."""
         live = [runner for runner in self.runners if runner.divergence is None]
         if len({runner.rounds_done for runner in live}) > 1:
             raise ValueError("the runs of a batch must have played the same rounds")
         leads = {}
         for runner in live:
             lead = leads.setdefault(runner.seed, runner)
-            if lead.sampler is None:
-                lead.sampler = ParticipationSampler(lead.model, lead.seed, lead.horizon)
-            runner.tracker, runner.sampler = lead.tracker, lead.sampler
+            if lead.sampler is None or lead.sampler.round != lead.rounds_done:
+                lead.sampler = ParticipationSampler(lead.model, lead.seed, lead.horizon, lead.rounds_done)
+            runner.sampler = lead.sampler
         return live
 
     def run(self) -> list:
@@ -791,10 +785,15 @@ class Batch:
                 np.concatenate([runner.state.memory for runner in memory]),
                 np.repeat([self._column[runner] for runner in memory], self.instance.n_devices),
             )
-        for t in range(live[0].rounds_done + 1 if live else upto + 1, upto + 1):
-            live = self._round(t, live)
-            if not live:
-                break
+        try:
+            for t in range(live[0].rounds_done + 1 if live else upto + 1, upto + 1):
+                live = self._round(t, live)
+                if not live:
+                    break
+        finally:  # also where a replayed trace ran out: its sampler stands at the runs' last round
+            for runner in live:
+                if runner.sampler.round == runner.rounds_done:
+                    runner.staleness = runner.sampler.stats(runner.rounds_done)
 
     def _round(self, t: int, live: list) -> list:
         """Play round ``t`` for the runs ``live``; returns those still going."""
@@ -806,9 +805,7 @@ class Batch:
         models, ids, etas, rngs, averaged = [], [], [], [], []
         for k, runner in enumerate(live):
             if runner.seed not in seeds:
-                row = runner.sampler.row(t)
-                runner.tracker.update(t, row)
-                seeds[runner.seed] = (row, runner.tracker.running_avg, runner.tracker.running_peak)
+                seeds[runner.seed] = (runner.sampler.row(t), *runner.sampler.running(t))
             if runner.averaged is not None:
                 runner.averaged.observe(t, runner.state.w)
                 if inst.f_star is not None:
@@ -903,8 +900,7 @@ class Batch:
     @staticmethod
     def _stop(runner: Runner, error: DivergenceError) -> None:
         # the run keeps its staleness as of the round it stopped in
-        runner.divergence = error
-        runner.tracker = copy.deepcopy(runner.tracker)
+        runner.divergence, runner.staleness = error, runner.sampler.stats(runner.sampler.round)
 
 
 def run(

@@ -14,6 +14,7 @@ appeared in an active set: 0 when active at t, previous value + 1 otherwise.
 
 from __future__ import annotations
 
+import copy
 import math
 import re
 from dataclasses import dataclass
@@ -62,41 +63,70 @@ class ParticipationModel:
 
 
 class ParticipationSampler:
-    """One seed's mask rows, handed out in round order from round 1 on.
+    """One seed's mask rows and their staleness, handed out in round order.
 
     The sampler keeps one block of rows and the model's draw state between
     blocks. A block stops at the ``horizon`` (unless already past it) and at
     the model's last round, so it draws no row a run does not reach, and a
     replayed trace raises ``TraceExhaustedError`` at the first round past its
-    end, not before.
+    end, not before. Each block extends the seed's ``StalenessTracker`` once,
+    and ``running(t)`` and ``stats(t)`` answer for any round t of the block.
+    ``round`` is the last round handed out: ``played``, from 0, when built.
     """
 
-    def __init__(self, model: ParticipationModel, seed: int, horizon: int):
+    def __init__(self, model: ParticipationModel, seed: int, horizon: int, played: int = 0):
         self.model = model
         self.horizon = horizon
         self._rows = _block_rows(model.n_devices)
         self._position = model._position(seed, 1)
+        self._tracker = StalenessTracker(model.n_devices)
         self._block = np.ones((0, model.n_devices), dtype=bool)
-        self._block_start = self._next_round = 1
+        self._block_start = 1
+        self._sums = self._peaks = [0]  # running sum and peak of staleness; entry k: rounds 1 .. _block_start - 1 + k
+        self._last = (0, None)  # the last round stats were asked for, and its stats
+        while self._block_start + len(self._block) <= played:
+            self.next_block()
+        self.round = played
 
-    def next_block(self) -> tuple[int, np.ndarray]:
-        """Draw the rows that follow the last block; returns (first round, block)."""
+    def next_block(self) -> None:
+        """Draw the rows that follow the last block, and extend the tracker by them."""
         start = self._block_start + len(self._block)
         stop = min(start + self._rows, max(start, self.horizon) + 1)
         if self.model.last_round is not None:
             stop = min(stop, max(start, self.model.last_round) + 1)
-        self._block = self.model._fill(self._position, start, stop)
-        self._block_start = start
-        return start, self._block
+        self._block, self._block_start = self.model._fill(self._position, start, stop), start
+        self._before = copy.deepcopy(self._tracker)
+        staleness = self._tracker.extend(start, self._block)
+        self._sums = np.cumsum(np.concatenate((self._sums[-1:], staleness.sum(axis=1))))
+        self._peaks = np.maximum.accumulate(np.concatenate((self._peaks[-1:], staleness.max(axis=1))))
 
     def row(self, t: int) -> np.ndarray:
         """The (N,) mask row of round ``t``, the round after the last one asked for."""
-        if t != self._next_round:
-            raise ValueError(f"rounds must be sampled in order; expected {self._next_round}, got {t}")
+        if t != self.round + 1:
+            raise ValueError(f"rounds must be sampled in order; expected {self.round + 1}, got {t}")
         if t - self._block_start >= len(self._block):
             self.next_block()
-        self._next_round += 1
+        self.round = t
         return self._block[t - self._block_start]
+
+    def _index(self, t: int) -> int:
+        if not 0 <= t - self._block_start < len(self._block):
+            raise ValueError(f"round {t} is not in the block of {len(self._block)} rounds from {self._block_start}")
+        return t - self._block_start
+
+    def running(self, t: int) -> tuple[float, int]:
+        """The mean and the peak staleness over rounds 1 .. ``t``, off the block's cumulative integer sums."""
+        k = self._index(t) + 1
+        return int(self._sums[k]) / (self.model.n_devices * t), int(self._peaks[k])
+
+    def stats(self, t: int) -> StalenessStats | None:
+        """Round ``t``'s ``StalenessStats``, replayed once on the tracker from before the block; None before 2."""
+        if t >= 2 and self._last[0] != t:
+            stop = self._index(t) + 1
+            tracker = copy.deepcopy(self._before)
+            tracker.extend(self._block_start, self._block[:stop])
+            self._last = (t, tracker.stats())
+        return self._last[1] if t >= 2 else None
 
 
 class FullParticipation(ParticipationModel):
@@ -246,7 +276,7 @@ class StalenessStats:
 
 
 class StalenessTracker:
-    """Incremental staleness recursion plus running aggregates.
+    """Incremental staleness recursion plus the aggregates of ``stats``.
 
     ``update`` consumes mask rows, ``extend`` blocks of them, in round order. Aggregate statistics are
     reported over rounds 1..T-1 where T is the latest observed round, which
@@ -300,26 +330,10 @@ class StalenessTracker:
             device_peak_sq_mean=float((peaks.astype(np.float64) ** 2).mean()),
         )
 
-    # Running values over all observed rounds 1..T, for per-round metrics.
-    @property
-    def running_avg(self) -> float:
-        if self.round == 0:
-            return 0.0
-        return (self._folded_sum + int(self.staleness.sum())) / (self.n_devices * self.round)
-
-    @property
-    def running_peak(self) -> int:
-        if self.round == 0:
-            return 0
-        return int(max(self._folded_dev_peak.max(), self.staleness.max()))
-
 
 def realized_staleness(model: ParticipationModel, seed: int, horizon: int) -> StalenessStats:
     """Staleness statistics of the trace ``model`` realizes for ``seed`` over ``horizon`` >= 2 rounds."""
-    sampler, tracker = ParticipationSampler(model, seed, horizon), StalenessTracker(model.n_devices)
-    while tracker.round < horizon:
-        tracker.extend(*sampler.next_block())
-    return tracker.stats()
+    return ParticipationSampler(model, seed, horizon, horizon)._tracker.stats()
 
 
 def check_linear_delay_bound(rounds, offset: float, smoothness: float, mu: float):

@@ -79,6 +79,8 @@ def read_floats(key: str, value, shape: tuple) -> np.ndarray:
         raise SpecError(key, f"has shape {array.shape}, this run's has shape {shape}")
     if array.dtype.kind not in "iuf":
         raise SpecError(key, f"holds {array.dtype} entries, expected numbers")
+    if any(isinstance(entry, bool) for entry in np.array(value, dtype=object).flat):  # numbers promote a bool
+        raise SpecError(key, "holds a bool, expected numbers")
     if not np.isfinite(array).all():
         raise SpecError(key, "holds a value that is not finite")
     return array.astype(np.float64, copy=False)

@@ -633,15 +633,24 @@ def test_a_run_does_not_depend_on_its_batch(kind, runs, n_steps, at):
     # and a batched run that reaches round ``at`` checkpoints as it would alone
     runners = [batch_runner(kind, run, seed, n_steps) for run, seed in runs]
     fedsim.Batch(runners).run_rounds(at)
-    for (run, seed), runner in zip(runs, runners):
-        alone = batch_runner(kind, run, seed, n_steps)
-        try:
-            alone.run_rounds(at)
-        except DivergenceError:
-            assert runner.divergence is not None and str(runner.divergence) == str(alone.divergence)
-            continue
-        assert runner.divergence is None
-        assert json.dumps(runner.checkpoint()) == json.dumps(alone.checkpoint())
+    alones = [batch_runner(kind, run, seed, n_steps) for run, seed in runs]
+    for runner, alone in zip(runners, alones):
+        fedsim.Batch([alone]).run_rounds(at)
+        assert str(runner.divergence) == str(alone.divergence)
+        if runner.divergence is None:
+            assert json.dumps(runner.checkpoint()) == json.dumps(alone.checkpoint())
+    # split the batch: the first live run plays on alone to the horizon, which
+    # leaves every other run's staleness at round ``at``, and each of them
+    # then plays on alone as its solo run does
+    live = [k for k, runner in enumerate(runners) if runner.divergence is None]
+    if live:
+        fedsim.Batch([runners[live[0]]]).run_rounds(BATCH_HORIZON)
+    for k, (runner, alone) in enumerate(zip(runners, alones)):
+        if live and k != live[0]:
+            assert runner.result().staleness == alone.result().staleness
+            fedsim.Batch([runner]).run_rounds(BATCH_HORIZON)
+            fedsim.Batch([alone]).run_rounds(BATCH_HORIZON)
+            assert repr(runner.rows) == repr(alone.rows) and str(runner.divergence) == str(alone.divergence)
 
 
 def counting_kernels(monkeypatch):
@@ -877,9 +886,10 @@ def test_a_held_batch_resumes_a_restored_run_from_its_checkpoint(name):
 
 
 def test_a_held_batch_links_a_restored_run_to_its_seeds_tracker_again():
-    # a restored run holds a staleness tracker of its own; the batch links
-    # the runs of each seed to one sampler and tracker whenever it starts to
-    # advance, so the other run of the seed keeps counting its rounds
+    # a restored run holds a participation sampler of its own; the batch
+    # gives the runs of each seed one sampler that stands at their round
+    # whenever it starts to advance, so the other run of the seed keeps
+    # counting its rounds
     inst = make_quadratic_instance(5, 2, mu=1.0, smoothness=3.0, sigma=0.5, heterogeneity=1.0, seed=16)
     model = BernoulliParticipation([0.3, 0.5, 0.7, 0.9, 1.0])
     sched = StronglyConvexDecay(mu=1.0, smoothness=3.0, local_steps=2)
@@ -1213,6 +1223,8 @@ REFUSED_VALUES = [
     ("mifa", setting("min_grad_sq", float("nan")), "min_grad_sq"),
     ("mifa", setting("min_grad_sq", "1e5"), "min_grad_sq"),
     ("mifa", first_entry("update_array", float("nan")), "server.update_array"),
+    ("mifa", first_entry("w", True), "server.w"),  # numpy would promote a bool among numbers to 1.0 or 0.0
+    ("mifa", lambda snapshot: snapshot["server"]["update_array"][1].__setitem__(1, False), "server.update_array"),
     ("is_fedavg", first_entry("w", float("inf")), "server.w"),
     ("mifa_delta", setting("spec", None), "spec"),
     ("mifa", setting("schedule", [1]), "schedule"),

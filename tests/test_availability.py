@@ -199,6 +199,31 @@ def test_mask_blocks_equal_the_per_round_reference(block_rows, case, seed, horiz
             assert stats.device_peak_mean == stale.max(axis=0).mean()
 
 
+@settings(max_examples=80, deadline=None)
+@given(case=participation_models(), seed=st.integers(0, 2**32), horizon=st.integers(2, 40),
+       block_rows=st.integers(1, 3))
+def test_block_staleness_equals_a_per_row_tracker(case, seed, horizon, block_rows):
+    # the sampler tracks a block at a time; every round's running mean and
+    # peak, and its statistics, are bitwise those of a tracker fed row by row,
+    # also for a sampler positioned at that round
+    model, trace = case
+    last = horizon if trace is None else min(horizon, len(trace))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(availability, "MASK_BLOCK_CELLS", block_rows * model.n_devices)
+        sampler, tracker = ParticipationSampler(model, seed, horizon), StalenessTracker(model.n_devices)
+        total = peak = 0
+        for t, row in enumerate(model.mask(seed, 1, last + 1), start=1):
+            tracker.update(t, row)
+            total, peak = total + int(tracker.staleness.sum()), max(peak, int(tracker.staleness.max()))
+            stats = tracker.stats() if t >= 2 else None
+            assert np.array_equal(sampler.row(t), row)
+            assert sampler.running(t) == (total / (model.n_devices * t), peak)
+            assert sampler.stats(t) == stats
+            assert ParticipationSampler(model, seed, horizon, t).stats(t) == stats
+        if last >= 2:
+            assert realized_staleness(model, seed, last) == stats
+
+
 @pytest.mark.parametrize("block_rows", [1, 4, 1000])
 def test_short_trace_stops_a_run_at_the_round_after_its_end(block_rows, monkeypatch):
     monkeypatch.setattr(availability, "MASK_BLOCK_CELLS", 2 * block_rows)
@@ -208,6 +233,7 @@ def test_short_trace_stops_a_run_at_the_round_after_its_end(block_rows, monkeypa
     with pytest.raises(TraceExhaustedError):
         runner.run_rounds(10)
     assert runner.rounds_done == 6 and [row.t for row in runner.rows] == list(range(1, 7))
+    assert runner.result().staleness == realized_staleness(model, 0, 6)
     with pytest.raises(TraceExhaustedError):
         realized_staleness(model, 0, 7)
 
