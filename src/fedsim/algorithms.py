@@ -532,17 +532,23 @@ def _run_fields(state: dict) -> dict:
                for key, value in state[group].items()}}
 
 
+def _same(stored, value) -> bool:
+    """Whether checkpoint field ``stored`` is the run's ``value``; a bool matches only a bool, also in a list."""
+    if isinstance(stored, list) and isinstance(value, list):
+        return len(stored) == len(value) and all(map(_same, stored, value))
+    return isinstance(stored, bool) == isinstance(value, bool) and stored == value
+
+
 class Runner:
     """One (algorithm, seed) run: its server, noise and subset streams,
-    staleness, counters and metric rows.
+    counters and metric rows.
 
     Participation and gradient noise draw from dedicated per-device
     substreams of the seed, so every algorithm sees the identical active-set
     sequence and per-device noise for a fixed seed; subset sampling draws from
     one stream of the run, ``substream(seed, SUBSET_SAMPLING, 0)``. A
     ``Batch`` advances runs; advancing one runner alone is the batch of that one.
-    ``sampler`` is positioned when the run first advances or is restored, ``staleness`` holds
-    the run's statistics as of its last advance or stop, and ``divergence`` the error that stopped it.
+    ``sampler`` is positioned when the run advances, and ``divergence`` holds the error that stopped it.
     """
 
     def __init__(
@@ -585,7 +591,7 @@ class Runner:
             raise ValueError(f"w0 has shape {self.w0.shape}, the instance's models have shape {(dim,)}")
         if not np.isfinite(self.w0).all():
             raise ValueError("w0 must be finite")
-        self.sampler = self.staleness = None
+        self.sampler = None
         self.noise_rngs = device_noise_streams(seed, instance.n_devices)
         self.subset_rng = substream(seed, SUBSET_SAMPLING, 0)
         self.oracle_calls = 0
@@ -612,21 +618,24 @@ class Runner:
         return self.rows
 
     def result(self) -> RunResult:
-        """The run's result: the rows of its last advance, and its staleness
-        over the rounds it played."""
+        """The run's result: the rows of its last advance, and what its
+        staleness over the rounds it observed is derived from; a run that
+        diverged observed the round it stopped in."""
         return RunResult(
             rounds=self.rows,
             diverged=self.divergence is not None,
             final_avg_gap=self.rows[-1].avg_gap if self.rows else None,
-            staleness=self.staleness,
             final_w=self.state.w.copy(),
+            model=self.model,
+            seed=self.seed,
+            rounds_observed=self.rounds_done + (self.divergence is not None),
         )
 
     # ---- lossless mid-run checkpointing -----------------------------------
     # Version 6 stores what the run cannot rebuild, each value once, with the
     # run's seed, horizon, local steps, spec and schedule, which restoring
-    # checks. The round is ``rounds_done`` alone; restoring positions the
-    # sampler, whose rows and staleness are functions of (model, seed, round);
+    # checks. The round is ``rounds_done`` alone; the next advance positions
+    # the sampler, whose rows and staleness are functions of (model, seed, round);
     # the averaged iterate's shift is the schedule's; the next batch rebuilds a
     # memory server's exact sum from its table. Older copies are not read:
     # the tracker, server round, subset size and averaged shift, dim and
@@ -681,7 +690,7 @@ class Runner:
                 if version == 5:
                     del identity["schedule"]  # version 5 holds no schedule
                 for key, value in _run_fields(identity).items():
-                    if stored.get(key) != value:
+                    if not _same(stored.get(key), value):
                         raise SpecError(key, f"is {stored.get(key)!r}, this run's is {value!r}")
             rounds_done = read_int("rounds_done", state["rounds_done"], 0)
             if rounds_done > self.horizon:
@@ -702,10 +711,9 @@ class Runner:
             raise ValueError(f"checkpoint {err.args[0]} is missing") from err
         except SpecError as err:
             raise ValueError(f"checkpoint {err.key} {err}") from err
-        sampler = ParticipationSampler(self.model, self.seed, self.horizon, rounds_done)
         self.rounds_done, self.oracle_calls, self.min_grad_sq = rounds_done, oracle_calls, float(min_grad_sq)
         self.state, self.noise_rngs, self.subset_rng, self.averaged = restored, noise_rngs, subset_rng, iterate
-        self.sampler, self.staleness, self.divergence = sampler, sampler.stats(rounds_done), None
+        self.sampler = self.divergence = None
 
 
 class Batch:
@@ -713,8 +721,7 @@ class Batch:
     local step count, advanced round by round in lockstep.
 
     The runs of one seed share one participation sampler, which draws their
-    equal masks and tracks their staleness; each run keeps its own statistics,
-    set when it stops and at the end of every advance. The batch
+    equal masks and tracks their staleness. The batch
     keeps the one exact sum of its runs, R d columns wide: run k owns
     columns k d .. (k + 1) d - 1.
     A memory run's window is rebuilt from its table each time the batch
@@ -751,7 +758,7 @@ class Batch:
         """The runs still going, checked to have played the same rounds. Each
         time the batch starts to advance, the runs of one seed share the first
         one's sampler if it stands at their round, else a fresh one positioned
-        there: a run restored or advanced elsewhere meanwhile moved its own."""
+        there: a run restored meanwhile holds none, and one advanced elsewhere moved its own."""
         live = [runner for runner in self.runners if runner.divergence is None]
         if len({runner.rounds_done for runner in live}) > 1:
             raise ValueError("the runs of a batch must have played the same rounds")
@@ -785,15 +792,10 @@ class Batch:
                 np.concatenate([runner.state.memory for runner in memory]),
                 np.repeat([self._column[runner] for runner in memory], self.instance.n_devices),
             )
-        try:
-            for t in range(live[0].rounds_done + 1 if live else upto + 1, upto + 1):
-                live = self._round(t, live)
-                if not live:
-                    break
-        finally:  # also where a replayed trace ran out: its sampler stands at the runs' last round
-            for runner in live:
-                if runner.sampler.round == runner.rounds_done:
-                    runner.staleness = runner.sampler.stats(runner.rounds_done)
+        for t in range(live[0].rounds_done + 1 if live else upto + 1, upto + 1):
+            live = self._round(t, live)
+            if not live:
+                break
 
     def _round(self, t: int, live: list) -> list:
         """Play round ``t`` for the runs ``live``; returns those still going."""
@@ -861,12 +863,12 @@ class Batch:
             hi = lo + count
             if not finite[lo:hi].all():
                 lowest = run_ids[~finite[lo:hi]].min()
-                self._stop(runner, DivergenceError(f"device {lowest} produced a non-finite local iterate"))
+                runner.divergence = DivergenceError(f"device {lowest} produced a non-finite local iterate")
                 continue
             try:
                 folded = runner.state.fold(run_ids, values[lo:hi])
             except DivergenceError as err:
-                self._stop(runner, err)
+                runner.divergence = err
                 continue
             runner.oracle_calls += self.n_steps * count
             if folded is not None:
@@ -886,7 +888,7 @@ class Batch:
         for k in going:
             runner = live[k]
             if not np.isfinite(runner.state.w).all():
-                self._stop(runner, DivergenceError(f"server model non-finite after round {t}"))
+                runner.divergence = DivergenceError(f"server model non-finite after round {t}")
                 continue
             _, tau_bar, tau_max = seeds[runner.seed]
             runner.rows.append(RoundMetrics(
@@ -896,11 +898,6 @@ class Batch:
             runner.rounds_done = t
             still.append(runner)
         return still
-
-    @staticmethod
-    def _stop(runner: Runner, error: DivergenceError) -> None:
-        # the run keeps its staleness as of the round it stopped in
-        runner.divergence, runner.staleness = error, runner.sampler.stats(runner.sampler.round)
 
 
 def run(

@@ -6,7 +6,8 @@ and row 0, round 1, is all true. ``model.mask(seed, start, stop)`` returns
 the (stop - start, N) block of rounds start .. stop - 1, so the active set
 of a round is a function of (seed, round) alone. A ``ParticipationSampler``
 hands out one seed's rows in round order, drawing them a block of at most
-``MASK_BLOCK_CELLS`` cells at a time.
+``MASK_BLOCK_CELLS`` cells at a time. A run's ``StalenessStats`` are thus a
+function of (model, seed, rounds observed): ``realized_staleness`` replays them.
 
 Staleness of device i at round t is the number of rounds since it last
 appeared in an active set: 0 when active at t, previous value + 1 otherwise.
@@ -14,7 +15,6 @@ appeared in an active set: 0 when active at t, previous value + 1 otherwise.
 
 from __future__ import annotations
 
-import copy
 import math
 import re
 from dataclasses import dataclass
@@ -69,9 +69,9 @@ class ParticipationSampler:
     blocks. A block stops at the ``horizon`` (unless already past it) and at
     the model's last round, so it draws no row a run does not reach, and a
     replayed trace raises ``TraceExhaustedError`` at the first round past its
-    end, not before. Each block extends the seed's ``StalenessTracker`` once,
-    and ``running(t)`` and ``stats(t)`` answer for any round t of the block.
-    ``round`` is the last round handed out: ``played``, from 0, when built.
+    end, not before. Each block extends the seed's ``tracker`` once, and
+    ``running(t)`` answers for any round t of the block. ``round`` is the
+    last round handed out: ``played``, from 0, when built.
     """
 
     def __init__(self, model: ParticipationModel, seed: int, horizon: int, played: int = 0):
@@ -79,11 +79,10 @@ class ParticipationSampler:
         self.horizon = horizon
         self._rows = _block_rows(model.n_devices)
         self._position = model._position(seed, 1)
-        self._tracker = StalenessTracker(model.n_devices)
+        self.tracker = StalenessTracker(model.n_devices)
         self._block = np.ones((0, model.n_devices), dtype=bool)
         self._block_start = 1
         self._sums = self._peaks = [0]  # running sum and peak of staleness; entry k: rounds 1 .. _block_start - 1 + k
-        self._last = (0, None)  # the last round stats were asked for, and its stats
         while self._block_start + len(self._block) <= played:
             self.next_block()
         self.round = played
@@ -95,8 +94,7 @@ class ParticipationSampler:
         if self.model.last_round is not None:
             stop = min(stop, max(start, self.model.last_round) + 1)
         self._block, self._block_start = self.model._fill(self._position, start, stop), start
-        self._before = copy.deepcopy(self._tracker)
-        staleness = self._tracker.extend(start, self._block)
+        staleness = self.tracker.extend(start, self._block)
         self._sums = np.cumsum(np.concatenate((self._sums[-1:], staleness.sum(axis=1))))
         self._peaks = np.maximum.accumulate(np.concatenate((self._peaks[-1:], staleness.max(axis=1))))
 
@@ -109,24 +107,12 @@ class ParticipationSampler:
         self.round = t
         return self._block[t - self._block_start]
 
-    def _index(self, t: int) -> int:
-        if not 0 <= t - self._block_start < len(self._block):
-            raise ValueError(f"round {t} is not in the block of {len(self._block)} rounds from {self._block_start}")
-        return t - self._block_start
-
     def running(self, t: int) -> tuple[float, int]:
         """The mean and the peak staleness over rounds 1 .. ``t``, off the block's cumulative integer sums."""
-        k = self._index(t) + 1
+        if not 0 <= t - self._block_start < len(self._block):
+            raise ValueError(f"round {t} is not in the block of {len(self._block)} rounds from {self._block_start}")
+        k = t - self._block_start + 1
         return int(self._sums[k]) / (self.model.n_devices * t), int(self._peaks[k])
-
-    def stats(self, t: int) -> StalenessStats | None:
-        """Round ``t``'s ``StalenessStats``, replayed once on the tracker from before the block; None before 2."""
-        if t >= 2 and self._last[0] != t:
-            stop = self._index(t) + 1
-            tracker = copy.deepcopy(self._before)
-            tracker.extend(self._block_start, self._block[:stop])
-            self._last = (t, tracker.stats())
-        return self._last[1] if t >= 2 else None
 
 
 class FullParticipation(ParticipationModel):
@@ -242,11 +228,11 @@ class TraceReplay(ParticipationModel):
         sets = [frozenset(int(i) for i in s) for s in rounds]
         if not sets:
             raise ValueError("trace must contain at least one round")
-        if sets[0] != frozenset(range(n_devices)):
-            raise ValueError("trace round 1 must list all devices")
         for s in sets:
             if any(i < 0 or i >= n_devices for i in s):
                 raise ValueError("trace contains an out-of-range device id")
+        if len(sets[0]) != n_devices:  # its ids are distinct and in range
+            raise ValueError("trace round 1 must list all devices")
         self.n_devices = n_devices
         self.last_round = len(sets)
         self.table = np.zeros((len(sets), n_devices), dtype=bool)
@@ -333,7 +319,7 @@ class StalenessTracker:
 
 def realized_staleness(model: ParticipationModel, seed: int, horizon: int) -> StalenessStats:
     """Staleness statistics of the trace ``model`` realizes for ``seed`` over ``horizon`` >= 2 rounds."""
-    return ParticipationSampler(model, seed, horizon, horizon)._tracker.stats()
+    return ParticipationSampler(model, seed, horizon, horizon).tracker.stats()
 
 
 def check_linear_delay_bound(rounds, offset: float, smoothness: float, mu: float):
@@ -437,6 +423,6 @@ def read_trace(path):
         if any(i >= n_devices for i in members):
             raise ValueError(f"trace {path} line {t + 1}: device id out of range for N={n_devices}")
         rounds.append(members)
-    if rounds and rounds[0] != frozenset(range(n_devices)):
+    if rounds and len(rounds[0]) != n_devices:  # its ids are distinct and in range
         raise ValueError(f"trace {path} line 2: round 1 must list all devices")
     return n_devices, rounds

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
+from .availability import realized_staleness
 
 
 @dataclass(frozen=True)
@@ -29,8 +32,18 @@ class RoundMetrics:
 
 @dataclass
 class RunResult:
+    """A run's rows, as of its last advance, and its end state. Its staleness is a
+    function of (participation model, seed, rounds observed), so it keeps those
+    three and derives ``staleness``, a ``StalenessStats``, on first read: None before two rounds."""
+
     rounds: list
     diverged: bool
     final_avg_gap: float | None
-    staleness: object  # StalenessStats | None
     final_w: object
+    model: object = None  # ParticipationModel
+    seed: int = 0
+    rounds_observed: int = 0
+
+    @cached_property
+    def staleness(self):
+        return realized_staleness(self.model, self.seed, self.rounds_observed) if self.rounds_observed >= 2 else None

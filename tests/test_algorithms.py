@@ -26,6 +26,7 @@ from fedsim.availability import (
     FullParticipation,
     PeriodicParticipation,
     TraceReplay,
+    realized_staleness,
 )
 from fedsim.exact import exact_mean
 from fedsim.problems import (
@@ -653,6 +654,19 @@ def test_a_run_does_not_depend_on_its_batch(kind, runs, n_steps, at):
             assert repr(runner.rows) == repr(alone.rows) and str(runner.divergence) == str(alone.divergence)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("kind", sorted(BATCH_INSTANCES))
+def test_a_diverged_run_reports_the_staleness_of_the_round_it_stopped_in(kind):
+    # the huge step diverges in round r > 2; the run beside it plays on
+    runners = [batch_runner(kind, "huge_step", 2, 1), batch_runner(kind, "mifa", 2, 1)]
+    diverged, going = fedsim.Batch(runners).run()
+    r = len(diverged.rounds) + 1
+    assert diverged.diverged and r > 2 and [row.t for row in diverged.rounds] == list(range(1, r))
+    assert diverged.staleness == realized_staleness(BATCH_MODEL, 2, r)
+    assert going.staleness == realized_staleness(BATCH_MODEL, 2, BATCH_HORIZON)
+
+
 def counting_kernels(monkeypatch):
     """Counts of the rows the K-step kernels compute ("rows") and of the
     ``local_update`` draws ("draws") made from here on."""
@@ -846,6 +860,17 @@ def checkpoint_runner(name):
     return fedsim.Runner(spec, inst, model, sched, horizon=40, n_steps=2, seed=8)
 
 
+@pytest.mark.parametrize("k", [1, 5])
+def test_a_restored_run_reports_the_staleness_of_its_checkpoints_round(k):
+    # restored into a run that played 9 rounds, and not yet advanced
+    first, second = checkpoint_runner("mifa"), checkpoint_runner("mifa")
+    first.run_rounds(k)
+    second.run_rounds(9)
+    second.restore(json.loads(json.dumps(first.checkpoint())))
+    expected = realized_staleness(second.model, second.seed, k) if k >= 2 else None
+    assert second.result().staleness == expected == first.result().staleness
+
+
 @pytest.mark.parametrize("name", list(SERVERS))
 def test_checkpoint_resume_reproduces_trajectory(name):
     def make_runner():
@@ -886,7 +911,7 @@ def test_a_held_batch_resumes_a_restored_run_from_its_checkpoint(name):
 
 
 def test_a_held_batch_links_a_restored_run_to_its_seeds_tracker_again():
-    # a restored run holds a participation sampler of its own; the batch
+    # a restored run holds no participation sampler; the batch
     # gives the runs of each seed one sampler that stands at their round
     # whenever it starts to advance, so the other run of the seed keeps
     # counting its rounds
@@ -1268,10 +1293,13 @@ DELETE = object()
 
 def corruptions(value, deletable):
     """The corrupted values of ``value`` by kind: deleted, null, of another
-    type, fractional, out of range, non-finite or too long."""
+    type, a bool (equal to a 0 or a 1), fractional, out of range, non-finite
+    or too long."""
     out = {"delete": DELETE} if deletable else {}
     out.update(null=None, type=[1] if isinstance(value, dict) else "x" if isinstance(value, list) else
                1 if isinstance(value, str) else str(value))
+    if isinstance(value, (int, float)):
+        out["bool"] = bool(value)
     if isinstance(value, int):
         out.update(fractional=value + 0.5, negative=-1, huge=10**6)
     if isinstance(value, float):
@@ -1322,11 +1350,17 @@ def mismatched_runner(name, **changes):
     ("mifa", {"schedule": StronglyConvexDecay(mu=1.0, smoothness=3.0, local_steps=2, delay_offset=5)},
      "schedule.delay_offset"),
     ("biased_fedavg", {"schedule": StronglyConvexDecay(mu=1.0, smoothness=4.0, local_steps=2)}, "schedule.smoothness"),
+    # a checkpoint's true is no number, though it equals the run's 1 and 1.0
+    ("mifa", {"seed": 1, "edit": setting("seed", True)}, "seed"),
+    ("mifa", {"edit": setting("schedule.mu", True)}, "schedule.mu"),
+    ("is_fedavg", {"edit": lambda snapshot: snapshot["spec"]["probs"].__setitem__(2, True)}, "spec.probs"),
 ])
 def test_restore_names_the_field_of_a_checkpoint_of_another_run(name, changes, field):
+    # ``changes`` change the run restored into; its "edit", if any, edits the checkpoint
     first = checkpoint_runner(name)
     first.run_rounds(5)
     snapshot = json.loads(json.dumps(first.checkpoint()))
+    changes.get("edit", lambda snapshot: None)(snapshot)
     with pytest.raises(ValueError, match=f"^checkpoint {field} "):
         mismatched_runner(name, **changes).restore(snapshot)
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -204,8 +205,8 @@ def test_mask_blocks_equal_the_per_round_reference(block_rows, case, seed, horiz
        block_rows=st.integers(1, 3))
 def test_block_staleness_equals_a_per_row_tracker(case, seed, horizon, block_rows):
     # the sampler tracks a block at a time; every round's running mean and
-    # peak, and its statistics, are bitwise those of a tracker fed row by row,
-    # also for a sampler positioned at that round
+    # peak, and the statistics replayed up to it, are bitwise those of a
+    # tracker fed row by row
     model, trace = case
     last = horizon if trace is None else min(horizon, len(trace))
     with pytest.MonkeyPatch.context() as mp:
@@ -215,13 +216,10 @@ def test_block_staleness_equals_a_per_row_tracker(case, seed, horizon, block_row
         for t, row in enumerate(model.mask(seed, 1, last + 1), start=1):
             tracker.update(t, row)
             total, peak = total + int(tracker.staleness.sum()), max(peak, int(tracker.staleness.max()))
-            stats = tracker.stats() if t >= 2 else None
             assert np.array_equal(sampler.row(t), row)
             assert sampler.running(t) == (total / (model.n_devices * t), peak)
-            assert sampler.stats(t) == stats
-            assert ParticipationSampler(model, seed, horizon, t).stats(t) == stats
-        if last >= 2:
-            assert realized_staleness(model, seed, last) == stats
+            if t >= 2:
+                assert realized_staleness(model, seed, t) == tracker.stats()
 
 
 @pytest.mark.parametrize("block_rows", [1, 4, 1000])
@@ -401,6 +399,21 @@ def test_trace_file_roundtrip(tmp_path):
     n, loaded = read_trace(path)
     assert n == 3
     assert loaded == rounds
+
+
+def test_a_trace_header_of_many_devices_costs_no_memory(tmp_path):
+    # round 1's ids are distinct and in range, so their count alone says
+    # whether they list all N devices
+    path = tmp_path / "trace.txt"
+    path.write_text("N=1000000 T=1\nt:1 active:0,1\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="line 2: round 1 must list all devices"):
+            read_trace(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_trace_file_format_is_stable(tmp_path):

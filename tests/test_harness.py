@@ -251,6 +251,19 @@ def test_compare_shares_availability_across_algorithms(tmp_path):
     assert availability_cols["mifa"] == availability_cols["sampling_fedavg"]
 
 
+def test_compare_computes_no_staleness_statistics(tmp_path, monkeypatch):
+    # a run's statistics are derived when read, and a strongly convex
+    # compare reads none: its rows carry the running mean and peak
+    tracker, calls = fedsim.availability.StalenessTracker, []
+    stats = tracker.stats
+    monkeypatch.setattr(tracker, "stats", lambda self: calls.append(self.round) or stats(self))
+    results = fedsim.compare_experiment(base_config(), ["mifa", "biased_fedavg"], out=str(tmp_path / "cmp"))
+    assert calls == []
+    result = results["mifa"].per_seed[2]
+    assert result.staleness == result.staleness == fedsim.availability.realized_staleness(result.model, 2, 25)
+    assert calls == [25, 25]
+
+
 def test_compare_names_an_algorithm_listed_twice(tmp_path):
     with pytest.raises(ValueError, match="algorithm mifa is listed twice"):
         fedsim.compare_experiment(base_config(), ["mifa", "biased_fedavg", "mifa"], out=str(tmp_path / "cmp"))
@@ -625,6 +638,18 @@ def test_cli_run_names_malformed_trace_line(tmp_path, text, line):
     assert f"line {line}:" in out.stderr
     assert "Traceback" not in out.stderr
     assert not (tmp_path / "r.csv").exists()
+
+
+def test_cli_validate_names_a_trace_header_of_too_many_devices(tmp_path):
+    (tmp_path / "trace.txt").write_text("N=1000000 T=1\nt:1 active:0,1\n")
+    cfg = base_config()
+    cfg["availability"] = {"variant": "trace_replay", "path": "trace.txt"}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = run_cli("validate", str(path))
+    assert out.returncode == 2
+    assert "availability.path" in out.stderr and "line 2: round 1 must list all devices" in out.stderr
+    assert "Traceback" not in out.stderr
 
 
 def test_cli_validate_builds_the_algorithm(tmp_path):
